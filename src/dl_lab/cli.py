@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DLLabError
+from .errors import DLLabError, ValidationError
 from .io import dumps_document, hamiltonian_to_document, atomic_write_text
 from .models import ModelDescriptor, build_model
 from .runner import COMMANDS, FORMATS, emit_report, list_models, load_config, run
@@ -72,6 +72,9 @@ def main(argv=None) -> int:
             return _model_main(args)
         config = load_config(args.config, out_dir=args.out, out_format=args.format,
                              quiet=args.quiet)
+        if config.command != args.command:
+            raise ValidationError(f"field 'command': the config names {config.command!r} "
+                                  f"but the subcommand is {args.command!r}")
         report = run(config)
         report, paths = emit_report(report, config.out_dir, config.out_format)
         if not config.quiet:

@@ -66,10 +66,6 @@ class DLOperator:
             raise ValidationError("state dimension does not match the operator")
         return StateVector(self.apply_array(psi.amplitudes), psi.sites)
 
-    def occurrence_layers(self, rounds: int) -> tuple[tuple[int, ...], ...]:
-        """The g*rounds projection layers of A^rounds, first-applied first."""
-        return self.layer_order * rounds
-
 
 def dl_operator(h: HamiltonianSpec, partition: LayerPartition | None = None) -> DLOperator:
     if not h.all_projectors():
@@ -134,7 +130,7 @@ def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData,
     g = a.g
     one_d = is_two_layer_chain(h, a.partition)
     bound = dl_bound(eps, k, g, one_d)
-    measured = restricted_norm(a.apply_array, gs, adjoint_apply=a.adjoint_apply_array)
+    measured = restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
     f_value = None if g == 1 else (2.0 if one_d else float(g - 1) * float(k) ** g)
     return DLReport(eps, k, g, one_d, f_value, bound, measured, tolerance)
 

@@ -28,11 +28,10 @@ class CutSpec:
     kind: str  # "contiguous" or "subset"
     position: int | None = None  # sites [0, position) form the left side
     subset: frozenset[int] | None = None
-    window: int | None = None  # optional half-width for windowed checks
 
     @staticmethod
-    def contiguous(position: int, window: int | None = None) -> "CutSpec":
-        return CutSpec("contiguous", position=position, window=window)
+    def contiguous(position: int) -> "CutSpec":
+        return CutSpec("contiguous", position=position)
 
     @staticmethod
     def of_subset(sites) -> "CutSpec":

@@ -32,7 +32,7 @@ from .io import (atomic_write_text, dumps_document, loads_document,
                  load_hamiltonian, write_csv)
 from .models import (BUNDLED_MODELS, ModelDescriptor, build_model,
                      descriptor_from_document, site_observable)
-from .states import (DENSE_CUTOFF, GroundSpaceData, StateVector,
+from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector,
                      gaussian_filter_deviation, ground_space, random_state,
                      spectrum)
 
@@ -177,13 +177,22 @@ class _Context:
             self.h, proj_report = projectorize(self.h)
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
                                             proj_report.max_term_norm))
+        self._spectrum: SpectrumData | None = None
         self._gs: GroundSpaceData | None = None
         self._a = None
 
     @property
+    def dense_spectrum(self) -> SpectrumData | None:
+        """The full spectrum, diagonalized once per run; None above DENSE_CUTOFF."""
+        if self._spectrum is None and self.h.sites.dim <= DENSE_CUTOFF:
+            self._spectrum = spectrum(self.h)
+        return self._spectrum
+
+    @property
     def gs(self) -> GroundSpaceData:
         if self._gs is None:
-            self._gs = ground_space(self.h, count_hint=int(self.params.get("count", 6)))
+            self._gs = ground_space(self.h, count_hint=int(self.params.get("count", 6)),
+                                    spectrum_data=self.dense_spectrum)
         return self._gs
 
     @property
@@ -231,8 +240,11 @@ def _step_gap(ctx: _Context) -> None:
     ctx.add(bounded_record("frustration-free", "frustration-free",
                            check.max_residual, 0.0, 1e-8))
     count = ctx.params.get("count")
-    spec = spectrum(ctx.h, int(count) if count else
-                    (None if ctx.h.sites.dim <= DENSE_CUTOFF else gs.degeneracy + 6))
+    spec = ctx.dense_spectrum
+    if count:
+        spec = spectrum(ctx.h, int(count))
+    elif spec is None:
+        spec = spectrum(ctx.h, gs.degeneracy + 6)
     ctx.add(bounded_record("eigenpair-residuals", "plumbing",
                            float(spec.residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
@@ -286,9 +298,9 @@ def _step_pyramids(ctx: _Context, states: int = 10) -> None:
 
 
 def _step_filter(ctx: _Context) -> None:
-    if ctx.h.sites.dim > DENSE_CUTOFF:
+    spec = ctx.dense_spectrum
+    if spec is None:
         return
-    spec = spectrum(ctx.h)
     worst = -np.inf
     for q in (1.0, 4.0, 16.0):
         measured = gaussian_filter_deviation(ctx.h, q, ctx.gs, spectrum_data=spec)

@@ -55,6 +55,21 @@ def dense_dl_matrix(a) -> np.ndarray:
     return out
 
 
+def dense_restricted_norm(a, gs) -> float:
+    """Largest singular value of the layered operator on the ground complement (full SVD)."""
+    basis = gs.basis_matrix()
+    perp = np.eye(basis.shape[0]) - basis @ basis.conj().T
+    return float(np.linalg.svd(dense_dl_matrix(a) @ perp, compute_uv=False)[0])
+
+
+def dense_filter_deviation(h, q: float, gs) -> float:
+    """2-norm (largest singular value) of exp(-q H^2 / 2) minus the ground projector."""
+    evals, evecs = np.linalg.eigh(dense_hamiltonian(h))
+    filt = (evecs * np.exp(-q * evals ** 2 / 2.0)) @ evecs.conj().T
+    basis = gs.basis_matrix()
+    return float(np.linalg.norm(filt - basis @ basis.conj().T, 2))
+
+
 def schmidt_eigenvalues_by_partial_trace(psi_amplitudes, left_count: int, n: int,
                                          d: int) -> np.ndarray:
     """Reduced-density eigenvalues across a prefix cut, descending."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dl_lab.cli as cli
+from dl_lab import runner, states
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import SiteSpace, chain_geometry, custom_geometry, \
     torus_geometry
@@ -177,6 +178,22 @@ def test_emit_report_structured_and_csv(tmp_path):
     assert structured_paths == [str(tmp_path / "out2" / "report.json")]
 
 
+def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
+    calls = []
+    original = states.spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(states, "spectrum", counting)
+    monkeypatch.setattr(runner, "spectrum", counting)
+    model = {"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}
+    report = run(_config("verify", tmp_path, model=model))
+    assert report.overall_pass
+    assert len(calls) == 1
+
+
 def test_verify_pipeline_product_chain_labels_gated(tmp_path):
     report = run(_config("verify", tmp_path, model={"name": "pinning",
                                                     "parameters": {"n": 6}}))
@@ -287,6 +304,13 @@ def test_cli_exit_two_on_bad_config(tmp_path):
     with open(path, "w") as handle:
         handle.write("{not json")
     assert cli.main(["gap", "--config", path]) == 2
+
+
+def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):
+    path = _write_config(tmp_path, command="dl")
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "'dl'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out" / "report.json"))
 
 
 def test_cli_model_list(capsys):

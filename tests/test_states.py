@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dl_lab.errors import DimensionCapError, ValidationError
+from dl_lab import states
+from dl_lab.errors import ConvergenceError, DimensionCapError, ValidationError
 from dl_lab.hamiltonian import LocalTerm, SiteSpace, chain_geometry, custom_geometry
 from dl_lab.models import ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
@@ -13,7 +14,8 @@ from dl_lab.states import (StateVector, apply_local, basis_state,
                            ground_space, product_state, random_state,
                            restricted_norm, spectrum, uniform_superposition)
 
-from oracles import kron_embed, dense_hamiltonian
+from oracles import (dense_filter_deviation, dense_hamiltonian, dense_restricted_norm,
+                     kron_embed)
 
 
 def qubits(n):
@@ -211,51 +213,75 @@ def test_filter_bound_on_models(pinning6, heis6, aklt4, toric22):
             assert measured <= np.exp(-q * model.gs.gap ** 2 / 2) + 1e-9
 
 
+def test_filter_deviation_matches_svd_oracle(corpus):
+    for model in corpus:
+        spec = spectrum(model.h)
+        for q in (1.0, 4.0, 16.0):
+            measured = gaussian_filter_deviation(model.h, q, model.gs, spectrum_data=spec)
+            oracle = dense_filter_deviation(model.h, q, model.gs)
+            assert abs(measured - oracle) < 1e-12, model.label
+
+
 # ---------------------------------------------------------------------------
 # restricted norm
 # ---------------------------------------------------------------------------
 
 def test_restricted_norm_identity(heis6):
-    assert restricted_norm(lambda arr: arr, heis6.gs) == pytest.approx(1.0, abs=1e-10)
+    identity = lambda arr: arr
+    assert restricted_norm(identity, identity, heis6.gs) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_restricted_norm_of_ground_projector(heis6):
     gs = heis6.gs
-    assert restricted_norm(gs.project_array, gs) <= 1e-10
+    assert restricted_norm(gs.project_array, gs.project_array, gs) <= 1e-10
 
 
 def test_restricted_norm_dl_pinning(pinning6):
-    value = restricted_norm(pinning6.a.apply_array, pinning6.gs)
+    value = restricted_norm(pinning6.a.apply_array, pinning6.a.adjoint_apply_array, pinning6.gs)
     assert value <= 1e-12
     # oracle: dense matrix product of all complement projectors
-    from oracles import dense_dl_matrix
-    mat = dense_dl_matrix(pinning6.a)
-    basis = pinning6.gs.basis_matrix()
-    perp = np.eye(64) - basis @ basis.conj().T
-    assert np.linalg.svd(mat @ perp, compute_uv=False)[0] <= 1e-12
+    assert dense_restricted_norm(pinning6.a, pinning6.gs) <= 1e-12
 
 
-def test_restricted_norm_paths_agree(heis6):
-    gs = heis6.gs
+@pytest.mark.parametrize("name", ["heis6", "aklt4", "parent632", "toric22"])
+def test_restricted_norm_matches_dense_oracle(name, request):
+    # heis6 has a non-Hermitian A, parent632 complex amplitudes, toric22 a
+    # norm that vanishes only up to rounding
+    model = request.getfixturevalue(name)
+    value = restricted_norm(model.a.apply_array, model.a.adjoint_apply_array, model.gs)
+    assert abs(value - dense_restricted_norm(model.a, model.gs)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["pinning6", "heis2"])
+def test_restricted_norm_vanishing_on_complement_is_zero(name, request):
+    model = request.getfixturevalue(name)
+    assert restricted_norm(model.a.apply_array, model.a.adjoint_apply_array, model.gs) == 0.0
+
+
+def test_restricted_norm_real_arithmetic_for_real_input(heis6):
+    seen = []
+
+    def recording(apply):
+        def wrapped(arr):
+            seen.append(arr.dtype)
+            return apply(arr)
+        return wrapped
+
     a = heis6.a
-    dense = restricted_norm(a.apply_array, gs, method="dense")
-    power = restricted_norm(a.apply_array, gs, adjoint_apply=a.adjoint_apply_array,
-                            method="power")
-    assert abs(dense - power) < 1e-8
+    restricted_norm(recording(a.apply_array), recording(a.adjoint_apply_array), heis6.gs)
+    assert seen and all(dtype == np.float64 for dtype in seen)
 
 
-def test_restricted_norm_power_needs_adjoint(heis6):
-    with pytest.raises(ValidationError):
-        restricted_norm(lambda arr: arr, heis6.gs, method="power")
+def test_restricted_norm_asserts_residual(heis6, monkeypatch):
+    def unconverged(op, k, **kwargs):
+        vec = np.zeros((op.shape[0], 1))
+        vec[0, 0] = 1.0
+        return np.array([0.5]), vec
 
-
-def test_restricted_norm_stagnation_falls_back_to_dense(heis6):
+    monkeypatch.setattr(states.spla, "eigsh", unconverged)
     a = heis6.a
-    dense = restricted_norm(a.apply_array, heis6.gs, method="dense")
-    capped = restricted_norm(a.apply_array, heis6.gs,
-                             adjoint_apply=a.adjoint_apply_array,
-                             method="power", max_iter=1)
-    assert abs(capped - dense) < 1e-10
+    with pytest.raises(ConvergenceError, match="residual"):
+        restricted_norm(a.apply_array, a.adjoint_apply_array, heis6.gs)
 
 
 # ---------------------------------------------------------------------------
