@@ -15,9 +15,9 @@ from .states import (GroundSpaceData, SpectrumData, StateVector, apply_local,
                      ground_space, product_state, random_state, restricted_norm,
                      spectrum, uniform_superposition)
 from .dl import (ConvergenceTrace, DLOperator, DLReport, PyramidDecomposition,
-                 apply_dl, apply_pyramids, converge, dl_bound, dl_operator,
-                 measure_shrinkage, norm_energy_check, pyramid_decompose,
-                 step_inequality_margin)
+                 apply_pyramids, converge, dl_bound, dl_operator,
+                 measure_shrinkage, norm_energy_check, pyramid_applicable,
+                 pyramid_decompose, step_inequality_margin)
 from .entanglement import (AreaLawCertificate, CutSpec, SchmidtData,
                            area_law_certificate, max_product_overlap,
                            rank_growth, reduced_density, schmidt,

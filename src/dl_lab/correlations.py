@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dl import DLOperator, dl_bound, is_two_layer_chain
+from .dl import DLOperator, application_layers
 from .entanglement import (CutSpec, density_entropy, max_product_overlap,
                            reduced_density)
 from .errors import ValidationError
 from .hamiltonian import HamiltonianSpec, LayerPartition
-from .states import (GroundSpaceData, StateVector, apply_term_array,
-                     ground_space)
+from .states import GroundSpaceData, StateVector, apply_term_array
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> Ca
         raise ValidationError("the seed support must be non-empty")
     if l < 1:
         raise ValidationError("need at least one round")
-    from .dl import application_layers
-
     order = application_layers(h, part)
     layers = order * l
     cluster: set[int] = set(seed)
@@ -104,19 +101,15 @@ def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData
                           b: ObservableSpec, l: int) -> float:
     """Max over ground vectors of || A^l B w - Cone_l(B) B w ||."""
     cone = causality_cone(h, a.partition, b.support, l)
-    n, d = h.sites.n, h.sites.d
+    inside = [idx for depth, depth_terms in enumerate(cone.layers)
+              for idx in depth_terms if idx in cone.inside[depth]]
     worst = 0.0
     for omega in gs.ground_basis:
         seeded = b.apply(omega).amplitudes
         full = seeded
         for _ in range(l):
             full = a.apply_array(full)
-        pruned = seeded
-        for depth, depth_terms in enumerate(cone.layers):
-            for idx in depth_terms:
-                if idx in cone.inside[depth]:
-                    pruned = apply_term_array(a.complements[idx], h.terms[idx].support,
-                                              pruned, n, d)
+        pruned = a.apply_terms(inside, seeded)
         worst = max(worst, float(np.linalg.norm(full - pruned)))
     return worst
 
@@ -160,12 +153,8 @@ class DecayProfile:
 
 
 def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
-                  y_family, a: DLOperator | None = None,
-                  noise_floor: float = 1e-13) -> DecayProfile:
+                  y_family, a: DLOperator, noise_floor: float = 1e-13) -> DecayProfile:
     """Correlation decay table plus the exact cone rewriting of <X A^l Y>."""
-    from .dl import dl_operator
-
-    op = a if a is not None else dl_operator(h)
     omega = gs.ground_basis[0].normalized()
     distances = [support_distance(h, x.support, y.support) for y in y_family]
     if any(m2 <= m1 for m1, m2 in zip(distances, distances[1:])):
@@ -176,12 +165,12 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
     for y, dist in zip(y_family, distances):
         corr = connected_correlation(gs, x, y)
         rows.append((dist, corr.magnitude, corr.magnitude / (x.norm * y.norm)))
-        rounds = _max_excluding_rounds(h, op.partition, y.support, x.support)
+        rounds = _max_excluding_rounds(h, a.partition, y.support, x.support)
         if rounds >= 1:
             identity_rounds.append(rounds)
             y_omega = y.apply(omega).amplitudes
             for _ in range(rounds):
-                y_omega = op.apply_array(y_omega)
+                y_omega = a.apply_array(y_omega)
             lhs = np.vdot(omega.amplitudes, x.apply(StateVector(y_omega, omega.sites)).amplitudes)
             xy = omega.inner(x.apply(y.apply(omega)))
             identity_dev = max(identity_dev, abs(lhs - xy))
@@ -265,19 +254,13 @@ def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.n
 
 
 def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
-                               gs: GroundSpaceData | None = None,
-                               a: DLOperator | None = None,
+                               gs: GroundSpaceData, a: DLOperator,
                                tolerance: float = 1e-9) -> MeasurementCheck:
     """Build the window measurement and test its distinguishing probability."""
-    from .dl import dl_operator
-
-    data = gs if gs is not None else ground_space(h)
-    if data.degeneracy != 1:
+    if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
-    op = a if a is not None else dl_operator(h)
     window = _window_sites(h, cut, l)
-    omega = data.ground_basis[0].normalized()
-    n, d = h.sites.n, h.sites.d
+    omega = gs.ground_basis[0].normalized()
     c = cut.position
 
     proj = window_ground_projector(h, window)
@@ -290,8 +273,7 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
     rho_r = reduced_density(omega, right_win)
     trace_product = float(np.real(np.trace(proj @ np.kron(rho_l, rho_r))))
 
-    one_d = is_two_layer_chain(h, op.partition)
-    delta = 1.0 - dl_bound(data.gap, h.max_k, op.g, one_d)
+    delta = 1.0 - a.shrink_bound(gs.gap)
     overlap, _, _ = max_product_overlap(omega, cut)
     threshold = (1.0 - delta) ** (l / 4.0)
     hypothesis_met = overlap <= threshold
@@ -300,12 +282,12 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
 
     identity_dev = None
     if l % 2 == 0:
-        identity_dev = _measurement_identity_deviation(h, op, omega, proj, window, c, l)
+        identity_dev = _measurement_identity_deviation(h, a, omega, proj, window, c, l)
     return MeasurementCheck(window, delta, trace_ground, trace_product, overlap,
                             threshold, hypothesis_met, bound, bound_ok, identity_dev)
 
 
-def _measurement_identity_deviation(h, op, omega, proj, window, c, l) -> float:
+def _measurement_identity_deviation(h, a, omega, proj, window, c, l) -> float:
     """| Tr(Pi A^(l/2) rho_L x rho_R) - Tr(Pi rho_L x rho_R) | over full halves."""
     n, d = h.sites.n, h.sites.d
     rho_left = reduced_density(omega, tuple(range(c)))
@@ -325,7 +307,7 @@ def _measurement_identity_deviation(h, op, omega, proj, window, c, l) -> float:
             proj_phi = apply_term_array(proj, window, phi, n, d)
             evolved = phi
             for _ in range(l // 2):
-                evolved = op.apply_array(evolved)
+                evolved = a.apply_array(evolved)
             with_both += weight * np.real(np.vdot(proj_phi, evolved))
             with_proj += weight * np.real(np.vdot(proj_phi, phi))
     return float(abs(with_both - with_proj))
@@ -344,25 +326,21 @@ class EntropyGapCheck:
     threshold_ok: bool | None
 
 
-def entropy_gap_check(h: HamiltonianSpec, cut: CutSpec, l: int,
-                      gs: GroundSpaceData | None = None,
-                      measurement: MeasurementCheck | None = None,
+def entropy_gap_check(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
+                      measurement: MeasurementCheck,
                       tolerance: float = 1e-9) -> EntropyGapCheck:
     """Check S(rho_L) + S(rho_R) - S(rho) >= ln(1/alpha) and the linear threshold."""
-    data = gs if gs is not None else ground_space(h)
-    check = measurement if measurement is not None else distinguishing_measurement(
-        h, cut, l, gs=data)
-    window = check.window
-    omega = data.ground_basis[0].normalized()
+    window = measurement.window
+    omega = gs.ground_basis[0].normalized()
     c = cut.position
     rho_win = reduced_density(omega, window)
     rho_l = reduced_density(omega, tuple(range(c - l, c)))
     rho_r = reduced_density(omega, tuple(range(c, c + l)))
     info = density_entropy(rho_l) + density_entropy(rho_r) - density_entropy(rho_win)
-    alpha = max(check.trace_product, 1e-300)  # benign divergence clamp
+    alpha = max(measurement.trace_product, 1e-300)  # benign divergence clamp
     divergence = math.log(1.0 / alpha)
-    threshold = (check.delta / 2.0) * l - 1.0
+    threshold = (measurement.delta / 2.0) * l - 1.0
     monotone_ok = info >= divergence - tolerance
-    threshold_ok = (info >= threshold - tolerance) if check.hypothesis_met else None
+    threshold_ok = (info >= threshold - tolerance) if measurement.hypothesis_met else None
     return EntropyGapCheck(window, info, divergence, threshold,
-                           check.hypothesis_met, monotone_ok, threshold_ok)
+                           measurement.hypothesis_met, monotone_ok, threshold_ok)

@@ -34,32 +34,40 @@ def application_layers(h: HamiltonianSpec, partition: LayerPartition) -> tuple[t
 
 @dataclass(frozen=True)
 class DLOperator:
-    """Product of per-layer complement projectors P_i = 1 - Q_i."""
+    """Product of per-layer complement projectors P_i = 1 - Q_i.
+
+    f_value is the constant f of the contraction bound (eps/f + 1)^(-1/3):
+    None for a single layer, which projects exactly; 2 on a two-layer
+    nearest-neighbor chain; the crude (g-1) k^g otherwise.
+    """
 
     h: HamiltonianSpec
     partition: LayerPartition
     layer_order: tuple[tuple[int, ...], ...]  # application order, first-applied first
     complements: tuple[np.ndarray, ...] = field(repr=False)
+    f_value: float | None
 
     @property
     def g(self) -> int:
         return self.partition.g
 
-    def apply_array(self, arr: np.ndarray) -> np.ndarray:
+    def shrink_bound(self, gap: float) -> float:
+        """Bound on the norm of A restricted to the ground complement."""
+        return dl_bound(gap, self.f_value)
+
+    def apply_terms(self, indices, arr: np.ndarray) -> np.ndarray:
+        """Apply the complement projectors of the given terms, first-listed first."""
         n, d = self.h.sites.n, self.h.sites.d
-        out = arr
-        for layer in self.layer_order:
-            for idx in layer:
-                out = apply_term_array(self.complements[idx], self.h.terms[idx].support, out, n, d)
-        return out
+        for idx in indices:
+            arr = apply_term_array(self.complements[idx], self.h.terms[idx].support, arr, n, d)
+        return arr
+
+    def apply_array(self, arr: np.ndarray) -> np.ndarray:
+        return self.apply_terms((idx for layer in self.layer_order for idx in layer), arr)
 
     def adjoint_apply_array(self, arr: np.ndarray) -> np.ndarray:
-        n, d = self.h.sites.n, self.h.sites.d
-        out = arr
-        for layer in reversed(self.layer_order):
-            for idx in reversed(layer):
-                out = apply_term_array(self.complements[idx], self.h.terms[idx].support, out, n, d)
-        return out
+        return self.apply_terms(
+            (idx for layer in reversed(self.layer_order) for idx in reversed(layer)), arr)
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.sites.dim != self.h.sites.dim:
@@ -73,26 +81,23 @@ def dl_operator(h: HamiltonianSpec, partition: LayerPartition | None = None) -> 
     part = partition if partition is not None else partition_layers(h)
     part.validate(h)
     complements = tuple(np.eye(t.matrix.shape[0]) - t.matrix for t in h.terms)
-    return DLOperator(h, part, application_layers(h, part), complements)
+    if part.g == 1:
+        f_value = None
+    elif is_two_layer_chain(h, part):
+        f_value = 2.0
+    else:
+        f_value = float(part.g - 1) * float(h.max_k) ** part.g
+    return DLOperator(h, part, application_layers(h, part), complements, f_value)
 
 
-def apply_dl(a: DLOperator, psi: StateVector) -> StateVector:
-    return a.apply(psi)
-
-
-def dl_bound(epsilon: float, k: int, g: int, one_d: bool = False) -> float:
-    """Contraction bound on the ground-complement norm of A.
-
-    Two-layer nearest-neighbor chains use f = 2; a single layer is an exact
-    ground projector (bound 0); otherwise f is crudely bounded by (g-1)*k^g.
-    """
+def dl_bound(epsilon: float, f: float | None) -> float:
+    """Contraction bound (epsilon/f + 1)^(-1/3); a single layer (f None) gives 0."""
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    if k < 1 or g < 1:
-        raise ValidationError("k and g must be at least 1")
-    if g == 1:
+    if f is None:
         return 0.0
-    f = 2.0 if one_d else float(g - 1) * float(k) ** g
+    if f <= 0:
+        raise ValidationError("f must be positive")
     return (epsilon / f + 1.0) ** (-1.0 / 3.0)
 
 
@@ -111,12 +116,10 @@ class DLReport:
     epsilon: float
     k: int
     g: int
-    one_d: bool
     f_value: float | None
     theoretical_bound: float
     measured_shrinkage: float
     tolerance: float
-    convergence_trace: tuple[tuple[int, float, float], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -125,14 +128,9 @@ class DLReport:
 
 def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData,
                       tolerance: float = 1e-9) -> DLReport:
-    eps = gs.gap
-    k = h.max_k
-    g = a.g
-    one_d = is_two_layer_chain(h, a.partition)
-    bound = dl_bound(eps, k, g, one_d)
     measured = restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
-    f_value = None if g == 1 else (2.0 if one_d else float(g - 1) * float(k) ** g)
-    return DLReport(eps, k, g, one_d, f_value, bound, measured, tolerance)
+    return DLReport(gs.gap, h.max_k, a.g, a.f_value, a.shrink_bound(gs.gap), measured,
+                    tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +177,15 @@ def _chain_positions(a: DLOperator) -> dict[int, int]:
     return pos
 
 
+def pyramid_applicable(a: DLOperator) -> bool:
+    """Whether A admits the pyramid reordering: one pair term per open-chain bond."""
+    try:
+        _chain_positions(a)
+    except ValidationError:
+        return False
+    return True
+
+
 def pyramid_decompose(a: DLOperator) -> tuple[PyramidDecomposition, PyramidDecomposition]:
     """Both coverings of A by pyramid triples.
 
@@ -216,17 +223,12 @@ def apply_pyramids(a: DLOperator, decomposition: PyramidDecomposition,
                    psi: StateVector) -> StateVector:
     """Evaluate Delta_1 ... Delta_M R |psi> (remainder applied first)."""
     positions = _chain_positions(a)
-    n, d = a.h.sites.n, a.h.sites.d
-    out = psi.amplitudes
     # applications from first to last: remainder, then pyramids right to left,
     # each triple applied right to left
     seq = list(decomposition.remainder)
     for triple in reversed(decomposition.pyramids):
         seq.extend(triple[::-1])
-    for p in seq:
-        idx = positions[p]
-        out = apply_term_array(a.complements[idx], a.h.terms[idx].support, out, n, d)
-    return StateVector(out, psi.sites)
+    return StateVector(a.apply_terms((positions[p] for p in seq), psi.amplitudes), psi.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +294,7 @@ def converge(a: DLOperator, gs: GroundSpaceData, psi: StateVector,
         raise ValidationError("l_max must be at least 1")
     if psi.sites.dim != a.h.sites.dim:
         raise ValidationError("state dimension does not match the operator")
-    one_d = is_two_layer_chain(a.h, a.partition)
-    bound = dl_bound(gs.gap, a.h.max_k, a.g, one_d)
+    bound = a.shrink_bound(gs.gap)
     target = gs.project_array(psi.amplitudes)
     perp = float(np.linalg.norm(psi.amplitudes - target))
     current = psi.amplitudes

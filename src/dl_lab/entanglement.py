@@ -15,7 +15,7 @@ import numpy as np
 from .dl import DLOperator, dl_bound
 from .errors import ValidationError
 from .hamiltonian import HamiltonianSpec
-from .states import GroundSpaceData, StateVector, ground_space
+from .states import GroundSpaceData, StateVector
 
 RANK_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -294,17 +294,19 @@ class AreaLawCertificate:
 
 
 def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
-                         gs: GroundSpaceData | None = None) -> AreaLawCertificate:
-    """Certify the cut entropy of a unique ground state on a chain."""
+                         gs: GroundSpaceData) -> AreaLawCertificate:
+    """Certify the cut entropy of a unique ground state on a chain.
+
+    The closed-form constants are those of a two-layer chain (f = 2).
+    """
     if not h.sites.is_chain():
         raise ValidationError("the certificate pipeline needs a 1D chain")
-    data = gs if gs is not None else ground_space(h)
-    if data.degeneracy != 1:
+    if gs.degeneracy != 1:
         raise ValidationError("the certificate pipeline needs a unique ground state")
-    omega = data.ground_basis[0].normalized()
+    omega = gs.ground_basis[0].normalized()
     d = h.sites.d
-    eps = min(data.gap, 1.0)  # the closed-form constants assume a gap at most 1
-    delta = 1.0 - dl_bound(eps, 2, 2, one_d=True)
+    eps = min(gs.gap, 1.0)  # the closed-form constants assume a gap at most 1
+    delta = 1.0 - dl_bound(eps, 2.0)
     mu, _, _ = max_product_overlap(omega, cut)
     s_measured = schmidt(omega, cut).entropy
     overlap_bound = overlap_entropy_bound_value(mu, delta, d)
@@ -321,7 +323,7 @@ def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
     s_log10 = math.log10(s_measured) if s_measured > 0 else -math.inf
     return AreaLawCertificate(
         cut=cut,
-        epsilon=data.gap,
+        epsilon=gs.gap,
         delta=delta,
         mu_measured=mu,
         entropy_measured=s_measured,

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import Geometry, HamiltonianSpec, LocalTerm, SiteSpace
+from .hamiltonian import (Geometry, HamiltonianSpec, LocalTerm, SiteSpace,
+                          chain_geometry)
 from .states import StateVector
 
 SCHEMA_VERSION = 1
@@ -192,8 +193,6 @@ def state_from_bytes(blob: bytes, sites: SiteSpace | None = None) -> StateVector
         raise ValidationError("state binary payload has the wrong length")
     amps = data[0::2] + 1j * data[1::2]
     if sites is None:
-        from .hamiltonian import chain_geometry
-
         sites = SiteSpace(n, d, chain_geometry())
     elif (sites.n, sites.d) != (n, d):
         raise ValidationError("provided site space does not match the binary header")
@@ -215,9 +214,9 @@ def state_from_document(doc: dict, sites: SiteSpace | None = None) -> StateVecto
     n, d = int(doc["n"]), int(doc["d"])
     amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     if sites is None:
-        from .hamiltonian import chain_geometry
-
         sites = SiteSpace(n, d, chain_geometry())
+    elif (sites.n, sites.d) != (n, d):
+        raise ValidationError("provided site space does not match the document's n and d")
     return StateVector(amps, sites)
 
 

@@ -20,12 +20,13 @@ from . import __version__
 from .correlations import (ObservableSpec, cone_absorption_check,
                            decay_profile, distinguishing_measurement,
                            entropy_gap_check)
-from .dl import (apply_pyramids, converge, dl_bound, dl_operator,
-                 is_two_layer_chain, measure_shrinkage, norm_energy_check,
-                 pyramid_decompose, step_inequality_margin)
-from .entanglement import (CutSpec, area_law_certificate, max_product_overlap,
-                           rank_growth, schmidt, shifted_cut_check,
-                           step_entropy_bound, tail_bound_check)
+from .dl import (apply_pyramids, converge, dl_operator, measure_shrinkage,
+                 norm_energy_check, pyramid_applicable, pyramid_decompose,
+                 step_inequality_margin)
+from .entanglement import (CutSpec, area_law_certificate, density_entropy,
+                           max_product_overlap, rank_growth, reduced_density,
+                           schmidt, shifted_cut_check, step_entropy_bound,
+                           tail_bound_check)
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
 from .io import (atomic_write_text, dumps_document, loads_document,
@@ -33,8 +34,8 @@ from .io import (atomic_write_text, dumps_document, loads_document,
 from .models import (BUNDLED_MODELS, ModelDescriptor, build_model,
                      descriptor_from_document, site_observable)
 from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector,
-                     gaussian_filter_deviation, ground_space, random_state,
-                     spectrum)
+                     gaussian_filter_deviation, ground_space, product_state,
+                     random_state, spectrum)
 
 COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
             "measurecheck", "verify")
@@ -241,10 +242,11 @@ def _step_gap(ctx: _Context) -> None:
                            check.max_residual, 0.0, 1e-8))
     count = ctx.params.get("count")
     spec = ctx.dense_spectrum
-    if count:
-        spec = spectrum(ctx.h, int(count))
-    elif spec is None:
-        spec = spectrum(ctx.h, gs.degeneracy + 6)
+    if spec is None:
+        spec = spectrum(ctx.h, int(count) if count else gs.degeneracy + 6)
+    elif count:
+        c = int(count)
+        spec = SpectrumData(spec.values[:c], spec.vectors[:c], spec.residuals[:c])
     ctx.add(bounded_record("eigenpair-residuals", "plumbing",
                            float(spec.residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
@@ -274,14 +276,6 @@ def _step_converge(ctx: _Context, l_max: int | None = None) -> None:
     mono = max((b - a for a, b in zip(trace.residuals, trace.residuals[1:])), default=0.0)
     ctx.add(bounded_record("convergence-monotone", "dl-convergence", mono, 0.0, 1e-12))
     ctx.add_table("convergence", ("l", "residual", "bound_pow_l"), rows)
-
-
-def _pyramid_applicable(ctx: _Context) -> bool:
-    h = ctx.h
-    if h.sites.geometry.kind != "chain-open" or ctx.a.g != 2:
-        return False
-    bonds = sorted(tuple(sorted(t.support)) for t in h.terms)
-    return bonds == [(i, i + 1) for i in range(h.sites.n - 1)]
 
 
 def _step_pyramids(ctx: _Context, states: int = 10) -> None:
@@ -358,8 +352,6 @@ def _step_rank_growth(ctx: _Context) -> None:
 
 
 def _product_start(ctx: _Context) -> StateVector:
-    from .states import product_state
-
     d = ctx.h.sites.d
     rng = np.random.default_rng(ctx.seed())
     locals_ = []
@@ -371,8 +363,7 @@ def _product_start(ctx: _Context) -> StateVector:
 
 def _step_entropy(ctx: _Context) -> None:
     cut = ctx.default_cut()
-    state = ctx.omega if ctx.unique else ctx.gs.ground_basis[0].normalized()
-    data = schmidt(state, cut)
+    data = schmidt(ctx.omega, cut)
     ctx.add(bounded_record("schmidt-normalization", "plumbing",
                            abs(float(data.eigenvalues.sum()) - 1.0), 0.0, 1e-10))
     left, right = cut.sides(ctx.h.sites.n)
@@ -385,9 +376,8 @@ def _step_entropy(ctx: _Context) -> None:
 
 
 def _step_tail(ctx: _Context, cut: CutSpec) -> None:
-    one_d = is_two_layer_chain(ctx.h, ctx.a.partition)
     # a single layer projects exactly (delta = 1); stay inside the open domain
-    delta = min(1.0 - dl_bound(ctx.gs.gap, ctx.h.max_k, ctx.a.g, one_d), 1.0 - 1e-12)
+    delta = min(1.0 - ctx.a.shrink_bound(ctx.gs.gap), 1.0 - 1e-12)
     mu, _, _ = max_product_overlap(ctx.omega, cut)
     table = tail_bound_check(ctx.omega, cut, mu, delta, int(ctx.params.get("l_max_tail", 4)))
     worst = max(t - b for _, t, b in table.rows)
@@ -397,7 +387,7 @@ def _step_tail(ctx: _Context, cut: CutSpec) -> None:
 
 def _step_arealaw(ctx: _Context) -> None:
     cut = ctx.default_cut()
-    cert = area_law_certificate(ctx.h, cut, gs=ctx.gs)
+    cert = area_law_certificate(ctx.h, cut, ctx.gs)
     ctx.add(info_record("max-product-overlap", "overlap-entropy-bound", cert.mu_measured))
     ctx.add(info_record("shrink-delta", "overlap-entropy-bound", cert.delta))
     ctx.add(info_record("cut-entropy", "overlap-entropy-bound", cert.entropy_measured))
@@ -428,8 +418,6 @@ def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> N
     The recursion holds under a for-contradiction overlap hypothesis, so it
     is recorded, never asserted.
     """
-    from .entanglement import density_entropy, reduced_density
-
     n = ctx.h.sites.n
     c = cut.position
     l = min(int(ctx.params.get("window", 2)), c, n - c)
@@ -465,7 +453,7 @@ def _step_correlate(ctx: _Context) -> None:
         ctx.add(CheckRecord("correlation-decay", "correlation-decay", GATED))
         return
     x, family = _default_family(ctx)
-    profile = decay_profile(ctx.h, ctx.gs, x, family, a=ctx.a)
+    profile = decay_profile(ctx.h, ctx.gs, x, family, ctx.a)
     ctx.add(bounded_record("correlation-identity", "correlation-identity",
                            profile.identity_deviation, 0.0, 1e-12))
     if profile.fit_skipped:
@@ -475,8 +463,7 @@ def _step_correlate(ctx: _Context) -> None:
         status = PASS if profile.fitted_rate < 0 else FAIL
         ctx.add(CheckRecord("correlation-decay", "correlation-decay", status,
                             profile.fitted_rate, 0.0, 0.0))
-    one_d = is_two_layer_chain(ctx.h, ctx.a.partition)
-    rate = dl_bound(ctx.gs.gap, ctx.h.max_k, ctx.a.g, one_d)
+    rate = ctx.a.shrink_bound(ctx.gs.gap)
     ctx.add_table("decay", ("m", "corr", "normalized_corr", "bound_r_pow_m"),
                   [(m, c, nc, rate ** m) for m, c, nc in profile.rows])
 
@@ -489,7 +476,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     l = min(l, cut.position, ctx.h.sites.n - cut.position)
     if l < 1:
         return
-    check = distinguishing_measurement(ctx.h, cut, l, gs=ctx.gs, a=ctx.a)
+    check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
     ctx.add(info_record("measurement-overlap", "distinguishing-measurement", check.overlap))
@@ -498,7 +485,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     if check.identity_deviation is not None:
         ctx.add(bounded_record("measurement-identity", "distinguishing-measurement",
                                check.identity_deviation, 0.0, 1e-10))
-    gap_check = entropy_gap_check(ctx.h, cut, l, gs=ctx.gs, measurement=check)
+    gap_check = entropy_gap_check(ctx.h, cut, l, ctx.gs, check)
     ctx.add(bounded_record("entropy-gap", "entropy-gap",
                            gap_check.measurement_divergence - gap_check.mutual_information,
                            0.0, 1e-9))
@@ -557,7 +544,7 @@ def run(config: RunConfig) -> Report:
 
 
 def _step_verify_1d(ctx: _Context) -> None:
-    if _pyramid_applicable(ctx):
+    if pyramid_applicable(ctx.a):
         _step_pyramids(ctx)
     if ctx.unique and ctx.h.sites.is_chain():
         _step_arealaw(ctx)

@@ -269,25 +269,23 @@ def ground_space(h: HamiltonianSpec, count_hint: int = 6,
 
 
 def gaussian_filter(h: HamiltonianSpec, q: float, psi: StateVector,
-                    spectrum_data: SpectrumData | None = None) -> StateVector:
-    """Apply sum_E exp(-q E^2 / 2) |E><E| to psi (dense regime)."""
+                    spectrum_data: SpectrumData) -> StateVector:
+    """Apply sum_E exp(-q E^2 / 2) |E><E| to psi, given the full spectrum of h."""
     if q < 0:
         raise ValidationError("q must be non-negative")
-    spec = spectrum_data if spectrum_data is not None else spectrum(h)
-    if len(spec.values) < h.sites.dim:
+    if len(spectrum_data.values) < h.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    basis = np.stack([v.amplitudes for v in spec.vectors], axis=1)
-    weights = np.exp(-q * spec.values ** 2 / 2.0)
+    basis = np.stack([v.amplitudes for v in spectrum_data.vectors], axis=1)
+    weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
     coeffs = basis.conj().T @ psi.amplitudes
     return StateVector(basis @ (weights * coeffs), psi.sites)
 
 
 def gaussian_filter_deviation(h: HamiltonianSpec, q: float, gs: GroundSpaceData,
-                              spectrum_data: SpectrumData | None = None) -> float:
-    """Operator-norm distance between the filter and the ground projector."""
-    spec = spectrum_data if spectrum_data is not None else spectrum(h)
-    basis = np.stack([v.amplitudes for v in spec.vectors], axis=1)
-    weights = np.exp(-q * spec.values ** 2 / 2.0)
+                              spectrum_data: SpectrumData) -> float:
+    """Operator-norm distance between the filter and the ground projector of h."""
+    basis = np.stack([v.amplitudes for v in spectrum_data.vectors], axis=1)
+    weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
     filt = (basis * weights) @ basis.conj().T
     b = gs.basis_matrix()
     proj = b @ b.conj().T

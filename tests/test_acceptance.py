@@ -11,7 +11,7 @@ import pytest
 from dl_lab.correlations import (ObservableSpec, cone_absorption_check,
                                  connected_correlation, decay_profile,
                                  distinguishing_measurement, entropy_gap_check)
-from dl_lab.dl import (apply_dl, apply_pyramids, converge, dl_bound, dl_operator,
+from dl_lab.dl import (apply_pyramids, converge, dl_operator,
                        measure_shrinkage, norm_energy_check, pyramid_decompose,
                        step_inequality_margin)
 from dl_lab.entanglement import (CutSpec, area_law_certificate,
@@ -37,11 +37,7 @@ def _center_cut(model) -> CutSpec:
 
 
 def _delta(model) -> float:
-    from dl_lab.dl import is_two_layer_chain
-
-    one_d = is_two_layer_chain(model.h, model.a.partition)
-    bound = dl_bound(model.gs.gap, model.h.max_k, model.a.g, one_d)
-    return min(1.0 - bound, 1.0 - 1e-12)
+    return min(1.0 - model.a.shrink_bound(model.gs.gap), 1.0 - 1e-12)
 
 
 def _random_product(sites, seed):
@@ -109,7 +105,7 @@ def test_c03_pyramid_identity():
         rng = np.random.default_rng(n)
         for _ in range(50):
             psi = random_state(h.sites, rng)
-            direct = apply_dl(a, psi).amplitudes
+            direct = a.apply(psi).amplitudes
             for dec in coverings:
                 redone = apply_pyramids(a, dec, psi).amplitudes
                 ok &= float(np.abs(direct - redone).max()) <= 1e-12
@@ -263,7 +259,9 @@ def test_c13_entropy_gap(unique_open):
     ok = True
     threshold_exercised = False
     for model in unique_open:
-        check = entropy_gap_check(model.h, _center_cut(model), 2, gs=model.gs)
+        cut = _center_cut(model)
+        measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
+        check = entropy_gap_check(model.h, cut, 2, gs=model.gs, measurement=measurement)
         ok &= check.mutual_information >= check.measurement_divergence - 1e-9
         if check.hypothesis_met:
             threshold_exercised = True

@@ -200,7 +200,7 @@ def test_decay_profile_requires_increasing_distances(parent632):
     x = observable(parent632, "sz", 0)
     family = [observable(parent632, "sz", s) for s in (3, 1)]
     with pytest.raises(ValidationError):
-        decay_profile(parent632.h, parent632.gs, x, family)
+        decay_profile(parent632.h, parent632.gs, x, family, a=parent632.a)
 
 
 def test_support_distance_on_ring(aklt6p):
@@ -245,20 +245,26 @@ def test_measurement_ground_trace_across_open_corpus(unique_open):
 def test_measurement_window_must_fit(parent632):
     with pytest.raises(ValidationError):
         distinguishing_measurement(parent632.h, CutSpec.contiguous(1), 2,
-                                   gs=parent632.gs)
+                                   gs=parent632.gs, a=parent632.a)
 
 
 def test_measurement_rejects_rings(aklt6p):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(aklt6p.h, CutSpec.contiguous(3), 2, gs=aklt6p.gs)
+        distinguishing_measurement(aklt6p.h, CutSpec.contiguous(3), 2, gs=aklt6p.gs,
+                                   a=aklt6p.a)
 
 
 # ---------------------------------------------------------------------------
 # entropy gap
 # ---------------------------------------------------------------------------
 
+def _entropy_gap(model, cut):
+    measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
+    return entropy_gap_check(model.h, cut, 2, gs=model.gs, measurement=measurement)
+
+
 def test_entropy_gap_product_ground(pinning6):
-    check = entropy_gap_check(pinning6.h, CutSpec.contiguous(3), 2, gs=pinning6.gs)
+    check = _entropy_gap(pinning6, CutSpec.contiguous(3))
     assert check.mutual_information == pytest.approx(0.0, abs=1e-10)
     assert check.measurement_divergence == pytest.approx(0.0, abs=1e-10)
     assert check.monotone_ok
@@ -268,12 +274,12 @@ def test_entropy_gap_product_ground(pinning6):
 def test_entropy_gap_monotone_across_corpus(unique_open):
     for model in unique_open:
         cut = CutSpec.contiguous(model.h.sites.n // 2)
-        check = entropy_gap_check(model.h, cut, 2, gs=model.gs)
+        check = _entropy_gap(model, cut)
         assert check.monotone_ok, model.label
 
 
 def test_entropy_gap_threshold_when_hypothesis_met(parent632):
-    check = entropy_gap_check(parent632.h, CutSpec.contiguous(3), 2, gs=parent632.gs)
+    check = _entropy_gap(parent632, CutSpec.contiguous(3))
     assert check.hypothesis_met
     assert check.threshold_ok
     assert check.mutual_information >= 0.0

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dl_lab.dl import (apply_dl, apply_pyramids, converge, dl_bound, dl_operator,
-                       measure_shrinkage, norm_energy_check, pyramid_decompose,
-                       step_inequality_margin)
+from dl_lab.dl import (apply_pyramids, converge, dl_bound, dl_operator,
+                       measure_shrinkage, norm_energy_check, pyramid_applicable,
+                       pyramid_decompose, step_inequality_margin)
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
@@ -29,14 +29,14 @@ def test_requires_projector_terms():
 def test_ground_vectors_are_fixed_points(corpus):
     for model in corpus:
         for vec in model.gs.ground_basis:
-            out = apply_dl(model.a, vec)
+            out = model.a.apply(vec)
             assert np.abs(out.amplitudes - vec.amplitudes).max() < 1e-12, model.label
 
 
 def test_pinning_collapses_plus_state(pinning6):
     n = pinning6.h.sites.n
     psi = uniform_superposition(pinning6.h.sites)
-    out = apply_dl(pinning6.a, psi)
+    out = pinning6.a.apply(psi)
     expected = np.zeros(2 ** n)
     expected[0] = 2 ** (-n / 2)
     assert np.abs(out.amplitudes - expected).max() < 1e-12
@@ -45,7 +45,7 @@ def test_pinning_collapses_plus_state(pinning6):
 def test_apply_matches_dense_layer_product(heis6):
     # oracle: dense matrices of the two layer products, first layer applied last
     psi = random_state(heis6.h.sites, 21)
-    fast = apply_dl(heis6.a, psi).amplitudes
+    fast = heis6.a.apply(psi).amplitudes
     slow = dense_dl_matrix(heis6.a) @ psi.amplitudes
     assert np.abs(fast - slow).max() < 1e-12
 
@@ -64,7 +64,7 @@ def test_application_order_even_layer_first(heis6):
             even = even @ embedded
     psi = random_state(h.sites, 33)
     expected = odd @ (even @ psi.amplitudes)
-    got = apply_dl(heis6.a, psi).amplitudes
+    got = heis6.a.apply(psi).amplitudes
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -73,28 +73,48 @@ def test_application_order_even_layer_first(heis6):
 # ---------------------------------------------------------------------------
 
 def test_bound_one_dimensional_value():
-    assert dl_bound(1.0, 2, 2, one_d=True) == pytest.approx(0.8735804647362989, abs=1e-12)
+    assert dl_bound(1.0, 2.0) == pytest.approx(0.8735804647362989, abs=1e-12)
 
 
 def test_bound_crude_f_value():
-    assert dl_bound(1.0, 2, 2, one_d=False) == pytest.approx(0.9283177667225558, abs=1e-12)
+    assert dl_bound(1.0, 4.0) == pytest.approx(0.9283177667225558, abs=1e-12)
 
 
 def test_bound_single_layer_is_zero():
-    assert dl_bound(0.5, 3, 1) == 0.0
+    assert dl_bound(0.5, None) == 0.0
+
+
+@pytest.mark.parametrize("name, params, g, k, f_value", [
+    ("pinning", {"n": 6}, 1, 1, None),
+    ("heisenberg-ferro", {"n": 8}, 2, 2, 2.0),
+    ("aklt", {"n": 6, "periodic": True}, 2, 2, 2.0),
+    ("aklt", {"n": 5, "periodic": True}, 3, 2, 16.0),  # odd ring: three layers
+    ("toric-code", {"lx": 2, "ly": 2}, 4, 4, 768.0),
+])
+def test_f_value_by_geometry(name, params, g, k, f_value):
+    h = build_model(ModelDescriptor.make(name, **params))
+    a = dl_operator(h)
+    assert (a.g, h.max_k, a.f_value) == (g, k, f_value)
+
+
+def test_shrinkage_report_uses_operator_bound(pinning6, heis8, toric22):
+    for model in (pinning6, heis8, toric22):
+        report = measure_shrinkage(model.h, model.a, model.gs)
+        assert report.f_value == model.a.f_value
+        assert report.theoretical_bound == model.a.shrink_bound(model.gs.gap)
 
 
 def test_bound_rejects_bad_gap():
     with pytest.raises(ValidationError):
-        dl_bound(0.0, 2, 2)
+        dl_bound(0.0, 4.0)
 
 
 def test_delta_bracketed_by_gap_fractions():
     # 1 - (1 + eps/2)^(-1/3) stays between eps/8 and eps/6 for eps in (0, 1]
     for eps in np.linspace(0.01, 1.0, 100):
-        delta = 1.0 - dl_bound(float(eps), 2, 2, one_d=True)
+        delta = 1.0 - dl_bound(float(eps), 2.0)
         assert eps / 8 - 1e-12 <= delta <= eps / 6 + 1e-12
-    delta_unit = 1.0 - dl_bound(1.0, 2, 2, one_d=True)
+    delta_unit = 1.0 - dl_bound(1.0, 2.0)
     assert delta_unit == pytest.approx(0.1264195352637011, abs=1e-12)
 
 
@@ -112,7 +132,6 @@ def test_shrinkage_pinning_exact_zero(pinning6):
 
 def test_shrinkage_heisenberg_chain(heis8):
     report = measure_shrinkage(heis8.h, heis8.a, heis8.gs)
-    assert report.one_d
     assert report.f_value == 2.0
     assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
     assert report.passed
@@ -120,7 +139,7 @@ def test_shrinkage_heisenberg_chain(heis8):
 
 def test_shrinkage_aklt_ring(aklt6p):
     report = measure_shrinkage(aklt6p.h, aklt6p.a, aklt6p.gs)
-    assert report.one_d
+    assert report.f_value == 2.0
     assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
 
 
@@ -151,7 +170,7 @@ def test_pyramid_operator_identity(heis6, heis8):
         primary, shifted = pyramid_decompose(model.a)
         for _ in range(5):
             psi = random_state(model.h.sites, rng)
-            direct = apply_dl(model.a, psi).amplitudes
+            direct = model.a.apply(psi).amplitudes
             for dec in (primary, shifted):
                 redone = apply_pyramids(model.a, dec, psi).amplitudes
                 assert np.abs(direct - redone).max() < 1e-12
@@ -164,9 +183,14 @@ def test_pyramid_shifted_ten_sites():
     assert shifted.pyramids == ((1,), (3, 5, 4), (7, 9, 8))
     assert shifted.remainder == (2, 6)
     psi = random_state(h.sites, 3)
-    direct = apply_dl(a, psi).amplitudes
+    direct = a.apply(psi).amplitudes
     redone = apply_pyramids(a, shifted, psi).amplitudes
     assert np.abs(direct - redone).max() < 1e-12
+
+
+def test_pyramid_applicable_only_on_open_pair_chains(heis6, aklt6p, pinning6, toric22):
+    assert pyramid_applicable(heis6.a)
+    assert not any(pyramid_applicable(m.a) for m in (aklt6p, pinning6, toric22))
 
 
 def test_pyramid_rejects_rings_and_single_layer(aklt6p, pinning6):

@@ -189,7 +189,7 @@ def test_tail_bound_unique_models(unique_1d):
         omega = model.gs.ground_basis[0].normalized()
         cut = CutSpec.contiguous(model.h.sites.n // 2)
         mu, _, _ = max_product_overlap(omega, cut)
-        delta = 1.0 - dl_bound(model.gs.gap, 2, model.a.g, one_d=model.a.g == 2)
+        delta = 1.0 - dl_bound(model.gs.gap, 2.0)
         if model.a.g == 1:
             delta = 0.5  # single-layer models project exactly; any rate works
         table = tail_bound_check(omega, cut, mu, delta, 4)
@@ -352,7 +352,7 @@ def test_tail_chain_inequality(unique_1d):
         cut = CutSpec.contiguous(model.h.sites.n // 2)
         data = schmidt(omega, cut)
         mu, _, _ = max_product_overlap(omega, cut)
-        delta = 1.0 - dl_bound(model.gs.gap, 2, 2, one_d=True)
+        delta = 1.0 - dl_bound(model.gs.gap, 2.0)
         d = model.h.sites.d
         for l in (1, 2, 3):
             keep = min(d ** (2 * l), len(data.coefficients))

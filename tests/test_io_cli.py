@@ -100,6 +100,15 @@ def test_state_document_round_trip():
     assert np.abs(back.amplitudes - psi.amplitudes).max() == 0.0
 
 
+def test_state_document_site_space_must_match():
+    # n=2, d=4 has the dimension of four qubits but not their factorization
+    doc = state_to_document(random_state(SiteSpace(2, 4, chain_geometry()), 1))
+    with pytest.raises(ValidationError, match="site space"):
+        state_from_document(doc, SiteSpace(4, 2, chain_geometry()))
+    sites = SiteSpace(2, 4, chain_geometry())
+    assert state_from_document(doc, sites).sites == sites
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -189,9 +198,12 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(states, "spectrum", counting)
     monkeypatch.setattr(runner, "spectrum", counting)
     model = {"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}
-    report = run(_config("verify", tmp_path, model=model))
-    assert report.overall_pass
-    assert len(calls) == 1
+    # a `count` parameter slices the run's spectrum in the dense regime
+    for parameters in ({}, {"count": 8}):
+        calls.clear()
+        report = run(_config("verify", tmp_path, model=model, parameters=parameters))
+        assert report.overall_pass
+        assert len(calls) == 1, parameters
 
 
 def test_verify_pipeline_product_chain_labels_gated(tmp_path):

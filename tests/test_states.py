@@ -180,21 +180,21 @@ def test_dimension_cap_override(monkeypatch):
 def test_filter_scales_eigenvectors():
     h = build_model(ModelDescriptor.make("pinning", n=2))
     psi = basis_state(h.sites, [1, 1])  # eigenvector with energy 2
-    out = gaussian_filter(h, 2.0, psi)
+    out = gaussian_filter(h, 2.0, psi, spectrum_data=spectrum(h))
     assert np.abs(out.amplitudes - np.exp(-4.0) * psi.amplitudes).max() < 1e-14
 
 
 def test_filter_q_zero_is_identity():
     h = build_model(ModelDescriptor.make("pinning", n=3))
     psi = random_state(h.sites, 5)
-    out = gaussian_filter(h, 0.0, psi)
+    out = gaussian_filter(h, 0.0, psi, spectrum_data=spectrum(h))
     assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
 
 
 def test_filter_rejects_negative_q(pinning6):
     psi = random_state(pinning6.h.sites, 0)
     with pytest.raises(ValidationError):
-        gaussian_filter(pinning6.h, -1.0, psi)
+        gaussian_filter(pinning6.h, -1.0, psi, spectrum_data=spectrum(pinning6.h))
 
 
 def test_filter_monotone_on_complement(heis6):
