@@ -146,7 +146,6 @@ class DecayProfile:
 
     rows: tuple[tuple[int, float, float], ...]  # (distance, |corr|, normalized)
     fitted_rate: float | None
-    fitted_intercept: float | None
     fit_skipped: bool
     identity_rounds: tuple[int, ...]
     identity_deviation: float
@@ -180,11 +179,10 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
     if len(usable) >= 2:
         ms = np.array([m for m, _ in usable], dtype=float)
         logs = np.log(np.array([c for _, c in usable]))
-        slope, intercept = np.polyfit(ms, logs, 1)
-        return DecayProfile(tuple(rows), float(slope), float(math.exp(intercept)),
-                            False, tuple(identity_rounds), float(identity_dev))
-    return DecayProfile(tuple(rows), None, None, True, tuple(identity_rounds),
-                        float(identity_dev))
+        slope, _ = np.polyfit(ms, logs, 1)
+        return DecayProfile(tuple(rows), float(slope), False, tuple(identity_rounds),
+                            float(identity_dev))
+    return DecayProfile(tuple(rows), None, True, tuple(identity_rounds), float(identity_dev))
 
 
 def _max_excluding_rounds(h: HamiltonianSpec, part: LayerPartition, seed, avoid,
@@ -214,10 +212,8 @@ class MeasurementCheck:
     trace_ground: float
     trace_product: float
     overlap: float
-    hypothesis_threshold: float
     hypothesis_met: bool
     bound: float
-    bound_ok: bool | None  # None when the overlap hypothesis is not met
     identity_deviation: float | None  # None for odd l
 
 
@@ -254,9 +250,8 @@ def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.n
 
 
 def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
-                               gs: GroundSpaceData, a: DLOperator,
-                               tolerance: float = 1e-9) -> MeasurementCheck:
-    """Build the window measurement and test its distinguishing probability."""
+                               gs: GroundSpaceData, a: DLOperator) -> MeasurementCheck:
+    """Build the window measurement and measure its distinguishing probability."""
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
     window = _window_sites(h, cut, l)
@@ -275,16 +270,14 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
 
     delta = 1.0 - a.shrink_bound(gs.gap)
     overlap, _, _ = max_product_overlap(omega, cut)
-    threshold = (1.0 - delta) ** (l / 4.0)
-    hypothesis_met = overlap <= threshold
+    hypothesis_met = overlap <= (1.0 - delta) ** (l / 4.0)
     bound = 2.0 * (1.0 - delta) ** (l / 2.0)
-    bound_ok = (trace_product <= bound + tolerance) if hypothesis_met else None
 
     identity_dev = None
     if l % 2 == 0:
         identity_dev = _measurement_identity_deviation(h, a, omega, proj, window, c, l)
     return MeasurementCheck(window, delta, trace_ground, trace_product, overlap,
-                            threshold, hypothesis_met, bound, bound_ok, identity_dev)
+                            hypothesis_met, bound, identity_dev)
 
 
 def _measurement_identity_deviation(h, a, omega, proj, window, c, l) -> float:
@@ -317,19 +310,15 @@ def _measurement_identity_deviation(h, a, omega, proj, window, c, l) -> float:
 class EntropyGapCheck:
     """Mutual information across the cut against the measurement divergence."""
 
-    window: tuple[int, ...]
     mutual_information: float
     measurement_divergence: float
     threshold: float
     hypothesis_met: bool
-    monotone_ok: bool
-    threshold_ok: bool | None
 
 
-def entropy_gap_check(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
-                      measurement: MeasurementCheck,
-                      tolerance: float = 1e-9) -> EntropyGapCheck:
-    """Check S(rho_L) + S(rho_R) - S(rho) >= ln(1/alpha) and the linear threshold."""
+def entropy_gap_check(cut: CutSpec, l: int, gs: GroundSpaceData,
+                      measurement: MeasurementCheck) -> EntropyGapCheck:
+    """Measure S(rho_L) + S(rho_R) - S(rho) against ln(1/alpha) and the linear threshold."""
     window = measurement.window
     omega = gs.ground_basis[0].normalized()
     c = cut.position
@@ -340,7 +329,4 @@ def entropy_gap_check(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceD
     alpha = max(measurement.trace_product, 1e-300)  # benign divergence clamp
     divergence = math.log(1.0 / alpha)
     threshold = (measurement.delta / 2.0) * l - 1.0
-    monotone_ok = info >= divergence - tolerance
-    threshold_ok = (info >= threshold - tolerance) if measurement.hypothesis_met else None
-    return EntropyGapCheck(window, info, divergence, threshold,
-                           measurement.hypothesis_met, monotone_ok, threshold_ok)
+    return EntropyGapCheck(info, divergence, threshold, measurement.hypothesis_met)

@@ -113,24 +113,16 @@ def is_two_layer_chain(h: HamiltonianSpec, partition: LayerPartition) -> bool:
 class DLReport:
     """Measured contraction of A on the ground complement versus the bound."""
 
-    epsilon: float
     k: int
     g: int
     f_value: float | None
     theoretical_bound: float
     measured_shrinkage: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured_shrinkage <= self.theoretical_bound + self.tolerance
 
 
-def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData,
-                      tolerance: float = 1e-9) -> DLReport:
+def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData) -> DLReport:
     measured = restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
-    return DLReport(gs.gap, h.max_k, a.g, a.f_value, a.shrink_bound(gs.gap), measured,
-                    tolerance)
+    return DLReport(h.max_k, a.g, a.f_value, a.shrink_bound(gs.gap), measured)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +271,6 @@ class ConvergenceTrace:
             (l + 1, r, self.shrink_bound ** (l + 1) * self.perp_norm)
             for l, r in enumerate(self.residuals)
         )
-
-    def monotone(self) -> bool:
-        return all(b <= a + 1e-14 for a, b in zip(self.residuals, self.residuals[1:]))
-
-    def within_bound(self, tolerance: float = 1e-9) -> bool:
-        return all(r <= b + tolerance for _, r, b in self.rows())
 
 
 def converge(a: DLOperator, gs: GroundSpaceData, psi: StateVector,

@@ -129,9 +129,6 @@ class RankGrowthTrace:
     caps: tuple[int, ...]
     crossing_terms: int
 
-    def within_caps(self) -> bool:
-        return all(r <= c for r, c in zip(self.ranks, self.caps))
-
 
 def rank_growth(a: DLOperator, psi0: StateVector, cut: CutSpec, l: int) -> RankGrowthTrace:
     """Track the Schmidt rank of repeated applications of A to a product state."""
@@ -164,15 +161,11 @@ class TailBoundTable:
     """Tail masses of the ground Schmidt spectrum against the decay bound."""
 
     rows: tuple[tuple[int, float, float], ...]  # (l, tail, bound)
-    tolerance: float
-
-    def ok(self) -> bool:
-        return all(tail <= bound + self.tolerance for _, tail, bound in self.rows)
 
 
 def tail_bound_check(gs_state: StateVector, cut: CutSpec, mu: float, delta: float,
-                     l_max: int, tolerance: float = 1e-9) -> TailBoundTable:
-    """Check sum_{j > d^(2l)} lambda_j <= mu^-2 (1-delta)^(2l) for l = 1..l_max."""
+                     l_max: int) -> TailBoundTable:
+    """Tabulate sum_{j > d^(2l)} lambda_j against mu^-2 (1-delta)^(2l) for l = 1..l_max."""
     if not (0 < mu <= 1) or not (0 < delta < 1):
         raise ValidationError("need mu in (0,1] and delta in (0,1)")
     data = schmidt(gs_state, cut)
@@ -183,7 +176,7 @@ def tail_bound_check(gs_state: StateVector, cut: CutSpec, mu: float, delta: floa
         tail = data.tail_mass(min(keep, len(data.coefficients)))
         bound = (1.0 - delta) ** (2 * l) / mu ** 2
         rows.append((l, tail, bound))
-    return TailBoundTable(tuple(rows), tolerance)
+    return TailBoundTable(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,6 @@ def overlap_entropy_bound_value(mu: float, delta: float, d: int) -> float:
 class AreaLawCertificate:
     """Measured cut entropy against the overlap-based and gap-only bounds."""
 
-    cut: CutSpec
-    epsilon: float
     delta: float
     mu_measured: float
     entropy_measured: float
@@ -289,13 +280,11 @@ class AreaLawCertificate:
     gap_entropy_bound: float | None  # None when it overflows double precision
     ell0_log10: float
     worst_case_overlap_log10: float
-    entropy_within_overlap_bound: bool
-    entropy_within_gap_bound: bool
 
 
 def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
                          gs: GroundSpaceData) -> AreaLawCertificate:
-    """Certify the cut entropy of a unique ground state on a chain.
+    """Measure the cut entropy of a unique ground state on a chain and its two caps.
 
     The closed-form constants are those of a two-layer chain (f = 2).
     """
@@ -320,10 +309,7 @@ def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
                                + (ell0 / 4.0) * math.log10(1.0 - delta))
     else:
         worst_overlap_log10 = -math.inf
-    s_log10 = math.log10(s_measured) if s_measured > 0 else -math.inf
     return AreaLawCertificate(
-        cut=cut,
-        epsilon=gs.gap,
         delta=delta,
         mu_measured=mu,
         entropy_measured=s_measured,
@@ -332,8 +318,6 @@ def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
         gap_entropy_bound=gap_bound,
         ell0_log10=ell0_log10,
         worst_case_overlap_log10=worst_overlap_log10,
-        entropy_within_overlap_bound=s_measured <= overlap_bound + 1e-9,
-        entropy_within_gap_bound=s_log10 <= gap_bound_log10,
     )
 
 
@@ -342,15 +326,10 @@ class ShiftedCutTable:
     """Max product overlaps at shifted cuts against the center-cut cap."""
 
     rows: tuple[tuple[int, float, float], ...]  # (shift, alpha_shifted, scaled cap)
-    tolerance: float
-
-    def ok(self) -> bool:
-        return all(a <= cap + self.tolerance for _, a, cap in self.rows)
 
 
-def shifted_cut_check(gs_state: StateVector, cut: CutSpec, l: int,
-                      tolerance: float = 1e-10) -> ShiftedCutTable:
-    """Check alpha_1(k+j) <= alpha_1(k) * d^|j| for every |j| <= l."""
+def shifted_cut_check(gs_state: StateVector, cut: CutSpec, l: int) -> ShiftedCutTable:
+    """Tabulate alpha_1(k+j) against the cap alpha_1(k) * d^|j| for every |j| <= l."""
     if cut.kind != "contiguous":
         raise ValidationError("shifted cuts are defined for contiguous cuts")
     n, d = gs_state.sites.n, gs_state.sites.d
@@ -362,4 +341,4 @@ def shifted_cut_check(gs_state: StateVector, cut: CutSpec, l: int,
     for j in range(-l, l + 1):
         alpha_j, _, _ = max_product_overlap(gs_state, CutSpec.contiguous(k + j))
         rows.append((j, alpha_j, alpha_center * d ** abs(j)))
-    return ShiftedCutTable(tuple(rows), tolerance)
+    return ShiftedCutTable(tuple(rows))

@@ -145,9 +145,12 @@ def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
 
 def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
     for field in ("sites", "terms"):
-        if field not in doc:
+        if not isinstance(doc, dict) or field not in doc:
             raise ValidationError(f"hamiltonian document is missing field {field!r}")
     sites_doc = doc["sites"]
+    for field in ("n", "d", "geometry"):
+        if not isinstance(sites_doc, dict) or field not in sites_doc:
+            raise ValidationError(f"hamiltonian document is missing field 'sites.{field}'")
     sites = SiteSpace(int(sites_doc["n"]), int(sites_doc["d"]),
                       geometry_from_document(sites_doc["geometry"]))
     terms = []

@@ -2,9 +2,11 @@
 
 A run is described by a single structured-text config document naming a
 model and a command; the outcome is a report of pass/fail records plus CSV
-trace artifacts.  Conditional checks carry a three-state status so that a
-bound whose hypothesis fails on the given model is reported rather than
-asserted.
+trace artifacts.  The library returns measurements and bounds only; the
+records built here are the one place that decides pass or fail, each with
+its tolerance fixed per check.  Conditional checks carry a three-state
+status so that a bound whose hypothesis fails on the given model is
+reported rather than asserted.
 """
 from __future__ import annotations
 
@@ -116,6 +118,9 @@ class RunConfig:
     @staticmethod
     def from_document(doc: dict, out_dir: str | None = None,
                       out_format: str | None = None, quiet: bool = False) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValidationError("config document: expected an object at the top level, "
+                                  f"got {type(doc).__name__}")
         command = doc.get("command")
         if command not in COMMANDS:
             raise ValidationError(f"field 'command': unknown command {command!r}; "
@@ -136,9 +141,10 @@ class RunConfig:
         parameters = doc.get("parameters", {})
         if not isinstance(parameters, dict):
             raise ValidationError("field 'parameters': expected an object")
-        for key, value in parameters.items():
-            if key.endswith("tolerance") and not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(f"field 'parameters.{key}': tolerance must be positive")
+        for key in parameters:
+            if key.endswith("tolerance"):
+                raise ValidationError(f"field 'parameters.{key}': tolerances are fixed per "
+                                      "check and cannot be set")
         output = doc.get("output", {})
         directory = out_dir or output.get("dir", "out")
         fmt = out_format or output.get("format", "structured")
@@ -263,13 +269,12 @@ def _step_dl(ctx: _Context) -> None:
     ctx.add(info_record("dl-f-value", "dl-shrinkage",
                         report.f_value if report.f_value is not None else 0.0))
     ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", report.measured_shrinkage,
-                           report.theoretical_bound, report.tolerance))
+                           report.theoretical_bound, 1e-9))
 
 
-def _step_converge(ctx: _Context, l_max: int | None = None) -> None:
-    l_max = l_max or int(ctx.params.get("l_max", 20))
+def _step_converge(ctx: _Context) -> None:
     psi = random_state(ctx.h.sites, ctx.seed())
-    trace = converge(ctx.a, ctx.gs, psi, l_max)
+    trace = converge(ctx.a, ctx.gs, psi, int(ctx.params.get("l_max", 20)))
     rows = trace.rows()
     worst = max(r - b for _, r, b in rows)
     ctx.add(bounded_record("dl-convergence", "dl-convergence", worst, 0.0, 1e-9))
@@ -278,11 +283,11 @@ def _step_converge(ctx: _Context, l_max: int | None = None) -> None:
     ctx.add_table("convergence", ("l", "residual", "bound_pow_l"), rows)
 
 
-def _step_pyramids(ctx: _Context, states: int = 10) -> None:
+def _step_pyramids(ctx: _Context) -> None:
     primary, shifted = pyramid_decompose(ctx.a)
     rng = np.random.default_rng(ctx.seed())
     worst = 0.0
-    for _ in range(states):
+    for _ in range(10):
         psi = random_state(ctx.h.sites, rng)
         direct = ctx.a.apply(psi)
         for dec in (primary, shifted):
@@ -297,16 +302,15 @@ def _step_filter(ctx: _Context) -> None:
         return
     worst = -np.inf
     for q in (1.0, 4.0, 16.0):
-        measured = gaussian_filter_deviation(ctx.h, q, ctx.gs, spectrum_data=spec)
+        measured = gaussian_filter_deviation(q, ctx.gs, spec)
         worst = max(worst, measured - float(np.exp(-q * ctx.gs.gap ** 2 / 2.0)))
     ctx.add(bounded_record("spectral-filter", "spectral-filter", worst, 0.0, 1e-9))
 
 
-def _step_norm_energy(ctx: _Context, samples: int | None = None) -> None:
-    samples = samples or int(ctx.params.get("norm_energy_samples", 1000))
+def _step_norm_energy(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.seed())
     worst = -np.inf
-    for _ in range(samples):
+    for _ in range(int(ctx.params.get("norm_energy_samples", 1000))):
         dim = int(rng.integers(2, 33))
         x = _random_projector(rng, dim)
         y = _random_projector(rng, dim)
@@ -381,7 +385,7 @@ def _step_tail(ctx: _Context, cut: CutSpec) -> None:
     mu, _, _ = max_product_overlap(ctx.omega, cut)
     table = tail_bound_check(ctx.omega, cut, mu, delta, int(ctx.params.get("l_max_tail", 4)))
     worst = max(t - b for _, t, b in table.rows)
-    ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, table.tolerance))
+    ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, 1e-9))
     ctx.add_table("tail", ("l", "tail_mass", "bound"), table.rows)
 
 
@@ -409,7 +413,7 @@ def _step_arealaw(ctx: _Context) -> None:
     if shift >= 1:
         table = shifted_cut_check(ctx.omega, cut, shift)
         worst = max(a - cap for _, a, cap in table.rows)
-        ctx.add(bounded_record("shifted-cut", "shifted-cut", worst, 0.0, table.tolerance))
+        ctx.add(bounded_record("shifted-cut", "shifted-cut", worst, 0.0, 1e-10))
 
 
 def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> None:
@@ -485,7 +489,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     if check.identity_deviation is not None:
         ctx.add(bounded_record("measurement-identity", "distinguishing-measurement",
                                check.identity_deviation, 0.0, 1e-10))
-    gap_check = entropy_gap_check(ctx.h, cut, l, ctx.gs, check)
+    gap_check = entropy_gap_check(cut, l, ctx.gs, check)
     ctx.add(bounded_record("entropy-gap", "entropy-gap",
                            gap_check.measurement_divergence - gap_check.mutual_information,
                            0.0, 1e-9))

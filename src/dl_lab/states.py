@@ -230,9 +230,6 @@ class GroundSpaceData:
         b = self.basis_matrix()
         return b @ (b.conj().T @ arr)
 
-    def project(self, psi: StateVector) -> StateVector:
-        return StateVector(self.project_array(psi.amplitudes), psi.sites)
-
     def project_out(self, psi: StateVector) -> StateVector:
         return StateVector(psi.amplitudes - self.project_array(psi.amplitudes), psi.sites)
 
@@ -281,9 +278,11 @@ def gaussian_filter(h: HamiltonianSpec, q: float, psi: StateVector,
     return StateVector(basis @ (weights * coeffs), psi.sites)
 
 
-def gaussian_filter_deviation(h: HamiltonianSpec, q: float, gs: GroundSpaceData,
+def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
                               spectrum_data: SpectrumData) -> float:
-    """Operator-norm distance between the filter and the ground projector of h."""
+    """Operator-norm distance of the filter from the ground projector, given the full spectrum."""
+    if len(spectrum_data.values) < gs.sites.dim:
+        raise ValidationError("the spectral filter needs the full spectrum")
     basis = np.stack([v.amplitudes for v in spectrum_data.vectors], axis=1)
     weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
     filt = (basis * weights) @ basis.conj().T

@@ -219,7 +219,6 @@ def test_measurement_product_ground(pinning6):
     assert check.trace_product == pytest.approx(1.0, abs=1e-10)
     assert check.overlap == pytest.approx(1.0, abs=1e-10)
     assert not check.hypothesis_met
-    assert check.bound_ok is None
     assert check.identity_deviation <= 1e-10
 
 
@@ -228,7 +227,7 @@ def test_measurement_entangled_chain(parent632):
                                        gs=parent632.gs, a=parent632.a)
     assert check.trace_ground == pytest.approx(1.0, abs=1e-10)
     assert check.hypothesis_met
-    assert check.bound_ok
+    assert check.trace_product <= check.bound + 1e-9
     assert check.trace_product < 1.0
     assert check.identity_deviation <= 1e-10
 
@@ -260,27 +259,27 @@ def test_measurement_rejects_rings(aklt6p):
 
 def _entropy_gap(model, cut):
     measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
-    return entropy_gap_check(model.h, cut, 2, gs=model.gs, measurement=measurement)
+    return entropy_gap_check(cut, 2, gs=model.gs, measurement=measurement)
 
 
 def test_entropy_gap_product_ground(pinning6):
     check = _entropy_gap(pinning6, CutSpec.contiguous(3))
     assert check.mutual_information == pytest.approx(0.0, abs=1e-10)
     assert check.measurement_divergence == pytest.approx(0.0, abs=1e-10)
-    assert check.monotone_ok
-    assert check.threshold_ok is None
+    assert check.mutual_information >= check.measurement_divergence - 1e-9
+    assert not check.hypothesis_met
 
 
 def test_entropy_gap_monotone_across_corpus(unique_open):
     for model in unique_open:
         cut = CutSpec.contiguous(model.h.sites.n // 2)
         check = _entropy_gap(model, cut)
-        assert check.monotone_ok, model.label
+        assert check.mutual_information >= check.measurement_divergence - 1e-9, model.label
 
 
 def test_entropy_gap_threshold_when_hypothesis_met(parent632):
     check = _entropy_gap(parent632, CutSpec.contiguous(3))
     assert check.hypothesis_met
-    assert check.threshold_ok
+    assert check.mutual_information >= check.threshold - 1e-9
     assert check.mutual_information >= 0.0
     assert check.measurement_divergence >= 0.0

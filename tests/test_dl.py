@@ -127,14 +127,13 @@ def test_shrinkage_pinning_exact_zero(pinning6):
     assert report.g == 1
     assert report.theoretical_bound == 0.0
     assert report.measured_shrinkage <= 1e-12
-    assert report.passed
+    assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
 
 
 def test_shrinkage_heisenberg_chain(heis8):
     report = measure_shrinkage(heis8.h, heis8.a, heis8.gs)
     assert report.f_value == 2.0
     assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
-    assert report.passed
 
 
 def test_shrinkage_aklt_ring(aklt6p):
@@ -280,8 +279,8 @@ def test_converge_pinning_first_step(pinning6):
 def test_converge_heisenberg_bound_and_monotone(heis8):
     psi = random_state(heis8.h.sites, 5)
     trace = converge(heis8.a, heis8.gs, psi, 20)
-    assert trace.within_bound(1e-9)
-    assert trace.monotone()
+    assert all(r <= b + 1e-9 for _, r, b in trace.rows())
+    assert all(b <= a + 1e-14 for a, b in zip(trace.residuals, trace.residuals[1:]))
     # independent residual check against a dense ground projector
     basis = heis8.gs.basis_matrix()
     target = basis @ (basis.conj().T @ psi.amplitudes)

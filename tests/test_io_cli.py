@@ -271,6 +271,15 @@ def test_config_rejects_bad_tolerance():
         })
 
 
+def test_config_rejects_any_tolerance_parameter():
+    with pytest.raises(ValidationError, match=r"parameters\.shrink_tolerance"):
+        RunConfig.from_document({
+            "command": "gap",
+            "model": {"name": "pinning", "parameters": {"n": 3}},
+            "parameters": {"shrink_tolerance": 1e-6},
+        })
+
+
 def test_config_model_path_accepted(tmp_path, pinning6):
     path = str(tmp_path / "m.json")
     save_hamiltonian(path, pinning6.h)
@@ -316,6 +325,25 @@ def test_cli_exit_two_on_bad_config(tmp_path):
     with open(path, "w") as handle:
         handle.write("{not json")
     assert cli.main(["gap", "--config", path]) == 2
+
+
+def test_cli_exit_two_on_list_config(tmp_path, capsys):
+    path = str(tmp_path / "list.json")
+    with open(path, "w") as handle:
+        json.dump([{"command": "gap", "model": {"name": "pinning"}}], handle)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "top level" in capsys.readouterr().err
+
+
+def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6):
+    doc = hamiltonian_to_document(pinning6.h)
+    del doc["sites"]["n"]
+    model_path = str(tmp_path / "model.json")
+    with open(model_path, "w") as handle:
+        json.dump(doc, handle)
+    path = _write_config(tmp_path, command="gap", model={"path": model_path})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "'sites.n'" in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):

@@ -197,6 +197,12 @@ def test_filter_rejects_negative_q(pinning6):
         gaussian_filter(pinning6.h, -1.0, psi, spectrum_data=spectrum(pinning6.h))
 
 
+def test_filter_deviation_needs_full_spectrum(heis6):
+    partial = spectrum(heis6.h, heis6.gs.degeneracy)
+    with pytest.raises(ValidationError, match="full spectrum"):
+        gaussian_filter_deviation(1.0, heis6.gs, spectrum_data=partial)
+
+
 def test_filter_monotone_on_complement(heis6):
     psi = heis6.gs.project_out(random_state(heis6.h.sites, 9))
     spec = spectrum(heis6.h)
@@ -209,7 +215,7 @@ def test_filter_bound_on_models(pinning6, heis6, aklt4, toric22):
     for model in (pinning6, heis6, aklt4, toric22):
         spec = spectrum(model.h)
         for q in (1.0, 4.0, 16.0):
-            measured = gaussian_filter_deviation(model.h, q, model.gs, spectrum_data=spec)
+            measured = gaussian_filter_deviation(q, model.gs, spectrum_data=spec)
             assert measured <= np.exp(-q * model.gs.gap ** 2 / 2) + 1e-9
 
 
@@ -217,7 +223,7 @@ def test_filter_deviation_matches_svd_oracle(corpus):
     for model in corpus:
         spec = spectrum(model.h)
         for q in (1.0, 4.0, 16.0):
-            measured = gaussian_filter_deviation(model.h, q, model.gs, spectrum_data=spec)
+            measured = gaussian_filter_deviation(q, model.gs, spectrum_data=spec)
             oracle = dense_filter_deviation(model.h, q, model.gs)
             assert abs(measured - oracle) < 1e-12, model.label
 
