@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .hamiltonian import HamiltonianSpec, LayerPartition, partition_layers
-from .states import GroundSpaceData, StateVector, apply_term_array, restricted_norm
+from .states import (GroundSpaceData, StateVector, apply_term_array, gram_lanczos,
+                     restricted_norm)
 
 
 def canonical_layer_order(h: HamiltonianSpec, layer: tuple[int, ...]) -> tuple[int, ...]:
@@ -123,6 +124,43 @@ class DLReport:
 def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData) -> DLReport:
     measured = restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
     return DLReport(h.max_k, a.g, a.f_value, a.shrink_bound(gs.gap), measured)
+
+
+# A Ritz value of A^dag A at or above this counts as the eigenvalue 1.
+FIXED_RITZ_MIN = 1.0 - 1e-8
+
+
+def ground_degeneracy(a: DLOperator) -> int:
+    """Multiplicity of the eigenvalue 1 of A^dag A, the ground degeneracy of H.
+
+    A fixes exactly the states annihilated by every term and shrinks the
+    rest, so every other eigenvalue of A^dag A is at most shrinkage^2 < 1.
+    Lanczos (gram_lanczos, largest algebraic) runs on A^dag A through the
+    operator's own matvecs, with the fixed Ritz vectors found so far
+    projected out, until a round finds no fixed Ritz value (at least
+    FIXED_RITZ_MIN).  k starts at 2, doubles while every Ritz value is
+    fixed and drops to 1 otherwise.  The rounds are needed because
+    single-vector Lanczos sees a degenerate eigenvalue only once per start.
+    0 means no state is fixed: the model is not frustration-free.
+    """
+    dim = a.h.sites.dim
+    basis = np.empty((dim, 0))
+    k, seed = 2, 1234
+    while True:
+        theta, vecs = gram_lanczos(a.apply_array, a.adjoint_apply_array, basis,
+                                   min(k, dim - 1), "A^dag A", seed)
+        fixed = theta >= FIXED_RITZ_MIN
+        if not fixed.any():
+            return basis.shape[1]
+        # Lanczos may return near-copies of one vector in a degenerate
+        # cluster; keep an orthonormal basis of what is new
+        new = vecs[:, fixed] - basis @ (basis.conj().T @ vecs[:, fixed])
+        u, sigma, _ = np.linalg.svd(new, full_matrices=False)
+        basis = np.hstack([basis, u[:, sigma > 0.5]])
+        k = 2 * k if fixed.all() else 1
+        # a fresh start each round: the last one has no component left in
+        # the fixed space once its fixed Ritz vectors are projected out
+        seed += 1
 
 
 # ---------------------------------------------------------------------------

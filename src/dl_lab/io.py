@@ -118,12 +118,21 @@ def geometry_to_document(geometry: Geometry) -> dict:
     return doc
 
 
+def _field(doc, key: str, path: str):
+    """doc[key], or ValidationError naming the field at `path` when it is missing."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"hamiltonian document is missing field {path!r}")
+    return doc[key]
+
+
 def geometry_from_document(doc: dict) -> Geometry:
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "sites.geometry.kind")
     if kind == "torus-2d":
-        return Geometry(kind, lx=int(doc["lx"]), ly=int(doc["ly"]))
+        return Geometry(kind, lx=int(_field(doc, "lx", "sites.geometry.lx")),
+                        ly=int(_field(doc, "ly", "sites.geometry.ly")))
     if kind == "custom-adjacency":
-        return Geometry(kind, edges=tuple((int(a), int(b)) for a, b in doc["edges"]))
+        edges = _field(doc, "edges", "sites.geometry.edges")
+        return Geometry(kind, edges=tuple((int(a), int(b)) for a, b in edges))
     return Geometry(kind)
 
 
@@ -144,22 +153,18 @@ def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
 
 
 def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
-    for field in ("sites", "terms"):
-        if not isinstance(doc, dict) or field not in doc:
-            raise ValidationError(f"hamiltonian document is missing field {field!r}")
-    sites_doc = doc["sites"]
-    for field in ("n", "d", "geometry"):
-        if not isinstance(sites_doc, dict) or field not in sites_doc:
-            raise ValidationError(f"hamiltonian document is missing field 'sites.{field}'")
-    sites = SiteSpace(int(sites_doc["n"]), int(sites_doc["d"]),
-                      geometry_from_document(sites_doc["geometry"]))
+    sites_doc = _field(doc, "sites", "sites")
+    terms_doc = _field(doc, "terms", "terms")
+    sites = SiteSpace(int(_field(sites_doc, "n", "sites.n")),
+                      int(_field(sites_doc, "d", "sites.d")),
+                      geometry_from_document(_field(sites_doc, "geometry", "sites.geometry")))
     terms = []
-    for i, term_doc in enumerate(doc["terms"]):
-        matrix = _matrix_from_rows(term_doc["matrix"])
+    for i, term_doc in enumerate(terms_doc):
+        matrix = _matrix_from_rows(_field(term_doc, "matrix", f"terms[{i}].matrix"))
+        support = _field(term_doc, "support", f"terms[{i}].support")
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
         is_proj = bool(np.abs(matrix @ matrix - matrix).max(initial=0.0) <= 1e-10 * scale)
-        terms.append(LocalTerm(tuple(int(s) for s in term_doc["support"]), matrix,
-                               is_projector=is_proj))
+        terms.append(LocalTerm(tuple(int(s) for s in support), matrix, is_projector=is_proj))
     return HamiltonianSpec(sites, tuple(terms))
 
 

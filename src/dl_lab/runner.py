@@ -22,9 +22,9 @@ from . import __version__
 from .correlations import (ObservableSpec, cone_absorption_check,
                            decay_profile, distinguishing_measurement,
                            entropy_gap_check)
-from .dl import (apply_pyramids, converge, dl_operator, measure_shrinkage,
-                 norm_energy_check, pyramid_applicable, pyramid_decompose,
-                 step_inequality_margin)
+from .dl import (apply_pyramids, converge, dl_operator, ground_degeneracy,
+                 measure_shrinkage, norm_energy_check, pyramid_applicable,
+                 pyramid_decompose, step_inequality_margin)
 from .entanglement import (CutSpec, area_law_certificate, density_entropy,
                            max_product_overlap, rank_growth, reduced_density,
                            schmidt, shifted_cut_check, step_entropy_bound,
@@ -185,21 +185,36 @@ class _Context:
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
                                             proj_report.max_term_norm))
         self._spectrum: SpectrumData | None = None
+        self._degeneracy: int | None = None
         self._gs: GroundSpaceData | None = None
         self._a = None
 
     @property
-    def dense_spectrum(self) -> SpectrumData | None:
-        """The full spectrum, diagonalized once per run; None above DENSE_CUTOFF."""
-        if self._spectrum is None and self.h.sites.dim <= DENSE_CUTOFF:
-            self._spectrum = spectrum(self.h)
+    def spectrum_data(self) -> SpectrumData:
+        """The one spectrum of H in the run.
+
+        Up to DENSE_CUTOFF it is the full dense spectrum.  Above, the ground
+        degeneracy deg is learned first from A^dag A, and one Lanczos solve
+        takes max(count or deg + 6, deg + 1) pairs.
+        """
+        if self._spectrum is None:
+            if self.h.sites.dim <= DENSE_CUTOFF:
+                self._spectrum = spectrum(self.h)
+            else:
+                deg = ground_degeneracy(self.a)
+                if deg == 0:
+                    raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
+                                          "by every term; the model is not frustration-free")
+                self._degeneracy = deg
+                count = self.int_param("count")
+                self._spectrum = spectrum(self.h, max(count or deg + 6, deg + 1))
         return self._spectrum
 
     @property
     def gs(self) -> GroundSpaceData:
         if self._gs is None:
-            self._gs = ground_space(self.h, count_hint=int(self.params.get("count", 6)),
-                                    spectrum_data=self.dense_spectrum)
+            spec = self.spectrum_data
+            self._gs = ground_space(self.h, spec, self._degeneracy)
         return self._gs
 
     @property
@@ -216,12 +231,22 @@ class _Context:
     def omega(self) -> StateVector:
         return self.gs.ground_basis[0].normalized()
 
+    def int_param(self, key: str, default: int | None = None) -> int | None:
+        """The integer run parameter `key`; default when it is absent."""
+        if key not in self.params:
+            return default
+        value = self.params[key]
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"field 'parameters.{key}': expected an integer, "
+                                  f"got {value!r}") from None
+
     def default_cut(self) -> CutSpec:
-        position = int(self.params.get("cut", self.h.sites.n // 2))
-        return CutSpec.contiguous(position)
+        return CutSpec.contiguous(self.int_param("cut", self.h.sites.n // 2))
 
     def seed(self) -> int:
-        return int(self.params.get("seed", 7))
+        return self.int_param("seed", 7)
 
     def observable(self, site: int) -> ObservableSpec:
         name = self.params.get("observable", "sz")
@@ -246,13 +271,10 @@ def _step_gap(ctx: _Context) -> None:
     check = validate_frustration_free(ctx.h, gs, tol=1e-8)
     ctx.add(bounded_record("frustration-free", "frustration-free",
                            check.max_residual, 0.0, 1e-8))
-    count = ctx.params.get("count")
-    spec = ctx.dense_spectrum
-    if spec is None:
-        spec = spectrum(ctx.h, int(count) if count else gs.degeneracy + 6)
-    elif count:
-        c = int(count)
-        spec = SpectrumData(spec.values[:c], spec.vectors[:c], spec.residuals[:c])
+    spec = ctx.spectrum_data
+    count = ctx.int_param("count")
+    if count:
+        spec = SpectrumData(spec.values[:count], spec.vectors[:count], spec.residuals[:count])
     ctx.add(bounded_record("eigenpair-residuals", "plumbing",
                            float(spec.residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
@@ -274,7 +296,7 @@ def _step_dl(ctx: _Context) -> None:
 
 def _step_converge(ctx: _Context) -> None:
     psi = random_state(ctx.h.sites, ctx.seed())
-    trace = converge(ctx.a, ctx.gs, psi, int(ctx.params.get("l_max", 20)))
+    trace = converge(ctx.a, ctx.gs, psi, ctx.int_param("l_max", 20))
     rows = trace.rows()
     worst = max(r - b for _, r, b in rows)
     ctx.add(bounded_record("dl-convergence", "dl-convergence", worst, 0.0, 1e-9))
@@ -297,12 +319,11 @@ def _step_pyramids(ctx: _Context) -> None:
 
 
 def _step_filter(ctx: _Context) -> None:
-    spec = ctx.dense_spectrum
-    if spec is None:
+    if ctx.h.sites.dim > DENSE_CUTOFF:
         return
     worst = -np.inf
     for q in (1.0, 4.0, 16.0):
-        measured = gaussian_filter_deviation(q, ctx.gs, spec)
+        measured = gaussian_filter_deviation(q, ctx.gs, ctx.spectrum_data)
         worst = max(worst, measured - float(np.exp(-q * ctx.gs.gap ** 2 / 2.0)))
     ctx.add(bounded_record("spectral-filter", "spectral-filter", worst, 0.0, 1e-9))
 
@@ -310,7 +331,7 @@ def _step_filter(ctx: _Context) -> None:
 def _step_norm_energy(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.seed())
     worst = -np.inf
-    for _ in range(int(ctx.params.get("norm_energy_samples", 1000))):
+    for _ in range(ctx.int_param("norm_energy_samples", 1000)):
         dim = int(rng.integers(2, 33))
         x = _random_projector(rng, dim)
         y = _random_projector(rng, dim)
@@ -350,7 +371,7 @@ def _step_rank_growth(ctx: _Context) -> None:
         return
     cut = ctx.default_cut()
     psi0 = _product_start(ctx)
-    trace = rank_growth(ctx.a, psi0, cut, int(ctx.params.get("rank_steps", 3)))
+    trace = rank_growth(ctx.a, psi0, cut, ctx.int_param("rank_steps", 3))
     worst = max((r - c for r, c in zip(trace.ranks, trace.caps)), default=0)
     ctx.add(bounded_record("rank-growth", "rank-growth", float(worst), 0.0, 0.0))
 
@@ -383,7 +404,7 @@ def _step_tail(ctx: _Context, cut: CutSpec) -> None:
     # a single layer projects exactly (delta = 1); stay inside the open domain
     delta = min(1.0 - ctx.a.shrink_bound(ctx.gs.gap), 1.0 - 1e-12)
     mu, _, _ = max_product_overlap(ctx.omega, cut)
-    table = tail_bound_check(ctx.omega, cut, mu, delta, int(ctx.params.get("l_max_tail", 4)))
+    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.int_param("l_max_tail", 4))
     worst = max(t - b for _, t, b in table.rows)
     ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, 1e-9))
     ctx.add_table("tail", ("l", "tail_mass", "bound"), table.rows)
@@ -408,8 +429,7 @@ def _step_arealaw(ctx: _Context) -> None:
                            log_s, cert.gap_entropy_bound_log10, 1e-9))
     _window_recursion_diagnostic(ctx, cut, cert.delta)
     n = ctx.h.sites.n
-    shift = int(ctx.params.get("cut_shift", 2))
-    shift = min(shift, cut.position - 1, n - 1 - cut.position)
+    shift = min(ctx.int_param("cut_shift", 2), cut.position - 1, n - 1 - cut.position)
     if shift >= 1:
         table = shifted_cut_check(ctx.omega, cut, shift)
         worst = max(a - cap for _, a, cap in table.rows)
@@ -424,7 +444,7 @@ def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> N
     """
     n = ctx.h.sites.n
     c = cut.position
-    l = min(int(ctx.params.get("window", 2)), c, n - c)
+    l = min(ctx.int_param("window", 2), c, n - c)
     if l < 2 or l % 2:
         return
     omega = ctx.omega
@@ -439,14 +459,14 @@ def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> N
 
 def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]]:
     n = ctx.h.sites.n
-    x_site = int(ctx.params.get("x_site", 0))
+    x_site = ctx.int_param("x_site", 0)
     distances = ctx.params.get("distances")
     if distances is None:
         if ctx.h.sites.geometry.kind == "chain-periodic":
             max_m = n // 2
         else:
             max_m = n - 1 - x_site
-        distances = list(range(1, min(int(ctx.params.get("max_distance", 5)), max_m) + 1))
+        distances = list(range(1, min(ctx.int_param("max_distance", 5), max_m) + 1))
     x = ctx.observable(x_site)
     family = [ctx.observable((x_site + m) % n) for m in distances]
     return x, family
@@ -476,8 +496,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
         return
     cut = ctx.default_cut()
-    l = int(ctx.params.get("window", 2))
-    l = min(l, cut.position, ctx.h.sites.n - cut.position)
+    l = min(ctx.int_param("window", 2), cut.position, ctx.h.sites.n - cut.position)
     if l < 1:
         return
     check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a)
@@ -499,9 +518,9 @@ def _step_measurecheck(ctx: _Context) -> None:
 
 
 def _step_cone(ctx: _Context) -> None:
-    site = int(ctx.params.get("cone_site", ctx.h.sites.n // 2))
+    site = ctx.int_param("cone_site", ctx.h.sites.n // 2)
     b = ObservableSpec((site,), site_observable("sx", ctx.h.sites.d))
-    l = int(ctx.params.get("cone_rounds", 2))
+    l = ctx.int_param("cone_rounds", 2)
     dev = cone_absorption_check(ctx.h, ctx.a, ctx.gs, b, l)
     ctx.add(bounded_record("cone-absorption", "cone-absorption", dev, 0.0, 1e-12))
 

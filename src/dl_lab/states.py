@@ -1,10 +1,13 @@
 """Dense state-vector arithmetic over (C^d)^(x n).
 
 Local operators are applied by tensor contraction over their support
-axes only, so the cost is O(d^n * d^k) per term.  Spectra switch from
-full dense diagonalization to Lanczos iteration above DENSE_CUTOFF.  The
-restricted operator norm on the ground-space complement is one Lanczos
-solve on the Gram operator, in both regimes, with its residual asserted.
+axes only, so the cost is O(d^n * d^k) per term.  A run computes one
+spectrum of H in both regimes: the full dense diagonalization up to
+DENSE_CUTOFF, and above it one Lanczos solve whose size is set by the
+ground degeneracy, learned first from A^dag A (dl.ground_degeneracy);
+ground_space only selects from that spectrum.  The restricted operator
+norm on the ground-space complement is one Lanczos solve on the Gram
+operator.  Every Lanczos solve asserts the residual of each Ritz pair.
 """
 from __future__ import annotations
 
@@ -173,36 +176,53 @@ class SpectrumData:
     residuals: np.ndarray
 
 
+def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
+            which: str, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k eigenpairs at one end of a Hermitian operator, ascending, with residuals.
+
+    One ARPACK solve (tol 1e-10) started from v0, whose dtype sets the
+    arithmetic.  Every Ritz pair's residual ||G v - theta v|| must not
+    exceed RESIDUAL_TOL, else ConvergenceError.
+    """
+    dim = v0.shape[0]
+    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=v0.dtype)
+    try:
+        theta, vecs = spla.eigsh(op, k=k, which=which, tol=1e-10, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"{what} Lanczos did not converge: {exc}") from exc
+    order = np.argsort(theta)
+    theta, vecs = theta[order], vecs[:, order]
+    return theta, vecs, _checked_residuals(matvec, theta, vecs, what)
+
+
+def _checked_residuals(matvec: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                       vectors: np.ndarray, what: str) -> np.ndarray:
+    residuals = np.empty(len(values))
+    for i in range(len(values)):
+        residuals[i] = np.linalg.norm(matvec(vectors[:, i]) - values[i] * vectors[:, i])
+    if residuals.size and residuals.max() > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"{what} residuals up to {residuals.max():g} exceed {RESIDUAL_TOL:g}")
+    return residuals
+
+
 def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     """Lowest `count` eigenpairs of sum_i Q_i (all of them in the dense regime)."""
     dim = h.sites.dim
     _check_dim(dim)
-    n, d = h.sites.n, h.sites.d
     if dim <= DENSE_CUTOFF:
-        mat = hamiltonian_matrix(h)
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = np.linalg.eigh(hamiltonian_matrix(h))
         if count is not None:
             evals, evecs = evals[:count], evecs[:, :count]
+        residuals = _checked_residuals(lambda v: hamiltonian_apply(h, v), evals, evecs,
+                                       "eigenpair")
     else:
         if count is None:
             raise ValidationError(f"full spectrum of dimension {dim} is out of the dense regime")
         dtype = complex if _is_complex(h) else float
+        v0 = np.random.default_rng(1234).standard_normal(dim).astype(dtype)
         matvec = lambda v: hamiltonian_apply(h, v.astype(dtype, copy=False))
-        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
-        v0 = np.random.default_rng(1234).standard_normal(dim)
-        try:
-            evals, evecs = spla.eigsh(op, k=count, which="SA", tol=1e-10, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-    residuals = np.empty(len(evals))
-    for i in range(len(evals)):
-        residuals[i] = np.linalg.norm(hamiltonian_apply(h, evecs[:, i]) - evals[i] * evecs[:, i])
-    if residuals.size and residuals.max() > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"eigenpair residuals up to {residuals.max():g} exceed {RESIDUAL_TOL:g}"
-        )
+        evals, evecs, residuals = _lanczos(matvec, v0, count, "SA", "eigenpair")
     vectors = tuple(StateVector(evecs[:, i], h.sites) for i in range(len(evals)))
     return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals)
 
@@ -234,34 +254,31 @@ class GroundSpaceData:
         return StateVector(psi.amplitudes - self.project_array(psi.amplitudes), psi.sites)
 
 
-def ground_space(h: HamiltonianSpec, count_hint: int = 6,
-                 spectrum_data: SpectrumData | None = None) -> GroundSpaceData:
+def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData,
+                 degeneracy: int | None = None) -> GroundSpaceData:
     """Orthonormal basis of the eigenvalue-0 space and the gap above it.
 
-    In the dense regime a full spectrum of h already at hand may be passed
-    as spectrum_data, so that it is not diagonalized again.
+    Selects from spectrum_data, the lowest eigenpairs of h; it never
+    diagonalizes.  degeneracy, when given, is the ground degeneracy learned
+    from A^dag A: the count of eigenvalues under the zero threshold must
+    equal it, else ConvergenceError (a Lanczos solve missed a degenerate
+    ground state).
     """
-    dim = h.sites.dim
     threshold = GROUND_TOL_SCALE * (1.0 + h.norm_bound())
-    if dim <= DENSE_CUTOFF:
-        spec = spectrum_data if spectrum_data is not None else spectrum(h)
-    else:
-        k = max(2, count_hint)
-        while True:
-            spec = spectrum(h, count=min(k, dim - 2))
-            if spec.values[-1] > threshold or k >= dim - 2:
-                break
-            k *= 2
-    values = spec.values
+    values = spectrum_data.values
+    n_ground = int(np.searchsorted(values, threshold, side="right"))
+    if degeneracy is not None and n_ground != degeneracy:
+        raise ConvergenceError(
+            f"{n_ground} eigenvalues of H under the zero threshold, but A^dag A "
+            f"fixes a {degeneracy}-dimensional space")
     if values[0] > threshold:
         raise ValidationError(
             f"ground energy {values[0]:g} is above the zero threshold {threshold:g}; "
             "the model is not frustration-free"
         )
-    n_ground = int(np.searchsorted(values, threshold, side="right"))
     if n_ground >= len(values):
         raise ValidationError("no eigenvalue found above the ground threshold")
-    basis = spec.vectors[:n_ground]
+    basis = spectrum_data.vectors[:n_ground]
     return GroundSpaceData(float(values[0]), float(values[n_ground]), tuple(basis))
 
 
@@ -292,37 +309,39 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     return float(np.abs(np.linalg.eigvalsh(filt - proj)).max())
 
 
+def gram_lanczos(op_apply: Callable[[np.ndarray], np.ndarray],
+                 adjoint_apply: Callable[[np.ndarray], np.ndarray],
+                 basis: np.ndarray, k: int, what: str,
+                 seed: int = 97) -> tuple[np.ndarray, np.ndarray]:
+    """Largest k eigenpairs of G = P' op^dag op P', ascending.
+
+    P' projects out the orthonormal columns of basis (there may be none)
+    and is never materialized.  One Lanczos solve from a projected random
+    start drawn with seed; arithmetic is real when basis is real and op_apply maps a real
+    vector to a real array.  When G annihilates the start (up to
+    GRAM_ZERO_TOL), G vanishes on the complement and no pair is returned;
+    ARPACK cannot start from such a vector.
+    """
+    project_out = lambda v: v - basis @ (basis.conj().T @ v)
+    v0 = project_out(np.random.default_rng(seed).standard_normal(basis.shape[0]))
+    a_v0 = op_apply(v0)
+    dtype = np.result_type(v0, a_v0)
+    g_v0 = project_out(adjoint_apply(a_v0))
+    if np.linalg.norm(g_v0) <= GRAM_ZERO_TOL * np.linalg.norm(v0):
+        return np.empty(0), np.empty((basis.shape[0], 0), dtype)
+    gram = lambda v: project_out(adjoint_apply(op_apply(project_out(v))))
+    theta, vecs, _ = _lanczos(gram, v0.astype(dtype), k, "LA", what)
+    return theta, vecs
+
+
 def restricted_norm(op_apply: Callable[[np.ndarray], np.ndarray],
                     adjoint_apply: Callable[[np.ndarray], np.ndarray],
                     gs: GroundSpaceData) -> float:
     """Largest singular value of the operator restricted to the ground complement.
 
-    One Lanczos solve (ARPACK, k=1, largest algebraic) on the Gram operator
-    G = P' op^dag op P', with the complement projector P' applied through
-    the ground basis and never materialized.  The a-posteriori residual
-    ||G v - theta v|| must not exceed RESIDUAL_TOL, else ConvergenceError.
-    Arithmetic is real when the ground basis is real and op_apply maps a
-    real vector to a real array.  When G annihilates the projected random
-    start (up to GRAM_ZERO_TOL), G vanishes on the complement and the norm
-    is 0.0; ARPACK cannot start from such a vector.
+    The square root of the top eigenvalue of P' op^dag op P', P' the
+    ground-complement projector, by one gram_lanczos solve with k=1; 0.0
+    when that operator vanishes.
     """
-    b = gs.basis_matrix()
-    project_out = lambda v: v - b @ (b.conj().T @ v)
-    v0 = project_out(np.random.default_rng(97).standard_normal(gs.sites.dim))
-    a_v0 = op_apply(v0)
-    dtype = np.result_type(v0, a_v0)
-    gram = lambda v: project_out(adjoint_apply(op_apply(project_out(v))))
-    g_v0 = project_out(adjoint_apply(a_v0))
-    if np.linalg.norm(g_v0) <= GRAM_ZERO_TOL * np.linalg.norm(v0):
-        return 0.0
-    op = spla.LinearOperator((gs.sites.dim,) * 2, matvec=gram, dtype=dtype)
-    try:
-        theta, vecs = spla.eigsh(op, k=1, which="LA", tol=1e-10, v0=v0.astype(dtype))
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"restricted-norm Lanczos did not converge: {exc}") from exc
-    v = vecs[:, 0]
-    residual = float(np.linalg.norm(gram(v) - theta[0] * v))
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"restricted-norm residual {residual:g} exceeds {RESIDUAL_TOL:g}")
-    return float(np.sqrt(max(theta[0], 0.0)))
+    theta, _ = gram_lanczos(op_apply, adjoint_apply, gs.basis_matrix(), 1, "restricted-norm")
+    return float(np.sqrt(max(theta[0], 0.0))) if theta.size else 0.0

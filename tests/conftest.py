@@ -8,7 +8,7 @@ import pytest
 from dl_lab.dl import DLOperator, dl_operator
 from dl_lab.hamiltonian import HamiltonianSpec
 from dl_lab.models import ModelDescriptor, build_model
-from dl_lab.states import GroundSpaceData, ground_space
+from dl_lab.states import GroundSpaceData, ground_space, spectrum
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ModelFixture:
 
 def _fixture(descriptor: ModelDescriptor) -> ModelFixture:
     h = build_model(descriptor)
-    return ModelFixture(descriptor, h, ground_space(h), dl_operator(h))
+    return ModelFixture(descriptor, h, ground_space(h, spectrum(h)), dl_operator(h))
 
 
 @pytest.fixture(scope="session")

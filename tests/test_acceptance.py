@@ -52,7 +52,7 @@ def _random_product(sites, seed):
 @pytest.fixture(scope="module")
 def aklt12():
     h = build_model(ModelDescriptor.make("aklt", n=12, periodic=True))
-    gs = ground_space(h, count_hint=2)
+    gs = ground_space(h, spectrum(h, 2))
     return h, gs
 
 

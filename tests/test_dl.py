@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dl_lab import states
 from dl_lab.dl import (apply_pyramids, converge, dl_bound, dl_operator,
-                       measure_shrinkage, norm_energy_check, pyramid_applicable,
-                       pyramid_decompose, step_inequality_margin)
-from dl_lab.errors import ValidationError
+                       ground_degeneracy, measure_shrinkage, norm_energy_check,
+                       pyramid_applicable, pyramid_decompose, step_inequality_margin)
+from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
 from dl_lab.states import random_state, uniform_superposition
@@ -140,6 +141,36 @@ def test_shrinkage_aklt_ring(aklt6p):
     report = measure_shrinkage(aklt6p.h, aklt6p.a, aklt6p.gs)
     assert report.f_value == 2.0
     assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# ground degeneracy from A^dag A
+# ---------------------------------------------------------------------------
+
+def test_ground_degeneracy_matches_dense_ground_space(corpus):
+    # heisenberg-ferro(8) has a 9-fold ground space that single-vector
+    # Lanczos sees only once per start; parent-random(8,2,2,7) has 64
+    for model in corpus:
+        assert ground_degeneracy(model.a) == model.gs.degeneracy, model.label
+
+
+def test_ground_degeneracy_zero_when_frustrated(pinning6):
+    n = pinning6.h.sites.n
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    for extra in (np.diag([1.0, 0.0]), minus):  # A = 0, and A != 0 with no fixed state
+        extra_term = LocalTerm((0,), extra, is_projector=True)
+        frustrated = HamiltonianSpec(pinning6.h.sites, pinning6.h.terms + (extra_term,))
+        assert ground_degeneracy(dl_operator(frustrated)) == 0
+
+
+def test_ground_degeneracy_asserts_residual(heis6, monkeypatch):
+    def unconverged(op, k, **kwargs):
+        vecs = np.eye(op.shape[0], k)
+        return np.ones(k), vecs
+
+    monkeypatch.setattr(states.spla, "eigsh", unconverged)
+    with pytest.raises(ConvergenceError, match="residual"):
+        ground_degeneracy(heis6.a)
 
 
 # ---------------------------------------------------------------------------

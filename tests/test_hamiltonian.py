@@ -8,7 +8,7 @@ from dl_lab.hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
                                 projectorize, torus_geometry,
                                 validate_frustration_free)
 from dl_lab.models import ModelDescriptor, build_model, singlet_projector
-from dl_lab.states import ground_space, random_state, apply_local
+from dl_lab.states import ground_space, random_state, apply_local, spectrum
 
 from oracles import dense_hamiltonian
 
@@ -227,7 +227,7 @@ def test_frustrated_model_detected(pinning6):
     assert not check
     assert any(term == len(frustrated.terms) - 1 for term, _, _ in check.violations)
     with pytest.raises(ValidationError):
-        ground_space(frustrated)
+        ground_space(frustrated, spectrum(frustrated))
 
 
 def test_frustration_dimension_mismatch(pinning6, heis2):

@@ -7,16 +7,17 @@ import pytest
 
 import dl_lab.cli as cli
 from dl_lab import runner, states
-from dl_lab.errors import ValidationError
-from dl_lab.hamiltonian import SiteSpace, chain_geometry, custom_geometry, \
-    torus_geometry
+from dl_lab.errors import ConvergenceError, ValidationError
+from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
+    custom_geometry, torus_geometry
 from dl_lab.io import (dumps_document, format_float, hamiltonian_from_document,
                        hamiltonian_to_document, load_hamiltonian, loads_document,
                        save_hamiltonian, state_from_bytes, state_from_document,
                        state_to_bytes, state_to_document, write_csv)
 from dl_lab.runner import (CheckRecord, Report, RunConfig, emit_report,
                            report_from_document, report_to_document, run)
-from dl_lab.states import random_state
+from dl_lab.models import ModelDescriptor, build_model
+from dl_lab.states import DENSE_CUTOFF, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_emit_report_structured_and_csv(tmp_path):
     assert structured_paths == [str(tmp_path / "out2" / "report.json")]
 
 
-def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
+def _count_spectrum_calls(monkeypatch) -> list:
     calls = []
     original = states.spectrum
 
@@ -197,6 +198,11 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(states, "spectrum", counting)
     monkeypatch.setattr(runner, "spectrum", counting)
+    return calls
+
+
+def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
+    calls = _count_spectrum_calls(monkeypatch)
     model = {"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}
     # a `count` parameter slices the run's spectrum in the dense regime
     for parameters in ({}, {"count": 8}):
@@ -204,6 +210,49 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
         report = run(_config("verify", tmp_path, model=model, parameters=parameters))
         assert report.overall_pass
         assert len(calls) == 1, parameters
+
+
+AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 4
+
+
+def test_iterative_verify_solves_once(tmp_path, monkeypatch):
+    assert 3 ** 8 > DENSE_CUTOFF
+    calls = _count_spectrum_calls(monkeypatch)
+    # unset: deg + 6 pairs; count 3: max(3, deg + 1) pairs, the table shows 3
+    for parameters, pairs, rows in (({}, 10, 10), ({"count": 3}, 5, 3)):
+        calls.clear()
+        report = run(_config("verify", tmp_path, model=AKLT8, parameters=parameters))
+        assert report.overall_pass
+        assert [args[1] for args in calls] == [pairs], parameters
+        by_name = {r.name: r for r in report.records}
+        assert by_name["ground-degeneracy"].measured == 4.0
+        tables = {name: table_rows for name, _, table_rows in report.tables}
+        assert len(tables["spectrum"]) == rows
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_iterative_degeneracy_mismatch_raises(tmp_path, monkeypatch, offset):
+    # stands in for a Lanczos solve that misses (or invents) a degenerate copy
+    true_degeneracy = runner.ground_degeneracy
+    monkeypatch.setattr(runner, "ground_degeneracy", lambda a: true_degeneracy(a) + offset)
+    with pytest.raises(ConvergenceError, match="A\\^dag A"):
+        run(_config("gap", tmp_path, model=AKLT8))
+
+
+@pytest.mark.parametrize("extra", [np.diag([1.0, 0.0]), np.array([[0.5, -0.5], [-0.5, 0.5]])],
+                         ids=["pin-zero", "pin-plus"])
+def test_frustrated_iterative_model_exits_two_before_spectrum(tmp_path, monkeypatch, capsys,
+                                                              extra):
+    pinning = build_model(ModelDescriptor.make("pinning", n=13))  # dim 8192
+    frustrated = HamiltonianSpec(pinning.sites,
+                                 pinning.terms + (LocalTerm((0,), extra, is_projector=True),))
+    model_path = str(tmp_path / "frustrated.json")
+    save_hamiltonian(model_path, frustrated)
+    calls = _count_spectrum_calls(monkeypatch)
+    path = _write_config(tmp_path, command="gap", model={"path": model_path})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "not frustration-free" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_verify_pipeline_product_chain_labels_gated(tmp_path):
@@ -344,6 +393,42 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     path = _write_config(tmp_path, command="gap", model={"path": model_path})
     assert cli.main(["gap", "--config", path, "--quiet"]) == 2
     assert "'sites.n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["terms"][0].pop("matrix"), "terms[0].matrix"),
+    (lambda doc: doc["terms"][2].pop("support"), "terms[2].support"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "torus-2d", "ly": 2}),
+     "sites.geometry.lx"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "torus-2d", "lx": 2}),
+     "sites.geometry.ly"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency"}),
+     "sites.geometry.edges"),
+], ids=["matrix", "support", "lx", "ly", "edges"])
+def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
+    doc = hamiltonian_to_document(pinning6.h)
+    edit(doc)
+    model_path = str(tmp_path / "model.json")
+    with open(model_path, "w") as handle:
+        json.dump(doc, handle)
+    path = _write_config(tmp_path, command="gap", model={"path": model_path})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parameters", [{"count": "x"}, {"l_max": "ten"}, {"seed": "s"}],
+                         ids=["count", "l_max", "seed"])
+def test_cli_exit_two_on_non_integer_parameter(tmp_path, capsys, parameters):
+    key, = parameters
+    doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
+           "command": "verify", "parameters": parameters,
+           "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"'parameters.{key}'" in err and "expected an integer" in err
 
 
 def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):

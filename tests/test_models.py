@@ -6,7 +6,7 @@ from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import (BUNDLED_MODELS, ModelDescriptor, aklt_projector,
                            build_model, build_parent_random, random_mps_state)
-from dl_lab.states import ground_space
+from dl_lab.states import ground_space, spectrum
 
 from oracles import dense_hamiltonian
 
@@ -15,7 +15,7 @@ def test_pinning_structure():
     h = build_model(ModelDescriptor.make("pinning", n=3))
     assert h.m == 3
     assert all(t.k == 1 and t.is_projector for t in h.terms)
-    gs = ground_space(h)
+    gs = ground_space(h, spectrum(h))
     assert gs.degeneracy == 1
     assert gs.gap == pytest.approx(1.0)
 
@@ -26,7 +26,7 @@ def test_heisenberg_two_sites():
     # oracle: 4x4 diagonalization of the single singlet projector
     evals = np.linalg.eigvalsh(h.terms[0].matrix)
     assert np.allclose(evals, [0, 0, 0, 1], atol=1e-12)
-    assert ground_space(h).degeneracy == 3
+    assert ground_space(h, spectrum(h)).degeneracy == 3
 
 
 def test_aklt_term_projects_spin_two():
@@ -80,7 +80,7 @@ def test_expected_facts_hold(corpus):
         model = by_label.get(descriptor.label())
         if model is None:
             h = build_model(descriptor)
-            gs = ground_space(h)
+            gs = ground_space(h, spectrum(h))
         else:
             gs = model.gs
         facts = descriptor.expected_facts
@@ -116,7 +116,7 @@ def test_parent_full_range_pairs_dropped():
         h = build_parent_random(8, 2, 2, 7)
     assert h.m == 2
     assert {t.support for t in h.terms} == {(0, 1), (6, 7)}
-    gs = ground_space(h)
+    gs = ground_space(h, spectrum(h))
     assert gs.degeneracy == 64
     assert gs.gap == pytest.approx(1.0, abs=1e-9)
     target = random_mps_state(8, 2, 2, 7)
