@@ -14,7 +14,7 @@ from .states import (GroundSpaceData, SpectrumData, StateVector, apply_local,
                      basis_state, gaussian_filter, gaussian_filter_deviation,
                      ground_space, product_state, random_state, restricted_norm,
                      spectrum, uniform_superposition)
-from .dl import (ConvergenceTrace, DLOperator, DLReport, PyramidDecomposition,
+from .dl import (ConvergenceTrace, DLOperator, PyramidDecomposition,
                  apply_pyramids, converge, dl_bound, dl_operator,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,
                  pyramid_decompose, step_inequality_margin)

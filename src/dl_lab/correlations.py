@@ -86,10 +86,7 @@ def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> Ca
     inside: list[frozenset[int]] = []
     clusters: list[frozenset[int]] = []
     for depth_terms in layers:
-        members = set()
-        for idx in depth_terms:
-            if cluster & set(h.terms[idx].support):
-                members.add(idx)
+        members = {idx for idx in depth_terms if cluster & set(h.terms[idx].support)}
         for idx in members:
             cluster |= set(h.terms[idx].support)
         inside.append(frozenset(members))

@@ -110,38 +110,30 @@ def is_two_layer_chain(h: HamiltonianSpec, partition: LayerPartition) -> bool:
     return all(t.k == 2 and frozenset(t.support) in edges for t in h.terms)
 
 
-@dataclass(frozen=True)
-class DLReport:
-    """Measured contraction of A on the ground complement versus the bound."""
-
-    k: int
-    g: int
-    f_value: float | None
-    theoretical_bound: float
-    measured_shrinkage: float
-
-
-def measure_shrinkage(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData) -> DLReport:
-    measured = restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
-    return DLReport(h.max_k, a.g, a.f_value, a.shrink_bound(gs.gap), measured)
+def measure_shrinkage(a: DLOperator, gs: GroundSpaceData) -> float:
+    """Norm of A on the ground complement (one restricted_norm solve), to set
+    against a.shrink_bound(gs.gap)."""
+    return restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
 
 
 # A Ritz value of A^dag A at or above this counts as the eigenvalue 1.
 FIXED_RITZ_MIN = 1.0 - 1e-8
 
 
-def ground_degeneracy(a: DLOperator) -> int:
-    """Multiplicity of the eigenvalue 1 of A^dag A, the ground degeneracy of H.
+def fixed_space(a: DLOperator) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the fixed space of A^dag A, and the top of the rest.
 
-    A fixes exactly the states annihilated by every term and shrinks the
-    rest, so every other eigenvalue of A^dag A is at most shrinkage^2 < 1.
-    Lanczos (gram_lanczos, largest algebraic) runs on A^dag A through the
-    operator's own matvecs, with the fixed Ritz vectors found so far
-    projected out, until a round finds no fixed Ritz value (at least
-    FIXED_RITZ_MIN).  k starts at 2, doubles while every Ritz value is
+    A fixes exactly the states annihilated by every term, the ground space
+    of H, and shrinks the rest, so every other eigenvalue of A^dag A is at
+    most shrinkage^2 < 1.  Lanczos (gram_lanczos, largest algebraic) runs on
+    A^dag A through the operator's own matvecs, with the fixed Ritz vectors
+    found so far projected out, until a round finds no fixed Ritz value (at
+    least FIXED_RITZ_MIN).  k starts at 2, doubles while every Ritz value is
     fixed and drops to 1 otherwise.  The rounds are needed because
     single-vector Lanczos sees a degenerate eigenvalue only once per start.
-    0 means no state is fixed: the model is not frustration-free.
+    top is the largest Ritz value of that final round, the squared norm of A
+    on the ground complement (0.0 when A^dag A vanishes there).  An empty
+    basis means no state is fixed: the model is not frustration-free.
     """
     dim = a.h.sites.dim
     basis = np.empty((dim, 0))
@@ -151,7 +143,7 @@ def ground_degeneracy(a: DLOperator) -> int:
                                    min(k, dim - 1), "A^dag A", seed)
         fixed = theta >= FIXED_RITZ_MIN
         if not fixed.any():
-            return basis.shape[1]
+            return basis, float(theta.max(initial=0.0))
         # Lanczos may return near-copies of one vector in a degenerate
         # cluster; keep an orthonormal basis of what is new
         new = vecs[:, fixed] - basis @ (basis.conj().T @ vecs[:, fixed])
@@ -180,11 +172,7 @@ class PyramidDecomposition:
     remainder: tuple[int, ...]
 
     def all_positions(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for p in self.pyramids:
-            out.extend(p)
-        out.extend(self.remainder)
-        return tuple(out)
+        return tuple(p for triple in self.pyramids for p in triple) + self.remainder
 
 
 def _chain_positions(a: DLOperator) -> dict[int, int]:

@@ -7,6 +7,7 @@ layers of mutually non-overlapping supports.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -100,14 +101,8 @@ class SiteSpace:
         if g.kind == "custom-adjacency":
             return g.edges
         # torus-2d: edge sites are adjacent when they share a lattice vertex
-        pairs = set()
-        for x in range(g.lx):
-            for y in range(g.ly):
-                star = self.star_sites(x, y)
-                for i in star:
-                    for j in star:
-                        if i < j:
-                            pairs.add((i, j))
+        pairs = {pair for x in range(g.lx) for y in range(g.ly)
+                 for pair in itertools.combinations(sorted(self.star_sites(x, y)), 2)}
         return tuple(sorted(pairs))
 
     def site_distance(self, a: int, b: int) -> int:

@@ -92,20 +92,23 @@ class ModelDescriptor:
 
 
 def build_model(descriptor: ModelDescriptor) -> HamiltonianSpec:
-    """Construct the named frustration-free model."""
+    """Construct the named frustration-free model; its parameters must match MODELS."""
+    if descriptor.name not in MODELS:
+        raise ValidationError(f"unknown model name {descriptor.name!r}")
+    builder, schema = MODELS[descriptor.name]
     p = descriptor.params
-    name = descriptor.name
-    if name == "pinning":
-        return _pinning(int(p["n"]))
-    if name == "heisenberg-ferro":
-        return _heisenberg(int(p["n"]), bool(p.get("periodic", False)))
-    if name == "aklt":
-        return _aklt(int(p["n"]), bool(p.get("periodic", False)))
-    if name == "toric-code":
-        return _toric(int(p["lx"]), int(p["ly"]))
-    if name == "parent-random":
-        return build_parent_random(int(p["n"]), int(p["d"]), int(p["bond"]), int(p["seed"]))
-    raise ValidationError(f"unknown model name {descriptor.name!r}")
+    unknown = sorted(set(p) - set(schema))
+    if unknown:
+        raise ValidationError(f"field 'model.parameters.{unknown[0]}': unknown parameter; "
+                              f"{descriptor.name} takes {sorted(schema)}")
+    for key, (kind, *default) in schema.items():
+        if key not in p and not default:
+            raise ValidationError(f"field 'model.parameters.{key}': required by {descriptor.name}")
+        value = p.setdefault(key, *default)
+        if type(value) is not kind:
+            raise ValidationError(f"field 'model.parameters.{key}': expected {kind.__name__}, "
+                                  f"got {value!r}")
+    return builder(**p)
 
 
 def _pinning(n: int) -> HamiltonianSpec:
@@ -126,17 +129,7 @@ def _chain_pair_model(n: int, d: int, pair: np.ndarray, periodic: bool) -> Hamil
     return HamiltonianSpec(sites, terms)
 
 
-def _heisenberg(n: int, periodic: bool) -> HamiltonianSpec:
-    return _chain_pair_model(n, 2, singlet_projector(), periodic)
-
-
-def _aklt(n: int, periodic: bool) -> HamiltonianSpec:
-    return _chain_pair_model(n, 3, aklt_projector(), periodic)
-
-
 def _toric(lx: int, ly: int) -> HamiltonianSpec:
-    if lx < 2 or ly < 2:
-        raise ValidationError("the torus needs lx >= 2 and ly >= 2")
     sites = SiteSpace(2 * lx * ly, 2, torus_geometry(lx, ly))
     eye16 = np.eye(16)
     terms = []
@@ -194,6 +187,20 @@ def build_parent_random(n: int, d: int, bond: int, seed: int,
     return HamiltonianSpec(SiteSpace(n, d, chain_geometry()), tuple(terms))
 
 
+# name -> (builder, {parameter: (type,) or (type, default)}); a parameter
+# without a default is required, and bool does not pass for int
+MODELS = {
+    "pinning": (_pinning, {"n": (int,)}),
+    "heisenberg-ferro": (lambda n, periodic: _chain_pair_model(n, 2, singlet_projector(), periodic),
+                         {"n": (int,), "periodic": (bool, False)}),
+    "aklt": (lambda n, periodic: _chain_pair_model(n, 3, aklt_projector(), periodic),
+             {"n": (int,), "periodic": (bool, False)}),
+    "toric-code": (_toric, {"lx": (int,), "ly": (int,)}),
+    "parent-random": (build_parent_random,
+                      {"n": (int,), "d": (int,), "bond": (int,), "seed": (int,)}),
+}
+
+
 BUNDLED_MODELS: tuple[ModelDescriptor, ...] = (
     ModelDescriptor.make("pinning", n=6, expected={"degeneracy": 1, "gap": 1.0}),
     ModelDescriptor.make("heisenberg-ferro", n=2, expected={"degeneracy": 3, "gap": 1.0}),
@@ -210,5 +217,10 @@ BUNDLED_MODELS: tuple[ModelDescriptor, ...] = (
 
 
 def descriptor_from_document(doc: dict) -> ModelDescriptor:
-    return ModelDescriptor.make(doc["name"], expected=doc.get("expected"),
-                                **doc.get("parameters", {}))
+    params, expected = doc.get("parameters", {}), doc.get("expected", {})
+    for key, value in (("parameters", params), ("expected", expected)):
+        if not isinstance(value, dict):
+            raise ValidationError(f"field 'model.{key}': expected an object")
+    # built directly, so that a parameter named like an argument of make is reported
+    return ModelDescriptor(doc["name"], tuple(sorted(params.items())),
+                           tuple(sorted(expected.items())))

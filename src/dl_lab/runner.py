@@ -22,7 +22,7 @@ from . import __version__
 from .correlations import (ObservableSpec, cone_absorption_check,
                            decay_profile, distinguishing_measurement,
                            entropy_gap_check)
-from .dl import (apply_pyramids, converge, dl_operator, ground_degeneracy,
+from .dl import (apply_pyramids, converge, dl_operator, fixed_space,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,
                  pyramid_decompose, step_inequality_margin)
 from .entanglement import (CutSpec, area_law_certificate, density_entropy,
@@ -185,7 +185,7 @@ class _Context:
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
                                             proj_report.max_term_norm))
         self._spectrum: SpectrumData | None = None
-        self._degeneracy: int | None = None
+        self._top: float | None = None  # top of A^dag A on the complement, iterative only
         self._gs: GroundSpaceData | None = None
         self._a = None
 
@@ -194,28 +194,31 @@ class _Context:
         """The one spectrum of H in the run.
 
         Up to DENSE_CUTOFF it is the full dense spectrum.  Above, the ground
-        degeneracy deg is learned first from A^dag A, and one Lanczos solve
-        takes max(count or deg + 6, deg + 1) pairs.
+        space is the fixed space of A (dl.fixed_space), and one Lanczos solve
+        finds the states of H above it.
         """
         if self._spectrum is None:
             if self.h.sites.dim <= DENSE_CUTOFF:
                 self._spectrum = spectrum(self.h)
             else:
-                deg = ground_degeneracy(self.a)
-                if deg == 0:
+                fixed, self._top = fixed_space(self.a)
+                if fixed.shape[1] == 0:
                     raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
                                           "by every term; the model is not frustration-free")
-                self._degeneracy = deg
-                count = self.int_param("count")
-                self._spectrum = spectrum(self.h, max(count or deg + 6, deg + 1))
+                self._spectrum = spectrum(self.h, self.int_param("count"), fixed)
         return self._spectrum
 
     @property
     def gs(self) -> GroundSpaceData:
         if self._gs is None:
-            spec = self.spectrum_data
-            self._gs = ground_space(self.h, spec, self._degeneracy)
+            self._gs = ground_space(self.h, self.spectrum_data)
         return self._gs
+
+    def shrinkage(self) -> float:
+        """Norm of A on the ground complement: read from the fixed-space solve
+        above DENSE_CUTOFF, one restricted-norm solve up to it."""
+        gs = self.gs  # sets _top above DENSE_CUTOFF
+        return measure_shrinkage(self.a, gs) if self._top is None else float(np.sqrt(self._top))
 
     @property
     def a(self):
@@ -271,15 +274,11 @@ def _step_gap(ctx: _Context) -> None:
     check = validate_frustration_free(ctx.h, gs, tol=1e-8)
     ctx.add(bounded_record("frustration-free", "frustration-free",
                            check.max_residual, 0.0, 1e-8))
-    spec = ctx.spectrum_data
-    count = ctx.int_param("count")
-    if count:
-        spec = SpectrumData(spec.values[:count], spec.vectors[:count], spec.residuals[:count])
-    ctx.add(bounded_record("eigenpair-residuals", "plumbing",
-                           float(spec.residuals.max()), 0.0, 1e-8))
+    rows = slice(ctx.int_param("count") or None)
+    values, residuals = ctx.spectrum_data.values[rows], ctx.spectrum_data.residuals[rows]
+    ctx.add(bounded_record("eigenpair-residuals", "plumbing", float(residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
-                  [(i, float(v), float(r)) for i, (v, r) in
-                   enumerate(zip(spec.values, spec.residuals))])
+                  [(i, float(v), float(r)) for i, (v, r) in enumerate(zip(values, residuals))])
 
 
 def _step_dl(ctx: _Context) -> None:
@@ -287,11 +286,9 @@ def _step_dl(ctx: _Context) -> None:
     fixed = max(float(np.linalg.norm(a.apply(v).amplitudes - v.amplitudes))
                 for v in gs.ground_basis)
     ctx.add(bounded_record("ground-fixed-point", "dl-shrinkage", fixed, 0.0, 1e-12))
-    report = measure_shrinkage(ctx.h, a, gs)
-    ctx.add(info_record("dl-f-value", "dl-shrinkage",
-                        report.f_value if report.f_value is not None else 0.0))
-    ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", report.measured_shrinkage,
-                           report.theoretical_bound, 1e-9))
+    ctx.add(info_record("dl-f-value", "dl-shrinkage", a.f_value or 0.0))
+    ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", ctx.shrinkage(),
+                           a.shrink_bound(gs.gap), 1e-9))
 
 
 def _step_converge(ctx: _Context) -> None:

@@ -3,11 +3,12 @@
 Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  A run computes one
 spectrum of H in both regimes: the full dense diagonalization up to
-DENSE_CUTOFF, and above it one Lanczos solve whose size is set by the
-ground degeneracy, learned first from A^dag A (dl.ground_degeneracy);
-ground_space only selects from that spectrum.  The restricted operator
-norm on the ground-space complement is one Lanczos solve on the Gram
-operator.  Every Lanczos solve asserts the residual of each Ritz pair.
+DENSE_CUTOFF.  Above it the ground space is the fixed space of A
+(dl.fixed_space), and H is solved only above it, by one Lanczos solve with
+that space shifted out of the way; ground_space only selects from the
+spectrum.  The restricted operator norm on the ground-space complement is
+one Lanczos solve on the Gram operator.  Every Lanczos solve asserts the
+residual of each Ritz pair.
 """
 from __future__ import annotations
 
@@ -58,9 +59,7 @@ class StateVector:
             raise ValidationError(
                 f"amplitude array of length {amps.shape} does not match dim {self.sites.dim}"
             )
-        finite = np.isfinite(amps.real).all() and np.isfinite(amps.imag).all() \
-            if np.iscomplexobj(amps) else np.isfinite(amps).all()
-        if not finite:
+        if not np.isfinite(amps).all():
             raise ValidationError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -206,23 +205,43 @@ def _checked_residuals(matvec: Callable[[np.ndarray], np.ndarray], values: np.nd
     return residuals
 
 
-def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
-    """Lowest `count` eigenpairs of sum_i Q_i (all of them in the dense regime)."""
+def spectrum(h: HamiltonianSpec, count: int | None = None,
+             fixed: np.ndarray | None = None) -> SpectrumData:
+    """Lowest eigenpairs of sum_i Q_i: all, or the lowest `count`, when dense.
+
+    Above DENSE_CUTOFF, fixed is the ground space, the fixed space of A
+    (dl.fixed_space): its columns are the first rows, and one Lanczos solve on
+    H + norm_bound * P_fixed adds the lowest max(1, count - deg) states above
+    it.  ConvergenceError when a solved value is under the zero threshold (a
+    ground state the fixed space missed) or a fixed state is above it.
+    """
     dim = h.sites.dim
     _check_dim(dim)
     if dim <= DENSE_CUTOFF:
         evals, evecs = np.linalg.eigh(hamiltonian_matrix(h))
         if count is not None:
             evals, evecs = evals[:count], evecs[:, :count]
-        residuals = _checked_residuals(lambda v: hamiltonian_apply(h, v), evals, evecs,
-                                       "eigenpair")
     else:
-        if count is None:
-            raise ValidationError(f"full spectrum of dimension {dim} is out of the dense regime")
+        if fixed is None:
+            raise ValidationError(f"dimension {dim} is out of the dense regime: the spectrum "
+                                  "needs the fixed space of A")
         dtype = complex if _is_complex(h) else float
         v0 = np.random.default_rng(1234).standard_normal(dim).astype(dtype)
-        matvec = lambda v: hamiltonian_apply(h, v.astype(dtype, copy=False))
-        evals, evecs, residuals = _lanczos(matvec, v0, count, "SA", "eigenpair")
+        shift = h.norm_bound()
+        shifted = lambda v: (hamiltonian_apply(h, v.astype(dtype, copy=False))
+                             + shift * (fixed @ (fixed.conj().T @ v)))
+        deg = fixed.shape[1]
+        theta, vecs, _ = _lanczos(shifted, v0, max(1, (count or 0) - deg), "SA",
+                                  "shifted eigenpair")
+        rayleigh = np.einsum("ij,ij->j", fixed.conj(), hamiltonian_apply(h, fixed)).real
+        evals, evecs = np.concatenate([rayleigh, theta]), np.hstack([fixed, vecs])
+        zero = GROUND_TOL_SCALE * (1.0 + shift)  # the threshold of ground_space
+        if theta[0] <= zero or (rayleigh > zero).any():
+            raise ConvergenceError(
+                f"the fixed space of A^dag A ({deg} states) is not the zero-energy space of H: "
+                f"lowest solved energy {theta[0]:g}, highest fixed-state energy "
+                f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
+    residuals = _checked_residuals(lambda v: hamiltonian_apply(h, v), evals, evecs, "eigenpair")
     vectors = tuple(StateVector(evecs[:, i], h.sites) for i in range(len(evals)))
     return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals)
 
@@ -254,23 +273,15 @@ class GroundSpaceData:
         return StateVector(psi.amplitudes - self.project_array(psi.amplitudes), psi.sites)
 
 
-def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData,
-                 degeneracy: int | None = None) -> GroundSpaceData:
+def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpaceData:
     """Orthonormal basis of the eigenvalue-0 space and the gap above it.
 
     Selects from spectrum_data, the lowest eigenpairs of h; it never
-    diagonalizes.  degeneracy, when given, is the ground degeneracy learned
-    from A^dag A: the count of eigenvalues under the zero threshold must
-    equal it, else ConvergenceError (a Lanczos solve missed a degenerate
-    ground state).
+    diagonalizes.
     """
     threshold = GROUND_TOL_SCALE * (1.0 + h.norm_bound())
     values = spectrum_data.values
     n_ground = int(np.searchsorted(values, threshold, side="right"))
-    if degeneracy is not None and n_ground != degeneracy:
-        raise ConvergenceError(
-            f"{n_ground} eigenvalues of H under the zero threshold, but A^dag A "
-            f"fixes a {degeneracy}-dimensional space")
     if values[0] > threshold:
         raise ValidationError(
             f"ground energy {values[0]:g} is above the zero threshold {threshold:g}; "

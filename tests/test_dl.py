@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from dl_lab import states
 from dl_lab.dl import (apply_pyramids, converge, dl_bound, dl_operator,
-                       ground_degeneracy, measure_shrinkage, norm_energy_check,
+                       fixed_space, measure_shrinkage, norm_energy_check,
                        pyramid_applicable, pyramid_decompose, step_inequality_margin)
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
+from dl_lab.runner import RunConfig, run
 from dl_lab.states import random_state, uniform_superposition
 
-from oracles import dense_dl_matrix, kron_embed
+from oracles import dense_dl_matrix, dense_restricted_norm, kron_embed
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +99,15 @@ def test_f_value_by_geometry(name, params, g, k, f_value):
     assert (a.g, h.max_k, a.f_value) == (g, k, f_value)
 
 
-def test_shrinkage_report_uses_operator_bound(pinning6, heis8, toric22):
+def test_shrinkage_report_uses_operator_bound(pinning6, heis8, toric22, tmp_path):
+    # the dl-shrinkage record of a dense run: measure_shrinkage against shrink_bound
     for model in (pinning6, heis8, toric22):
-        report = measure_shrinkage(model.h, model.a, model.gs)
-        assert report.f_value == model.a.f_value
-        assert report.theoretical_bound == model.a.shrink_bound(model.gs.gap)
+        doc = {"command": "dl", "output": {"dir": str(tmp_path)},
+               "model": {"name": model.descriptor.name, "parameters": model.descriptor.params}}
+        records = {r.name: r for r in run(RunConfig.from_document(doc)).records}
+        assert records["dl-f-value"].measured == (model.a.f_value or 0.0)
+        assert records["dl-shrinkage"].bound == model.a.shrink_bound(model.gs.gap)
+        assert records["dl-shrinkage"].measured == measure_shrinkage(model.a, model.gs)
 
 
 def test_bound_rejects_bad_gap():
@@ -124,34 +129,40 @@ def test_delta_bracketed_by_gap_fractions():
 # ---------------------------------------------------------------------------
 
 def test_shrinkage_pinning_exact_zero(pinning6):
-    report = measure_shrinkage(pinning6.h, pinning6.a, pinning6.gs)
-    assert report.g == 1
-    assert report.theoretical_bound == 0.0
-    assert report.measured_shrinkage <= 1e-12
-    assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
+    assert pinning6.a.g == 1
+    assert pinning6.a.shrink_bound(pinning6.gs.gap) == 0.0
+    assert measure_shrinkage(pinning6.a, pinning6.gs) <= 1e-12
 
 
 def test_shrinkage_heisenberg_chain(heis8):
-    report = measure_shrinkage(heis8.h, heis8.a, heis8.gs)
-    assert report.f_value == 2.0
-    assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
+    assert heis8.a.f_value == 2.0
+    assert measure_shrinkage(heis8.a, heis8.gs) <= heis8.a.shrink_bound(heis8.gs.gap) + 1e-9
 
 
 def test_shrinkage_aklt_ring(aklt6p):
-    report = measure_shrinkage(aklt6p.h, aklt6p.a, aklt6p.gs)
-    assert report.f_value == 2.0
-    assert report.measured_shrinkage <= report.theoretical_bound + 1e-9
+    assert aklt6p.a.f_value == 2.0
+    assert measure_shrinkage(aklt6p.a, aklt6p.gs) <= aklt6p.a.shrink_bound(aklt6p.gs.gap) + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# ground degeneracy from A^dag A
+# ground space as the fixed space of A^dag A
 # ---------------------------------------------------------------------------
 
 def test_ground_degeneracy_matches_dense_ground_space(corpus):
     # heisenberg-ferro(8) has a 9-fold ground space that single-vector
     # Lanczos sees only once per start; parent-random(8,2,2,7) has 64
     for model in corpus:
-        assert ground_degeneracy(model.a) == model.gs.degeneracy, model.label
+        basis, _ = fixed_space(model.a)
+        assert basis.shape[1] == model.gs.degeneracy, model.label
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < 1e-10
+        # the same subspace as the dense ground space
+        assert np.linalg.norm(model.gs.project_array(basis) - basis) < 1e-7, model.label
+
+
+def test_fixed_space_top_is_restricted_norm(corpus):
+    for model in corpus:
+        _, top = fixed_space(model.a)
+        assert abs(np.sqrt(top) - dense_restricted_norm(model.a, model.gs)) < 1e-9, model.label
 
 
 def test_ground_degeneracy_zero_when_frustrated(pinning6):
@@ -160,7 +171,7 @@ def test_ground_degeneracy_zero_when_frustrated(pinning6):
     for extra in (np.diag([1.0, 0.0]), minus):  # A = 0, and A != 0 with no fixed state
         extra_term = LocalTerm((0,), extra, is_projector=True)
         frustrated = HamiltonianSpec(pinning6.h.sites, pinning6.h.terms + (extra_term,))
-        assert ground_degeneracy(dl_operator(frustrated)) == 0
+        assert fixed_space(dl_operator(frustrated))[0].shape[1] == 0
 
 
 def test_ground_degeneracy_asserts_residual(heis6, monkeypatch):
@@ -170,7 +181,7 @@ def test_ground_degeneracy_asserts_residual(heis6, monkeypatch):
 
     monkeypatch.setattr(states.spla, "eigsh", unconverged)
     with pytest.raises(ConvergenceError, match="residual"):
-        ground_degeneracy(heis6.a)
+        fixed_space(heis6.a)
 
 
 # ---------------------------------------------------------------------------

@@ -218,25 +218,43 @@ AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 
 def test_iterative_verify_solves_once(tmp_path, monkeypatch):
     assert 3 ** 8 > DENSE_CUTOFF
     calls = _count_spectrum_calls(monkeypatch)
-    # unset: deg + 6 pairs; count 3: max(3, deg + 1) pairs, the table shows 3
-    for parameters, pairs, rows in (({}, 10, 10), ({"count": 3}, 5, 3)):
+    # the 4 fixed states of A, then max(1, count - 4) solved pairs; the table shows count rows
+    for parameters, rows in (({}, 5), ({"count": 3}, 3)):
         calls.clear()
         report = run(_config("verify", tmp_path, model=AKLT8, parameters=parameters))
         assert report.overall_pass
-        assert [args[1] for args in calls] == [pairs], parameters
+        assert len(calls) == 1, parameters
         by_name = {r.name: r for r in report.records}
         assert by_name["ground-degeneracy"].measured == 4.0
         tables = {name: table_rows for name, _, table_rows in report.tables}
         assert len(tables["spectrum"]) == rows
 
 
-@pytest.mark.parametrize("offset", [-1, 1])
-def test_iterative_degeneracy_mismatch_raises(tmp_path, monkeypatch, offset):
-    # stands in for a Lanczos solve that misses (or invents) a degenerate copy
-    true_degeneracy = runner.ground_degeneracy
-    monkeypatch.setattr(runner, "ground_degeneracy", lambda a: true_degeneracy(a) + offset)
-    with pytest.raises(ConvergenceError, match="A\\^dag A"):
-        run(_config("gap", tmp_path, model=AKLT8))
+def test_iterative_missed_ground_state_exits_two(tmp_path, monkeypatch, capsys):
+    # stands in for a fixed-space solve that misses a degenerate ground state
+    true_fixed_space = runner.fixed_space
+
+    def dropping(a):
+        basis, top = true_fixed_space(a)
+        return basis[:, 1:], top
+
+    monkeypatch.setattr(runner, "fixed_space", dropping)
+    path = _write_config(tmp_path, command="verify", model=AKLT8)
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 2
+    assert "not the zero-energy space" in capsys.readouterr().err
+    with pytest.raises(ConvergenceError, match="fixed space of A\\^dag A \\(3 states\\)"):
+        run(_config("verify", tmp_path, model=AKLT8))
+
+
+def test_iterative_gap_heisenberg_ferro_13(tmp_path):
+    # dim 8192, ground degeneracy n + 1 = 14, gap 1 - cos(pi/n): the one-magnon band
+    model = {"name": "heisenberg-ferro", "parameters": {"n": 13}}
+    path = _write_config(tmp_path, command="gap", model=model)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 0
+    with open(tmp_path / "out" / "report.json") as handle:
+        measured = {c["name"]: c["measured"] for c in json.load(handle)["checks"]}
+    assert measured["ground-degeneracy"] == 14.0
+    assert abs(measured["spectral-gap"] - (1.0 - np.cos(np.pi / 13))) < 1e-9
 
 
 @pytest.mark.parametrize("extra", [np.diag([1.0, 0.0]), np.array([[0.5, -0.5], [-0.5, 0.5]])],
@@ -429,6 +447,24 @@ def test_cli_exit_two_on_non_integer_parameter(tmp_path, capsys, parameters):
     assert cli.main(["verify", "--config", path, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"'parameters.{key}'" in err and "expected an integer" in err
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"name": "aklt", "parameters": {}}, "model.parameters.n"),
+    ({"name": "toric-code", "parameters": {"lx": 2}}, "model.parameters.ly"),
+    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2}},
+     "model.parameters.seed"),
+    ({"name": "aklt", "parameters": {"n": "x"}}, "model.parameters.n"),
+    ({"name": "aklt", "parameters": [1]}, "model.parameters"),
+    ({"name": "aklt", "parameters": {"n": 4}, "expected": [1]}, "model.expected"),
+    ({"name": "aklt", "parameters": {"n": 4, "bogus": 1}}, "model.parameters.bogus"),
+    ({"name": "aklt", "parameters": {"n": 4, "periodic": "no"}}, "model.parameters.periodic"),
+], ids=["missing-n", "missing-ly", "missing-seed", "string-n", "list-parameters",
+        "list-expected", "unknown-key", "string-periodic"])
+def test_cli_exit_two_on_bad_model_document(tmp_path, capsys, model, field):
+    path = _write_config(tmp_path, command="gap", model=model)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):

@@ -144,14 +144,6 @@ def test_heisenberg_four_site_degeneracy():
     assert ground_space(h, spectrum(h)).degeneracy == 5
 
 
-def test_ground_space_degeneracy_must_match_threshold_count(toric22):
-    spec = spectrum(toric22.h)
-    assert ground_space(toric22.h, spec, degeneracy=4).degeneracy == 4
-    for wrong in (3, 5):
-        with pytest.raises(ConvergenceError, match="A\\^dag A"):
-            ground_space(toric22.h, spec, degeneracy=wrong)
-
-
 def test_parent_random_unique_and_recovers_target(parent632):
     gs = parent632.gs
     assert gs.degeneracy == 1
