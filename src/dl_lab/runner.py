@@ -172,6 +172,9 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.parameters
+        self.count = self.int_param("count")  # rows of the spectrum
+        if self.count is not None and self.count < 1:
+            raise ValidationError(f"field 'parameters.count': expected >= 1, got {self.count}")
         self.records: list[CheckRecord] = []
         self.tables: list[tuple[str, tuple[str, ...], tuple[tuple, ...]]] = []
         if config.model_path is not None:
@@ -205,7 +208,7 @@ class _Context:
                 if fixed.shape[1] == 0:
                     raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
                                           "by every term; the model is not frustration-free")
-                self._spectrum = spectrum(self.h, self.int_param("count"), fixed)
+                self._spectrum = spectrum(self.h, self.count, fixed)
         return self._spectrum
 
     @property
@@ -274,7 +277,7 @@ def _step_gap(ctx: _Context) -> None:
     check = validate_frustration_free(ctx.h, gs, tol=1e-8)
     ctx.add(bounded_record("frustration-free", "frustration-free",
                            check.max_residual, 0.0, 1e-8))
-    rows = slice(ctx.int_param("count") or None)
+    rows = slice(ctx.count)
     values, residuals = ctx.spectrum_data.values[rows], ctx.spectrum_data.residuals[rows]
     ctx.add(bounded_record("eigenpair-residuals", "plumbing", float(residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),

@@ -2,13 +2,13 @@
 
 Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  A run computes one
-spectrum of H in both regimes: the full dense diagonalization up to
-DENSE_CUTOFF.  Above it the ground space is the fixed space of A
-(dl.fixed_space), and H is solved only above it, by one Lanczos solve with
-that space shifted out of the way; ground_space only selects from the
-spectrum.  The restricted operator norm on the ground-space complement is
-one Lanczos solve on the Gram operator.  Every Lanczos solve asserts the
-residual of each Ritz pair.
+spectrum of H: one in-place eigh of the dense matrix up to DENSE_CUTOFF.
+Above it the ground space is the fixed space of A (dl.fixed_space), and H
+is solved only above it, by one Lanczos solve with that space shifted out
+of the way; ground_space only selects from the spectrum.  Its residuals
+are checked as one block through the contraction path, hamiltonian_apply.
+The restricted operator norm on the ground-space complement is one Lanczos
+solve on the Gram operator.  Every Lanczos solve asserts its residuals.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DimensionCapError, ValidationError
@@ -148,7 +149,7 @@ def hamiltonian_apply(h: HamiltonianSpec, arr: np.ndarray) -> np.ndarray:
     n, d = h.sites.n, h.sites.d
     out = np.zeros_like(arr, dtype=complex if _is_complex(h) or np.iscomplexobj(arr) else float)
     for term in h.terms:
-        out = out + apply_term_array(term.matrix, term.support, arr, n, d)
+        out += apply_term_array(term.matrix, term.support, arr, n, d)
     return out
 
 
@@ -168,10 +169,10 @@ def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumData:
-    """Lowest eigenpairs of a Hamiltonian, ascending, with residual norms."""
+    """Lowest eigenpairs, ascending; vectors is C-order (dim, count), one per column."""
 
     values: np.ndarray
-    vectors: tuple[StateVector, ...]
+    vectors: np.ndarray
     residuals: np.ndarray
 
 
@@ -191,14 +192,14 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
         raise ConvergenceError(f"{what} Lanczos did not converge: {exc}") from exc
     order = np.argsort(theta)
     theta, vecs = theta[order], vecs[:, order]
-    return theta, vecs, _checked_residuals(matvec, theta, vecs, what)
+    return theta, vecs, _checked_residuals(matvec(vecs), theta, vecs, what)
 
 
-def _checked_residuals(matvec: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-                       vectors: np.ndarray, what: str) -> np.ndarray:
-    residuals = np.empty(len(values))
-    for i in range(len(values)):
-        residuals[i] = np.linalg.norm(matvec(vectors[:, i]) - values[i] * vectors[:, i])
+def _checked_residuals(applied: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                       what: str) -> np.ndarray:
+    """Column norms of G V - V diag(values), given applied = G V (overwritten)."""
+    applied -= vectors * values
+    residuals = np.linalg.norm(applied, axis=0)
     if residuals.size and residuals.max() > RESIDUAL_TOL:
         raise ConvergenceError(
             f"{what} residuals up to {residuals.max():g} exceed {RESIDUAL_TOL:g}")
@@ -209,18 +210,22 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
              fixed: np.ndarray | None = None) -> SpectrumData:
     """Lowest eigenpairs of sum_i Q_i: all, or the lowest `count`, when dense.
 
-    Above DENSE_CUTOFF, fixed is the ground space, the fixed space of A
+    Dense, one in-place eigh.  Above DENSE_CUTOFF, fixed is the ground space
     (dl.fixed_space): its columns are the first rows, and one Lanczos solve on
     H + norm_bound * P_fixed adds the lowest max(1, count - deg) states above
     it.  ConvergenceError when a solved value is under the zero threshold (a
-    ground state the fixed space missed) or a fixed state is above it.
+    ground state the fixed space missed), a fixed state is above it, or a
+    residual of the one hamiltonian_apply on all the vectors is too large.
     """
     dim = h.sites.dim
     _check_dim(dim)
     if dim <= DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(hamiltonian_matrix(h))
-        if count is not None:
-            evals, evecs = evals[:count], evecs[:, :count]
+        # eigh works in place on the Fortran view of the matrix, conj(H): conjugate the
+        # vectors back, into C order (the batched contractions are slow on Fortran order)
+        evals, vectors = scipy.linalg.eigh(hamiltonian_matrix(h).T, overwrite_a=True,
+                                           check_finite=False, driver="evd")
+        evals, vectors = evals[:count], np.conjugate(vectors[:, :count], order="C")
+        applied = hamiltonian_apply(h, vectors)
     else:
         if fixed is None:
             raise ValidationError(f"dimension {dim} is out of the dense regime: the spectrum "
@@ -233,16 +238,17 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
         deg = fixed.shape[1]
         theta, vecs, _ = _lanczos(shifted, v0, max(1, (count or 0) - deg), "SA",
                                   "shifted eigenpair")
-        rayleigh = np.einsum("ij,ij->j", fixed.conj(), hamiltonian_apply(h, fixed)).real
-        evals, evecs = np.concatenate([rayleigh, theta]), np.hstack([fixed, vecs])
+        vectors = np.hstack([fixed, vecs])
+        applied = hamiltonian_apply(h, vectors)
+        rayleigh = np.einsum("ij,ij->j", fixed.conj(), applied[:, :deg]).real
+        evals = np.concatenate([rayleigh, theta])
         zero = GROUND_TOL_SCALE * (1.0 + shift)  # the threshold of ground_space
         if theta[0] <= zero or (rayleigh > zero).any():
             raise ConvergenceError(
                 f"the fixed space of A^dag A ({deg} states) is not the zero-energy space of H: "
                 f"lowest solved energy {theta[0]:g}, highest fixed-state energy "
                 f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
-    residuals = _checked_residuals(lambda v: hamiltonian_apply(h, v), evals, evecs, "eigenpair")
-    vectors = tuple(StateVector(evecs[:, i], h.sites) for i in range(len(evals)))
+    residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
     return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals)
 
 
@@ -289,8 +295,8 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
         )
     if n_ground >= len(values):
         raise ValidationError("no eigenvalue found above the ground threshold")
-    basis = spectrum_data.vectors[:n_ground]
-    return GroundSpaceData(float(values[0]), float(values[n_ground]), tuple(basis))
+    basis = tuple(StateVector(spectrum_data.vectors[:, i], h.sites) for i in range(n_ground))
+    return GroundSpaceData(float(values[0]), float(values[n_ground]), basis)
 
 
 def gaussian_filter(h: HamiltonianSpec, q: float, psi: StateVector,
@@ -300,10 +306,9 @@ def gaussian_filter(h: HamiltonianSpec, q: float, psi: StateVector,
         raise ValidationError("q must be non-negative")
     if len(spectrum_data.values) < h.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    basis = np.stack([v.amplitudes for v in spectrum_data.vectors], axis=1)
     weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
-    coeffs = basis.conj().T @ psi.amplitudes
-    return StateVector(basis @ (weights * coeffs), psi.sites)
+    coeffs = spectrum_data.vectors.conj().T @ psi.amplitudes
+    return StateVector(spectrum_data.vectors @ (weights * coeffs), psi.sites)
 
 
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
@@ -311,13 +316,13 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     """Operator-norm distance of the filter from the ground projector, given the full spectrum."""
     if len(spectrum_data.values) < gs.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    basis = np.stack([v.amplitudes for v in spectrum_data.vectors], axis=1)
-    weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
-    filt = (basis * weights) @ basis.conj().T
-    b = gs.basis_matrix()
-    proj = b @ b.conj().T
-    # the difference is Hermitian, so its 2-norm is its largest |eigenvalue|
-    return float(np.abs(np.linalg.eigvalsh(filt - proj)).max())
+    basis, b = spectrum_data.vectors, gs.basis_matrix()
+    diff = (basis.conj() * np.exp(-q * spectrum_data.values ** 2 / 2.0)) @ basis.T
+    diff -= b.conj() @ b.T
+    # diff is conj(filt - proj), Hermitian with the same eigenvalues, so its 2-norm is
+    # its largest |eigenvalue|; numpy's eigvalsh shares the BLAS threads of the product
+    # above, where scipy's own thread pool slowed the small models
+    return float(np.abs(np.linalg.eigvalsh(diff)).max())
 
 
 def gram_lanczos(op_apply: Callable[[np.ndarray], np.ndarray],

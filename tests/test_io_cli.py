@@ -449,6 +449,20 @@ def test_cli_exit_two_on_non_integer_parameter(tmp_path, capsys, parameters):
     assert f"'parameters.{key}'" in err and "expected an integer" in err
 
 
+@pytest.mark.parametrize("count", [-100, -2, 0])
+def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
+    doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
+           "command": "gap", "parameters": {"count": count},
+           "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "'parameters.count'" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="parameters.count"):
+        run(RunConfig.from_document(doc))
+
+
 @pytest.mark.parametrize("model, field", [
     ({"name": "aklt", "parameters": {}}, "model.parameters.n"),
     ({"name": "toric-code", "parameters": {"lx": 2}}, "model.parameters.ly"),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from dl_lab import states
 from dl_lab.errors import ConvergenceError, DimensionCapError, ValidationError
-from dl_lab.hamiltonian import LocalTerm, SiteSpace, chain_geometry, custom_geometry
+from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
+    custom_geometry
 from dl_lab.models import ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
 from dl_lab.states import (StateVector, apply_local, basis_state,
@@ -104,6 +105,19 @@ def test_contraction_matches_kron_embedding_hypothesis(data):
     assert np.abs(fast - slow).max() < 1e-12 * max(1.0, np.abs(slow).max())
 
 
+@pytest.mark.parametrize("support", [(1, 2), (4, 0), (0, 2, 3)],
+                         ids=["contiguous", "wrap", "scattered"])
+def test_apply_term_array_batched_matches_kron(support):
+    # the batched branch, on a (dim, 3) block, against the index-arithmetic embedding
+    n, d, k = 5, 2, len(support)
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
+    block = rng.standard_normal((d ** n, 3)) + 1j * rng.standard_normal((d ** n, 3))
+    out = states.apply_term_array(raw, support, block, n, d)
+    assert out.shape == (d ** n, 3)
+    assert np.abs(out - kron_embed(raw, support, n, d) @ block).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # spectrum and ground space
 # ---------------------------------------------------------------------------
@@ -164,6 +178,42 @@ def test_iterative_regime_matches_dense():
     dense = spectrum(h).values[:3]
     sparse = spectrum(h, count=3)  # forces the requested-count path
     assert np.allclose(dense, sparse.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("count", [None, 3])
+def test_spectrum_vectors_are_one_c_order_array(heis6, count):
+    spec = spectrum(heis6.h, count)
+    assert spec.vectors.shape == (heis6.h.sites.dim, count or heis6.h.sites.dim)
+    assert spec.vectors.flags["C_CONTIGUOUS"]
+
+
+def test_dense_spectrum_checks_every_returned_column(monkeypatch):
+    # one eigenvector perturbed after eigh: the block residual check must catch it
+    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
+    true_eigh = states.scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        values, vectors = true_eigh(*args, **kwargs)
+        vectors[0, 7] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(states.scipy.linalg, "eigh", perturbed)
+    with pytest.raises(ConvergenceError, match="eigenpair residuals"):
+        spectrum(h)
+
+
+def test_complex_dense_spectrum_and_filter():
+    # eigh diagonalizes conj(H) in place; the vectors must come back conjugated
+    phi = np.array([0.0, 1j, -1.0, 0.0]) / np.sqrt(2)
+    h = HamiltonianSpec(qubits(5), tuple(LocalTerm((i, i + 1), np.outer(phi, phi.conj()))
+                                         for i in range(4)))
+    spec = spectrum(h)
+    assert np.iscomplexobj(spec.vectors)
+    assert np.abs(dense_hamiltonian(h) @ spec.vectors - spec.vectors * spec.values).max() < 1e-12
+    gs = ground_space(h, spec)
+    for q in (1.0, 4.0):
+        measured = gaussian_filter_deviation(q, gs, spectrum_data=spec)
+        assert abs(measured - dense_filter_deviation(h, q, gs)) < 1e-12
 
 
 def test_dimension_cap_override(monkeypatch):
