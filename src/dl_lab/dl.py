@@ -277,9 +277,9 @@ def norm_energy_check(x_proj: np.ndarray, y_proj: np.ndarray,
     return lhs, rhs
 
 
-def step_inequality_margin(x: float, m: int) -> float:
-    """Margin of the scalar step bound m(1 - x^(1/m)) <= (1 - x)/sqrt(x)."""
-    if not (0 < x <= 1) or m < 1:
+def step_inequality_margin(x: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
+    """Margin of the scalar step bound m(1 - x^(1/m)) <= (1 - x)/sqrt(x), elementwise."""
+    if not (np.all((0 < x) & (x <= 1)) and np.all(m >= 1)):
         raise ValidationError("need x in (0, 1] and m >= 1")
     return (1.0 - x) / np.sqrt(x) - m * (1.0 - x ** (1.0 / m))
 

@@ -114,11 +114,15 @@ def schmidt(psi: StateVector, cut: CutSpec, tol: float = RANK_TOL) -> SchmidtDat
 
 
 def max_product_overlap(psi: StateVector, cut: CutSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest overlap with any product state across the cut, and a maximizer."""
+    """Largest overlap alpha with any product state across the cut, and a maximizer.
+
+    |<left (x) right|psi>| = alpha.  The SVD is thin, so memory stays O(dim): no
+    d^(n-c)-square factor is built on an unbalanced cut.
+    """
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise ValidationError(f"state norm {psi.norm():.12g} is not 1 within {NORM_TOL:g}")
-    u, svals, vh = np.linalg.svd(cut_matrix(psi, cut))
-    return float(svals[0]), u[:, 0], vh[0, :].conj()
+    u, svals, vh = np.linalg.svd(cut_matrix(psi, cut), full_matrices=False)
+    return float(svals[0]), u[:, 0], vh[0, :]
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,8 @@ class RunConfig:
                 raise ValidationError(f"field 'parameters.{key}': tolerances are fixed per "
                                       "check and cannot be set")
         output = doc.get("output", {})
+        if not isinstance(output, dict):
+            raise ValidationError("field 'output': expected an object")
         directory = out_dir or output.get("dir", "out")
         fmt = out_format or output.get("format", "structured")
         if fmt not in FORMATS:
@@ -172,9 +174,7 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.parameters
-        self.count = self.int_param("count")  # rows of the spectrum
-        if self.count is not None and self.count < 1:
-            raise ValidationError(f"field 'parameters.count': expected >= 1, got {self.count}")
+        self.count = self.int_param("count", low=1)  # rows of the spectrum
         self.records: list[CheckRecord] = []
         self.tables: list[tuple[str, tuple[str, ...], tuple[tuple, ...]]] = []
         if config.model_path is not None:
@@ -237,22 +237,28 @@ class _Context:
     def omega(self) -> StateVector:
         return self.gs.ground_basis[0].normalized()
 
-    def int_param(self, key: str, default: int | None = None) -> int | None:
-        """The integer run parameter `key`; default when it is absent."""
+    def int_param(self, key: str, default: int | None = None, low: int | None = None,
+                  high: int | None = None) -> int | None:
+        """The integer run parameter `key` in [low, high]; default when it is absent."""
         if key not in self.params:
             return default
         value = self.params[key]
         try:
-            return int(value)
+            value = int(value)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"field 'parameters.{key}': expected an integer, "
                                   f"got {value!r}") from None
+        if (low is not None and value < low) or (high is not None and value > high):
+            upper = "" if high is None else f" and <= {high}"
+            raise ValidationError(f"field 'parameters.{key}': expected an integer >= {low}"
+                                  f"{upper}, got {value}")
+        return value
 
     def default_cut(self) -> CutSpec:
         return CutSpec.contiguous(self.int_param("cut", self.h.sites.n // 2))
 
     def seed(self) -> int:
-        return self.int_param("seed", 7)
+        return self.int_param("seed", 7, low=0)
 
     def observable(self, site: int) -> ObservableSpec:
         name = self.params.get("observable", "sz")
@@ -331,7 +337,7 @@ def _step_filter(ctx: _Context) -> None:
 def _step_norm_energy(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.seed())
     worst = -np.inf
-    for _ in range(ctx.int_param("norm_energy_samples", 1000)):
+    for _ in range(ctx.int_param("norm_energy_samples", 1000, low=1)):
         dim = int(rng.integers(2, 33))
         x = _random_projector(rng, dim)
         y = _random_projector(rng, dim)
@@ -350,9 +356,7 @@ def _random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _step_scalar_inequality(ctx: _Context) -> None:
-    xs = np.linspace(1e-3, 1.0, 200)
-    worst = min(step_inequality_margin(float(x), m)
-                for m in range(1, 65) for x in xs)
+    worst = step_inequality_margin(np.linspace(1e-3, 1.0, 200), np.arange(1, 65)[:, None]).min()
     ctx.add(bounded_record("step-inequality", "step-inequality", -worst, 0.0, 1e-12))
 
 
@@ -371,7 +375,7 @@ def _step_rank_growth(ctx: _Context) -> None:
         return
     cut = ctx.default_cut()
     psi0 = _product_start(ctx)
-    trace = rank_growth(ctx.a, psi0, cut, ctx.int_param("rank_steps", 3))
+    trace = rank_growth(ctx.a, psi0, cut, ctx.int_param("rank_steps", 3, low=1))
     worst = max((r - c for r, c in zip(trace.ranks, trace.caps)), default=0)
     ctx.add(bounded_record("rank-growth", "rank-growth", float(worst), 0.0, 0.0))
 
@@ -404,7 +408,7 @@ def _step_tail(ctx: _Context, cut: CutSpec) -> None:
     # a single layer projects exactly (delta = 1); stay inside the open domain
     delta = min(1.0 - ctx.a.shrink_bound(ctx.gs.gap), 1.0 - 1e-12)
     mu, _, _ = max_product_overlap(ctx.omega, cut)
-    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.int_param("l_max_tail", 4))
+    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.int_param("l_max_tail", 4, low=1))
     worst = max(t - b for _, t, b in table.rows)
     ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, 1e-9))
     ctx.add_table("tail", ("l", "tail_mass", "bound"), table.rows)
@@ -461,6 +465,10 @@ def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]
     n = ctx.h.sites.n
     x_site = ctx.int_param("x_site", 0)
     distances = ctx.params.get("distances")
+    if distances is not None and not (isinstance(distances, list) and all(
+            type(m) is int and m >= 1 for m in distances)):
+        raise ValidationError("field 'parameters.distances': expected a list of integers >= 1, "
+                              f"got {distances!r}")
     if distances is None:
         if ctx.h.sites.geometry.kind == "chain-periodic":
             max_m = n // 2
@@ -518,7 +526,8 @@ def _step_measurecheck(ctx: _Context) -> None:
 
 
 def _step_cone(ctx: _Context) -> None:
-    site = ctx.int_param("cone_site", ctx.h.sites.n // 2)
+    n = ctx.h.sites.n
+    site = ctx.int_param("cone_site", n // 2, low=0, high=n - 1)
     b = ObservableSpec((site,), site_observable("sx", ctx.h.sites.d))
     l = ctx.int_param("cone_rounds", 2)
     dev = cone_absorption_check(ctx.h, ctx.a, ctx.gs, b, l)

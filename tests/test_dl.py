@@ -303,6 +303,17 @@ def test_step_inequality_tight_at_one():
     assert step_inequality_margin(1.0, 7) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_step_inequality_grid_matches_scalar_loop():
+    xs = np.linspace(1e-3, 1.0, 200)
+    grid = step_inequality_margin(xs, np.arange(1, 65)[:, None])
+    loop = np.array([[step_inequality_margin(float(x), m) for x in xs] for m in range(1, 65)])
+    # numpy's vectorized pow may differ from libm's by one ulp of x^(1/m) <= 1, times m <= 64
+    np.testing.assert_allclose(grid, loop, rtol=0.0, atol=64 * np.finfo(float).eps)
+    for x, m in ((np.array([0.5, 0.0]), 2), (0.5, np.array([1, 0]))):
+        with pytest.raises(ValidationError):
+            step_inequality_margin(x, m)
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------

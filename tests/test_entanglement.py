@@ -1,5 +1,6 @@
 """Schmidt machinery, tail bounds, step-entropy bound, area-law certificates."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ def test_overlap_matches_dense_svd(heis6):
     alpha, _, _ = max_product_overlap(vec, CutSpec.contiguous(3))
     oracle = np.linalg.svd(vec.amplitudes.reshape(8, 8), compute_uv=False)[0]
     assert alpha == pytest.approx(oracle, abs=1e-12)
+
+
+def test_overlap_unbalanced_cut_returns_thin_pair():
+    psi = random_state(qubits(10), np.random.default_rng(11))
+    alpha, left, right = max_product_overlap(psi, CutSpec.contiguous(2))
+    assert left.shape == (4,) and right.shape == (256,)
+    assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(np.kron(left, right), psi.amplitudes)) == pytest.approx(alpha, abs=1e-12)
+    oracle = np.linalg.svd(psi.amplitudes.reshape(4, 256), compute_uv=False)[0]
+    assert alpha == pytest.approx(oracle, abs=1e-12)
+
+
+def test_overlap_memory_is_linear_in_dim():
+    # a full SVD of the (2, 2048) cut matrix would allocate a 2048 x 2048 complex vh (64 MB)
+    psi = random_state(qubits(12), np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        max_product_overlap(psi, CutSpec.contiguous(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_fact1_no_trial_beats_best_rank_overlap():

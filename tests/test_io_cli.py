@@ -463,6 +463,28 @@ def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
         run(RunConfig.from_document(doc))
 
 
+@pytest.mark.parametrize("update, field", [
+    ({"parameters": {"seed": -1}}, "parameters.seed"),
+    ({"parameters": {"l_max_tail": 0}}, "parameters.l_max_tail"),
+    ({"parameters": {"cone_site": 9}}, "parameters.cone_site"),
+    ({"parameters": {"distances": "ab"}}, "parameters.distances"),
+    ({"output": "o"}, "output"),
+    ({"parameters": {"norm_energy_samples": 0}}, "parameters.norm_energy_samples"),
+    ({"parameters": {"rank_steps": 0}}, "parameters.rank_steps"),
+], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
+        "rank_steps"])
+def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
+    # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
+    doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
+           "command": "verify", "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    doc.update(update)
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model, field", [
     ({"name": "aklt", "parameters": {}}, "model.parameters.n"),
     ({"name": "toric-code", "parameters": {"lx": 2}}, "model.parameters.ly"),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dl_lab import states
+from dl_lab.dl import dl_operator, fixed_space
 from dl_lab.errors import ConvergenceError, DimensionCapError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
     custom_geometry
@@ -173,10 +174,17 @@ def test_ground_basis_orthonormal(corpus):
         assert np.abs(gram - np.eye(model.gs.degeneracy)).max() < 1e-10
 
 
-def test_iterative_regime_matches_dense():
+def test_iterative_regime_matches_dense(monkeypatch):
     h = build_model(ModelDescriptor.make("aklt", n=6, periodic=True))
     dense = spectrum(h).values[:3]
-    sparse = spectrum(h, count=3)  # forces the requested-count path
+    fixed, _ = fixed_space(dl_operator(h))
+    # dim 729 is dense by default: lower the cutoff so the Lanczos branch runs
+    monkeypatch.setattr(states, "DENSE_CUTOFF", 64)
+    true_lanczos = states._lanczos
+    calls = []
+    monkeypatch.setattr(states, "_lanczos", lambda *args: calls.append(args) or true_lanczos(*args))
+    sparse = spectrum(h, 3, fixed)
+    assert len(calls) == 1
     assert np.allclose(dense, sparse.values, atol=1e-8)
 
 
