@@ -118,20 +118,25 @@ def geometry_to_document(geometry: Geometry) -> dict:
     return doc
 
 
-def _field(doc, key: str, path: str):
-    """doc[key], or ValidationError naming the field at `path` when it is missing."""
+def _field(doc, key: str, path: str, kind: type | None = None, item: type | None = None):
+    """doc[key], or ValidationError naming `path` when it is missing or, given kind,
+    not exactly of that type (a bool or 4.5 is no int), with entries of type item."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"hamiltonian document is missing field {path!r}")
-    return doc[key]
+    value = doc[key]
+    if kind and (type(value) is not kind or item and any(type(v) is not item for v in value)):
+        what = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise ValidationError(f"hamiltonian field {path!r}: expected {what}, got {value!r}")
+    return value
 
 
 def geometry_from_document(doc: dict) -> Geometry:
     kind = _field(doc, "kind", "sites.geometry.kind")
     if kind == "torus-2d":
-        return Geometry(kind, lx=int(_field(doc, "lx", "sites.geometry.lx")),
-                        ly=int(_field(doc, "ly", "sites.geometry.ly")))
+        return Geometry(kind, lx=_field(doc, "lx", "sites.geometry.lx", int),
+                        ly=_field(doc, "ly", "sites.geometry.ly", int))
     if kind == "custom-adjacency":
-        edges = _field(doc, "edges", "sites.geometry.edges")
+        edges = _field(doc, "edges", "sites.geometry.edges", list)
         return Geometry(kind, edges=tuple((int(a), int(b)) for a, b in edges))
     return Geometry(kind)
 
@@ -154,17 +159,17 @@ def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
 
 def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
     sites_doc = _field(doc, "sites", "sites")
-    terms_doc = _field(doc, "terms", "terms")
-    sites = SiteSpace(int(_field(sites_doc, "n", "sites.n")),
-                      int(_field(sites_doc, "d", "sites.d")),
+    terms_doc = _field(doc, "terms", "terms", list)
+    sites = SiteSpace(_field(sites_doc, "n", "sites.n", int),
+                      _field(sites_doc, "d", "sites.d", int),
                       geometry_from_document(_field(sites_doc, "geometry", "sites.geometry")))
     terms = []
     for i, term_doc in enumerate(terms_doc):
         matrix = _matrix_from_rows(_field(term_doc, "matrix", f"terms[{i}].matrix"))
-        support = _field(term_doc, "support", f"terms[{i}].support")
+        support = _field(term_doc, "support", f"terms[{i}].support", list, int)
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
         is_proj = bool(np.abs(matrix @ matrix - matrix).max(initial=0.0) <= 1e-10 * scale)
-        terms.append(LocalTerm(tuple(int(s) for s in support), matrix, is_projector=is_proj))
+        terms.append(LocalTerm(tuple(support), matrix, is_projector=is_proj))
     return HamiltonianSpec(sites, tuple(terms))
 
 

@@ -33,12 +33,14 @@ def spin_matrices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (sp + sm), -0.5j * (sp - sm), sz
 
 
+SITE_OBSERVABLES = ("number", "sx", "sy", "sz")
+
+
 def site_observable(name: str, d: int) -> np.ndarray:
+    if name not in SITE_OBSERVABLES:
+        raise ValidationError(f"unknown observable {name!r}; have {list(SITE_OBSERVABLES)}")
     sx, sy, sz = spin_matrices(d)
-    table = {"sx": sx, "sy": sy, "sz": sz, "number": np.diag(np.arange(d, dtype=float))}
-    if name not in table:
-        raise ValidationError(f"unknown observable {name!r}; have {sorted(table)}")
-    return table[name]
+    return {"sx": sx, "sy": sy, "sz": sz, "number": np.diag(np.arange(d, dtype=float))}[name]
 
 
 def singlet_projector() -> np.ndarray:
@@ -96,19 +98,46 @@ def build_model(descriptor: ModelDescriptor) -> HamiltonianSpec:
     if descriptor.name not in MODELS:
         raise ValidationError(f"unknown model name {descriptor.name!r}")
     builder, schema = MODELS[descriptor.name]
-    p = descriptor.params
-    unknown = sorted(set(p) - set(schema))
+    return builder(**check_parameters(descriptor.params, schema, "model.parameters"))
+
+
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", list: "a non-empty list of integers"}
+
+
+def check_parameters(values: dict, schema: dict, field: str, n: int | None = None) -> dict:
+    """`values` checked against `schema`, with the defaults of absent keys filled in.
+
+    A row is (type,) for a required key, else (type, default, low, high), the
+    bounds optional; a str row takes its choices as low.  A default or bound
+    given as a function takes n, the number of sites; None leaves it unset or
+    open.  Types are exact (a bool is no integer, nor is 5.7), a list holds
+    integers within the bounds, and unknown keys are refused.
+    """
+    unknown = sorted(set(values) - set(schema))
     if unknown:
-        raise ValidationError(f"field 'model.parameters.{unknown[0]}': unknown parameter; "
-                              f"{descriptor.name} takes {sorted(schema)}")
-    for key, (kind, *default) in schema.items():
-        if key not in p and not default:
-            raise ValidationError(f"field 'model.parameters.{key}': required by {descriptor.name}")
-        value = p.setdefault(key, *default)
-        if type(value) is not kind:
-            raise ValidationError(f"field 'model.parameters.{key}': expected {kind.__name__}, "
-                                  f"got {value!r}")
-    return builder(**p)
+        raise ValidationError(f"field '{field}.{unknown[0]}': unknown parameter; "
+                              f"expected one of {sorted(schema)}")
+    resolved = {}
+    for key, (kind, *rest) in schema.items():
+        default, low, high = [*(r(n) if callable(r) else r for r in rest), None, None, None][:3]
+        if key not in values and not rest:
+            raise ValidationError(f"field '{field}.{key}': missing required parameter")
+        value = resolved[key] = values.get(key, default)
+        if key in values and not _admits(kind, low, high, value):
+            bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+            expected = f"one of {list(low)}" if kind is str else _TYPE_NAMES[kind] + bounds
+            raise ValidationError(f"field '{field}.{key}': expected {expected}, got {value!r}")
+    return resolved
+
+
+def _admits(kind: type, low, high, value) -> bool:
+    if type(value) is not kind:
+        return False
+    if kind is list:
+        return bool(value) and all(_admits(int, low, high, m) for m in value)
+    if kind is str:
+        return value in low
+    return (low is None or value >= low) and (high is None or value <= high)
 
 
 def _pinning(n: int) -> HamiltonianSpec:
@@ -187,8 +216,8 @@ def build_parent_random(n: int, d: int, bond: int, seed: int,
     return HamiltonianSpec(SiteSpace(n, d, chain_geometry()), tuple(terms))
 
 
-# name -> (builder, {parameter: (type,) or (type, default)}); a parameter
-# without a default is required, and bool does not pass for int
+# name -> (builder, {parameter: (type,) or (type, default)}), checked by
+# check_parameters; a parameter without a default is required
 MODELS = {
     "pinning": (_pinning, {"n": (int,)}),
     "heisenberg-ferro": (lambda n, periodic: _chain_pair_model(n, 2, singlet_projector(), periodic),

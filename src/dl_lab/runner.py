@@ -33,8 +33,8 @@ from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
 from .io import (atomic_write_text, dumps_document, loads_document,
                  load_hamiltonian, write_csv)
-from .models import (BUNDLED_MODELS, ModelDescriptor, build_model,
-                     descriptor_from_document, site_observable)
+from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
+                     check_parameters, descriptor_from_document, site_observable)
 from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector,
                      gaussian_filter_deviation, ground_space, product_state,
                      random_state, spectrum)
@@ -42,6 +42,26 @@ from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector,
 COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
             "measurecheck", "verify")
 FORMATS = ("structured", "csv")
+
+# name -> (type, default, low, high) or (str, default, choices), where a default or
+# bound may be a function of n, the number of sites; see models.check_parameters
+RUN_PARAMETERS = {
+    "seed": (int, 7, 0, None),
+    "cut": (int, lambda n: n // 2, 1, lambda n: n - 1),
+    "l_max": (int, 20, 1, None),
+    "window": (int, 2, 1, None),
+    "observable": (str, "sz", SITE_OBSERVABLES),
+    "x_site": (int, 0, 0, lambda n: n - 1),
+    "distances": (list, None, 1, None),  # the upper bound needs the geometry: _default_family
+    "max_distance": (int, 5, 1, None),
+    "count": (int, None, 1, None),
+    "norm_energy_samples": (int, 1000, 1, None),
+    "rank_steps": (int, 3, 1, None),
+    "l_max_tail": (int, 4, 1, None),
+    "cut_shift": (int, 2, 1, None),
+    "cone_site": (int, lambda n: n // 2, 0, lambda n: n - 1),
+    "cone_rounds": (int, 2, 1, None),
+}
 
 PASS = "pass"
 FAIL = "fail"
@@ -141,10 +161,6 @@ class RunConfig:
         parameters = doc.get("parameters", {})
         if not isinstance(parameters, dict):
             raise ValidationError("field 'parameters': expected an object")
-        for key in parameters:
-            if key.endswith("tolerance"):
-                raise ValidationError(f"field 'parameters.{key}': tolerances are fixed per "
-                                      "check and cannot be set")
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ValidationError("field 'output': expected an object")
@@ -172,9 +188,6 @@ class _Context:
     """Lazily computed quantities shared by the pipeline steps."""
 
     def __init__(self, config: RunConfig):
-        self.config = config
-        self.params = config.parameters
-        self.count = self.int_param("count", low=1)  # rows of the spectrum
         self.records: list[CheckRecord] = []
         self.tables: list[tuple[str, tuple[str, ...], tuple[tuple, ...]]] = []
         if config.model_path is not None:
@@ -183,6 +196,7 @@ class _Context:
         else:
             self.h = build_model(config.descriptor)
             self.label = config.descriptor.label()
+        self.p = check_parameters(config.parameters, RUN_PARAMETERS, "parameters", self.h.sites.n)
         if not self.h.all_projectors():
             self.h, proj_report = projectorize(self.h)
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
@@ -208,7 +222,7 @@ class _Context:
                 if fixed.shape[1] == 0:
                     raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
                                           "by every term; the model is not frustration-free")
-                self._spectrum = spectrum(self.h, self.count, fixed)
+                self._spectrum = spectrum(self.h, self.p["count"], fixed)
         return self._spectrum
 
     @property
@@ -237,32 +251,12 @@ class _Context:
     def omega(self) -> StateVector:
         return self.gs.ground_basis[0].normalized()
 
-    def int_param(self, key: str, default: int | None = None, low: int | None = None,
-                  high: int | None = None) -> int | None:
-        """The integer run parameter `key` in [low, high]; default when it is absent."""
-        if key not in self.params:
-            return default
-        value = self.params[key]
-        try:
-            value = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"field 'parameters.{key}': expected an integer, "
-                                  f"got {value!r}") from None
-        if (low is not None and value < low) or (high is not None and value > high):
-            upper = "" if high is None else f" and <= {high}"
-            raise ValidationError(f"field 'parameters.{key}': expected an integer >= {low}"
-                                  f"{upper}, got {value}")
-        return value
-
-    def default_cut(self) -> CutSpec:
-        return CutSpec.contiguous(self.int_param("cut", self.h.sites.n // 2))
-
-    def seed(self) -> int:
-        return self.int_param("seed", 7, low=0)
+    @property
+    def cut(self) -> CutSpec:
+        return CutSpec.contiguous(self.p["cut"])
 
     def observable(self, site: int) -> ObservableSpec:
-        name = self.params.get("observable", "sz")
-        return ObservableSpec((site,), site_observable(name, self.h.sites.d))
+        return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
@@ -280,10 +274,10 @@ def _step_gap(ctx: _Context) -> None:
     ctx.add(info_record("ground-energy", "plumbing", gs.ground_energy))
     ctx.add(info_record("spectral-gap", "plumbing", gs.gap))
     ctx.add(info_record("ground-degeneracy", "plumbing", float(gs.degeneracy)))
-    check = validate_frustration_free(ctx.h, gs, tol=1e-8)
+    check = validate_frustration_free(ctx.h, gs)
     ctx.add(bounded_record("frustration-free", "frustration-free",
                            check.max_residual, 0.0, 1e-8))
-    rows = slice(ctx.count)
+    rows = slice(ctx.p["count"])
     values, residuals = ctx.spectrum_data.values[rows], ctx.spectrum_data.residuals[rows]
     ctx.add(bounded_record("eigenpair-residuals", "plumbing", float(residuals.max()), 0.0, 1e-8))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
@@ -301,8 +295,8 @@ def _step_dl(ctx: _Context) -> None:
 
 
 def _step_converge(ctx: _Context) -> None:
-    psi = random_state(ctx.h.sites, ctx.seed())
-    trace = converge(ctx.a, ctx.gs, psi, ctx.int_param("l_max", 20))
+    psi = random_state(ctx.h.sites, ctx.p["seed"])
+    trace = converge(ctx.a, ctx.gs, psi, ctx.p["l_max"])
     rows = trace.rows()
     worst = max(r - b for _, r, b in rows)
     ctx.add(bounded_record("dl-convergence", "dl-convergence", worst, 0.0, 1e-9))
@@ -313,7 +307,7 @@ def _step_converge(ctx: _Context) -> None:
 
 def _step_pyramids(ctx: _Context) -> None:
     primary, shifted = pyramid_decompose(ctx.a)
-    rng = np.random.default_rng(ctx.seed())
+    rng = np.random.default_rng(ctx.p["seed"])
     worst = 0.0
     for _ in range(10):
         psi = random_state(ctx.h.sites, rng)
@@ -335,9 +329,9 @@ def _step_filter(ctx: _Context) -> None:
 
 
 def _step_norm_energy(ctx: _Context) -> None:
-    rng = np.random.default_rng(ctx.seed())
+    rng = np.random.default_rng(ctx.p["seed"])
     worst = -np.inf
-    for _ in range(ctx.int_param("norm_energy_samples", 1000, low=1)):
+    for _ in range(ctx.p["norm_energy_samples"]):
         dim = int(rng.integers(2, 33))
         x = _random_projector(rng, dim)
         y = _random_projector(rng, dim)
@@ -373,16 +367,16 @@ def _step_entropy_grid(ctx: _Context) -> None:
 def _step_rank_growth(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open":
         return
-    cut = ctx.default_cut()
+    cut = ctx.cut
     psi0 = _product_start(ctx)
-    trace = rank_growth(ctx.a, psi0, cut, ctx.int_param("rank_steps", 3, low=1))
+    trace = rank_growth(ctx.a, psi0, cut, ctx.p["rank_steps"])
     worst = max((r - c for r, c in zip(trace.ranks, trace.caps)), default=0)
     ctx.add(bounded_record("rank-growth", "rank-growth", float(worst), 0.0, 0.0))
 
 
 def _product_start(ctx: _Context) -> StateVector:
     d = ctx.h.sites.d
-    rng = np.random.default_rng(ctx.seed())
+    rng = np.random.default_rng(ctx.p["seed"])
     locals_ = []
     for _ in range(ctx.h.sites.n):
         vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -391,7 +385,7 @@ def _product_start(ctx: _Context) -> StateVector:
 
 
 def _step_entropy(ctx: _Context) -> None:
-    cut = ctx.default_cut()
+    cut = ctx.cut
     data = schmidt(ctx.omega, cut)
     ctx.add(bounded_record("schmidt-normalization", "plumbing",
                            abs(float(data.eigenvalues.sum()) - 1.0), 0.0, 1e-10))
@@ -408,14 +402,14 @@ def _step_tail(ctx: _Context, cut: CutSpec) -> None:
     # a single layer projects exactly (delta = 1); stay inside the open domain
     delta = min(1.0 - ctx.a.shrink_bound(ctx.gs.gap), 1.0 - 1e-12)
     mu, _, _ = max_product_overlap(ctx.omega, cut)
-    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.int_param("l_max_tail", 4, low=1))
+    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.p["l_max_tail"])
     worst = max(t - b for _, t, b in table.rows)
     ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, 1e-9))
     ctx.add_table("tail", ("l", "tail_mass", "bound"), table.rows)
 
 
 def _step_arealaw(ctx: _Context) -> None:
-    cut = ctx.default_cut()
+    cut = ctx.cut
     cert = area_law_certificate(ctx.h, cut, ctx.gs)
     ctx.add(info_record("max-product-overlap", "overlap-entropy-bound", cert.mu_measured))
     ctx.add(info_record("shrink-delta", "overlap-entropy-bound", cert.delta))
@@ -433,7 +427,7 @@ def _step_arealaw(ctx: _Context) -> None:
                            log_s, cert.gap_entropy_bound_log10, 1e-9))
     _window_recursion_diagnostic(ctx, cut, cert.delta)
     n = ctx.h.sites.n
-    shift = min(ctx.int_param("cut_shift", 2), cut.position - 1, n - 1 - cut.position)
+    shift = min(ctx.p["cut_shift"], cut.position - 1, n - 1 - cut.position)
     if shift >= 1:
         table = shifted_cut_check(ctx.omega, cut, shift)
         worst = max(a - cap for _, a, cap in table.rows)
@@ -448,7 +442,7 @@ def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> N
     """
     n = ctx.h.sites.n
     c = cut.position
-    l = min(ctx.int_param("window", 2), c, n - c)
+    l = min(ctx.p["window"], c, n - c)
     if l < 2 or l % 2:
         return
     omega = ctx.omega
@@ -462,19 +456,17 @@ def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> N
 
 
 def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]]:
-    n = ctx.h.sites.n
-    x_site = ctx.int_param("x_site", 0)
-    distances = ctx.params.get("distances")
-    if distances is not None and not (isinstance(distances, list) and all(
-            type(m) is int and m >= 1 for m in distances)):
-        raise ValidationError("field 'parameters.distances': expected a list of integers >= 1, "
-                              f"got {distances!r}")
+    n, x_site, distances = ctx.h.sites.n, ctx.p["x_site"], ctx.p["distances"]
+    # a ring wraps round to distance n // 2; an open chain ends n - 1 - x_site sites on
+    max_m = n // 2 if ctx.h.sites.geometry.kind == "chain-periodic" else n - 1 - x_site
     if distances is None:
-        if ctx.h.sites.geometry.kind == "chain-periodic":
-            max_m = n // 2
-        else:
-            max_m = n - 1 - x_site
-        distances = list(range(1, min(ctx.int_param("max_distance", 5), max_m) + 1))
+        distances = list(range(1, min(ctx.p["max_distance"], max_m) + 1))
+        if not distances:
+            raise ValidationError(f"field 'parameters.x_site': no default distance from "
+                                  f"site {x_site}, the last site")
+    elif distances != sorted(set(distances)) or distances[-1] > max_m:
+        raise ValidationError("field 'parameters.distances': expected strictly increasing "
+                              f"integers in [1, {max_m}], got {distances!r}")
     x = ctx.observable(x_site)
     family = [ctx.observable((x_site + m) % n) for m in distances]
     return x, family
@@ -503,8 +495,8 @@ def _step_correlate(ctx: _Context) -> None:
 def _step_measurecheck(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
         return
-    cut = ctx.default_cut()
-    l = min(ctx.int_param("window", 2), cut.position, ctx.h.sites.n - cut.position)
+    cut = ctx.cut
+    l = min(ctx.p["window"], cut.position, ctx.h.sites.n - cut.position)
     if l < 1:
         return
     check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a)
@@ -526,11 +518,8 @@ def _step_measurecheck(ctx: _Context) -> None:
 
 
 def _step_cone(ctx: _Context) -> None:
-    n = ctx.h.sites.n
-    site = ctx.int_param("cone_site", n // 2, low=0, high=n - 1)
-    b = ObservableSpec((site,), site_observable("sx", ctx.h.sites.d))
-    l = ctx.int_param("cone_rounds", 2)
-    dev = cone_absorption_check(ctx.h, ctx.a, ctx.gs, b, l)
+    b = ObservableSpec((ctx.p["cone_site"],), site_observable("sx", ctx.h.sites.d))
+    dev = cone_absorption_check(ctx.h, ctx.a, ctx.gs, b, ctx.p["cone_rounds"])
     ctx.add(bounded_record("cone-absorption", "cone-absorption", dev, 0.0, 1e-12))
 
 

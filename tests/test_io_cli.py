@@ -1,9 +1,13 @@
 """Serialization schemas, report round-trips, CLI driver behavior."""
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dl_lab.cli as cli
 from dl_lab import runner, states
@@ -14,7 +18,7 @@ from dl_lab.io import (dumps_document, format_float, hamiltonian_from_document,
                        hamiltonian_to_document, load_hamiltonian, loads_document,
                        save_hamiltonian, state_from_bytes, state_from_document,
                        state_to_bytes, state_to_document, write_csv)
-from dl_lab.runner import (CheckRecord, Report, RunConfig, emit_report,
+from dl_lab.runner import (RUN_PARAMETERS, CheckRecord, Report, RunConfig, emit_report,
                            report_from_document, report_to_document, run)
 from dl_lab.models import ModelDescriptor, build_model
 from dl_lab.states import DENSE_CUTOFF, random_state
@@ -330,21 +334,22 @@ def test_config_missing_model_file():
 
 
 def test_config_rejects_bad_tolerance():
+    # tolerances are fixed per check: a *tolerance key is an unknown run parameter
     with pytest.raises(ValidationError, match="tolerance"):
-        RunConfig.from_document({
+        run(RunConfig.from_document({
             "command": "gap",
             "model": {"name": "pinning", "parameters": {"n": 3}},
             "parameters": {"shrink_tolerance": -1.0},
-        })
+        }))
 
 
 def test_config_rejects_any_tolerance_parameter():
     with pytest.raises(ValidationError, match=r"parameters\.shrink_tolerance"):
-        RunConfig.from_document({
+        run(RunConfig.from_document({
             "command": "gap",
             "model": {"name": "pinning", "parameters": {"n": 3}},
             "parameters": {"shrink_tolerance": 1e-6},
-        })
+        }))
 
 
 def test_config_model_path_accepted(tmp_path, pinning6):
@@ -422,7 +427,13 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
      "sites.geometry.ly"),
     (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency"}),
      "sites.geometry.edges"),
-], ids=["matrix", "support", "lx", "ly", "edges"])
+    # malformed values used to escape as ValueError or TypeError (exit 1), or to truncate
+    (lambda doc: doc["sites"].update(n="x"), "sites.n"),
+    (lambda doc: doc["sites"].update(n=4.5), "sites.n"),
+    (lambda doc: doc["terms"][0].update(support=["a"]), "terms[0].support"),
+    (lambda doc: doc.update(terms=5), "terms"),
+], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
+        "int-terms"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -471,8 +482,27 @@ def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
     ({"output": "o"}, "output"),
     ({"parameters": {"norm_energy_samples": 0}}, "parameters.norm_energy_samples"),
     ({"parameters": {"rank_steps": 0}}, "parameters.rank_steps"),
+    # each of these used to pass vacuously, wrap round the open chain, or name no field
+    ({"parameters": {"x_site": 99}}, "parameters.x_site"),
+    ({"parameters": {"x_site": 3}}, "parameters.x_site"),
+    ({"parameters": {"window": -1}}, "parameters.window"),
+    ({"parameters": {"cut_shift": -5}}, "parameters.cut_shift"),
+    ({"parameters": {"max_distance": -3}}, "parameters.max_distance"),
+    ({"parameters": {"distances": []}}, "parameters.distances"),
+    ({"parameters": {"distances": [5]}}, "parameters.distances"),
+    ({"parameters": {"distances": [2, 5]}}, "parameters.distances"),
+    ({"parameters": {"distances": [2, 1]}}, "parameters.distances"),
+    ({"parameters": {"cut": 0}}, "parameters.cut"),
+    ({"parameters": {"l_max": 0}}, "parameters.l_max"),
+    ({"parameters": {"cone_rounds": 0}}, "parameters.cone_rounds"),
+    ({"parameters": {"observable": "foo"}}, "parameters.observable"),
+    ({"parameters": {"seed": True}}, "parameters.seed"),
+    ({"parameters": {"seed": 5.7}}, "parameters.seed"),
+    ({"parameters": {"lmax": 5}}, "parameters.lmax"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
-        "rank_steps"])
+        "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
+        "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
+        "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key"])
 def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
     # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
     doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
@@ -483,6 +513,68 @@ def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field)
         json.dump(doc, handle)
     assert cli.main(["verify", "--config", path, "--quiet"]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.integers(),
+                         st.floats(allow_nan=False), st.text(max_size=3),
+                         st.lists(st.one_of(st.integers(-2, 6), st.booleans(), st.floats()),
+                                  max_size=3))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(sorted(RUN_PARAMETERS) + ["lmax", "shrink_tolerance"]),
+                       _FUZZ_VALUES, max_size=3))
+def test_cli_gap_fuzzed_parameters_exit_zero_or_two(parameters):
+    # never an uncaught exception (exit 1 or a traceback); each refusal names its key, and
+    # an unknown key or a null, boolean or float value (no parameter takes one) is refused
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
+               "command": "gap", "parameters": parameters,
+               "output": {"dir": os.path.join(tmp, "out"), "format": "structured"}}
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["gap", "--config", path, "--quiet"])
+    assert code in (0, 2)
+    if set(parameters) - set(RUN_PARAMETERS) or any(
+            type(v) in (type(None), bool, float) for v in parameters.values()):
+        assert code == 2, parameters
+    if code == 2:
+        assert any(f"'parameters.{key}'" in err.getvalue() for key in parameters), err.getvalue()
+
+
+def _schemas_run_parameter_rows() -> dict:
+    """key -> (type, default, range) cells of the run-parameter table of docs/schemas.md."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    rows = {}
+    for line in text[text.index("### Run parameters"):].splitlines():
+        if line.startswith("| `"):
+            key, kind, default, bounds = (c.strip().strip("`") for c in line.split("|")[1:5])
+            rows[key] = (kind, default, bounds)
+        elif rows:
+            break
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_schemas_doc_matches_run_parameters(n):
+    rows = _schemas_run_parameter_rows()
+    assert list(rows) == list(RUN_PARAMETERS)
+    kinds = {"integer": int, "string": str, "list of integers": list}
+    for key, (kind, *rest) in RUN_PARAMETERS.items():
+        default, low, high = [*(r(n) if callable(r) else r for r in rest), None][:3]
+        doc_kind, doc_default, doc_bounds = rows[key]
+        assert kinds[doc_kind] is kind, key
+        assert (None if doc_default == "unset" else eval(doc_default, {"n": n})) == default, key
+        if doc_bounds.startswith(">= "):
+            assert (int(doc_bounds[3:]), None) == (low, high), key
+        else:
+            expected = low if kind is str else [low, high]
+            assert eval(doc_bounds, {"n": n}) == expected, key
 
 
 @pytest.mark.parametrize("model, field", [

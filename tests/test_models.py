@@ -70,7 +70,7 @@ def test_projector_flag_honest(corpus):
 
 def test_every_bundled_model_frustration_free_and_gapped(corpus):
     for model in corpus:
-        assert validate_frustration_free(model.h, model.gs, 1e-8), model.label
+        assert validate_frustration_free(model.h, model.gs).max_residual <= 1e-8, model.label
         assert model.gs.gap > 0, model.label
 
 
