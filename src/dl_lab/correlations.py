@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dl import DLOperator, application_layers
-from .entanglement import (CutSpec, density_entropy, max_product_overlap,
-                           reduced_density)
+from .entanglement import CutSpec, density_entropy, reduced_density
 from .errors import ValidationError
 from .hamiltonian import HamiltonianSpec, LayerPartition
 from .states import GroundSpaceData, StateVector, apply_term_array
@@ -212,6 +211,7 @@ class MeasurementCheck:
     hypothesis_met: bool
     bound: float
     identity_deviation: float | None  # None for odd l
+    mutual_information: float  # S(rho_L) + S(rho_R) - S(rho) on the window halves
 
 
 def _window_sites(h: HamiltonianSpec, cut: CutSpec, l: int) -> tuple[int, ...]:
@@ -246,9 +246,12 @@ def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.n
     return basis @ basis.conj().T
 
 
-def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
-                               gs: GroundSpaceData, a: DLOperator) -> MeasurementCheck:
-    """Build the window measurement and measure its distinguishing probability."""
+def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
+                               a: DLOperator, overlap: float) -> MeasurementCheck:
+    """Build the window measurement and measure its distinguishing probability.
+
+    overlap is the largest product-state overlap of the ground state at the cut.
+    """
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
     window = _window_sites(h, cut, l)
@@ -259,14 +262,12 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
     rho_win = reduced_density(omega, window)
     trace_ground = float(np.real(np.trace(proj @ rho_win)))
 
-    left_win = tuple(range(c - l, c))
-    right_win = tuple(range(c, c + l))
-    rho_l = reduced_density(omega, left_win)
-    rho_r = reduced_density(omega, right_win)
+    rho_l = reduced_density(omega, tuple(range(c - l, c)))
+    rho_r = reduced_density(omega, tuple(range(c, c + l)))
     trace_product = float(np.real(np.trace(proj @ np.kron(rho_l, rho_r))))
+    info = density_entropy(rho_l) + density_entropy(rho_r) - density_entropy(rho_win)
 
     delta = 1.0 - a.shrink_bound(gs.gap)
-    overlap, _, _ = max_product_overlap(omega, cut)
     hypothesis_met = overlap <= (1.0 - delta) ** (l / 4.0)
     bound = 2.0 * (1.0 - delta) ** (l / 2.0)
 
@@ -274,7 +275,7 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int,
     if l % 2 == 0:
         identity_dev = _measurement_identity_deviation(h, a, omega, proj, window, c, l)
     return MeasurementCheck(window, delta, trace_ground, trace_product, overlap,
-                            hypothesis_met, bound, identity_dev)
+                            hypothesis_met, bound, identity_dev, info)
 
 
 def _measurement_identity_deviation(h, a, omega, proj, window, c, l) -> float:
@@ -313,17 +314,11 @@ class EntropyGapCheck:
     hypothesis_met: bool
 
 
-def entropy_gap_check(cut: CutSpec, l: int, gs: GroundSpaceData,
-                      measurement: MeasurementCheck) -> EntropyGapCheck:
-    """Measure S(rho_L) + S(rho_R) - S(rho) against ln(1/alpha) and the linear threshold."""
-    window = measurement.window
-    omega = gs.ground_basis[0].normalized()
-    c = cut.position
-    rho_win = reduced_density(omega, window)
-    rho_l = reduced_density(omega, tuple(range(c - l, c)))
-    rho_r = reduced_density(omega, tuple(range(c, c + l)))
-    info = density_entropy(rho_l) + density_entropy(rho_r) - density_entropy(rho_win)
+def entropy_gap_check(measurement: MeasurementCheck) -> EntropyGapCheck:
+    """The window mutual information against ln(1/alpha) and the linear threshold."""
+    l = len(measurement.window) // 2
     alpha = max(measurement.trace_product, 1e-300)  # benign divergence clamp
     divergence = math.log(1.0 / alpha)
     threshold = (measurement.delta / 2.0) * l - 1.0
-    return EntropyGapCheck(info, divergence, threshold, measurement.hypothesis_met)
+    return EntropyGapCheck(measurement.mutual_information, divergence, threshold,
+                           measurement.hypothesis_met)

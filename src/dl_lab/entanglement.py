@@ -160,27 +160,22 @@ def rank_growth(a: DLOperator, psi0: StateVector, cut: CutSpec, l: int) -> RankG
     return RankGrowthTrace(tuple(ranks), tuple(caps), crossings)
 
 
-@dataclass(frozen=True)
-class TailBoundTable:
-    """Tail masses of the ground Schmidt spectrum against the decay bound."""
+def tail_bound_check(data: SchmidtData, d: int, mu: float, delta: float,
+                     l_max: int) -> tuple[tuple[int, float, float], ...]:
+    """Rows (l, sum_{j > d^(2l)} lambda_j, mu^-2 (1-delta)^(2l)) for l = 1..l_max.
 
-    rows: tuple[tuple[int, float, float], ...]  # (l, tail, bound)
-
-
-def tail_bound_check(gs_state: StateVector, cut: CutSpec, mu: float, delta: float,
-                     l_max: int) -> TailBoundTable:
-    """Tabulate sum_{j > d^(2l)} lambda_j against mu^-2 (1-delta)^(2l) for l = 1..l_max."""
+    data is the Schmidt spectrum of the ground state at the cut, mu its largest
+    product-state overlap there, d the local dimension.
+    """
     if not (0 < mu <= 1) or not (0 < delta < 1):
         raise ValidationError("need mu in (0,1] and delta in (0,1)")
-    data = schmidt(gs_state, cut)
-    d = gs_state.sites.d
     rows = []
     for l in range(1, l_max + 1):
         keep = d ** (2 * l)
         tail = data.tail_mass(min(keep, len(data.coefficients)))
         bound = (1.0 - delta) ** (2 * l) / mu ** 2
         rows.append((l, tail, bound))
-    return TailBoundTable(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +281,21 @@ class AreaLawCertificate:
     worst_case_overlap_log10: float
 
 
-def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
-                         gs: GroundSpaceData) -> AreaLawCertificate:
-    """Measure the cut entropy of a unique ground state on a chain and its two caps.
+def area_law_certificate(h: HamiltonianSpec, gs: GroundSpaceData, data: SchmidtData,
+                         mu: float) -> AreaLawCertificate:
+    """The cut entropy of a unique ground state on a chain against its two caps.
 
-    The closed-form constants are those of a two-layer chain (f = 2).
+    data is the Schmidt spectrum of the ground state at the cut and mu its
+    largest product-state overlap there.  The closed-form constants are those
+    of a two-layer chain (f = 2).
     """
     if not h.sites.is_chain():
         raise ValidationError("the certificate pipeline needs a 1D chain")
     if gs.degeneracy != 1:
         raise ValidationError("the certificate pipeline needs a unique ground state")
-    omega = gs.ground_basis[0].normalized()
     d = h.sites.d
     eps = min(gs.gap, 1.0)  # the closed-form constants assume a gap at most 1
     delta = 1.0 - dl_bound(eps, 2.0)
-    mu, _, _ = max_product_overlap(omega, cut)
-    s_measured = schmidt(omega, cut).entropy
     overlap_bound = overlap_entropy_bound_value(mu, delta, d)
 
     ell0_log10 = (4.0 / delta) * math.log10(d)
@@ -316,7 +310,7 @@ def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
     return AreaLawCertificate(
         delta=delta,
         mu_measured=mu,
-        entropy_measured=s_measured,
+        entropy_measured=data.entropy,
         overlap_entropy_bound=overlap_bound,
         gap_entropy_bound_log10=gap_bound_log10,
         gap_entropy_bound=gap_bound,
@@ -325,24 +319,15 @@ def area_law_certificate(h: HamiltonianSpec, cut: CutSpec,
     )
 
 
-@dataclass(frozen=True)
-class ShiftedCutTable:
-    """Max product overlaps at shifted cuts against the center-cut cap."""
-
-    rows: tuple[tuple[int, float, float], ...]  # (shift, alpha_shifted, scaled cap)
-
-
-def shifted_cut_check(gs_state: StateVector, cut: CutSpec, l: int) -> ShiftedCutTable:
-    """Tabulate alpha_1(k+j) against the cap alpha_1(k) * d^|j| for every |j| <= l."""
+def shifted_cut_check(gs_state: StateVector, cut: CutSpec,
+                      l: int) -> tuple[tuple[int, float, float], ...]:
+    """Rows (j, alpha_1(k+j), alpha_1(k) * d^|j|) for every |j| <= l: one overlap per cut."""
     if cut.kind != "contiguous":
         raise ValidationError("shifted cuts are defined for contiguous cuts")
     n, d = gs_state.sites.n, gs_state.sites.d
     k = cut.position
     if k - l < 1 or k + l > n - 1:
         raise ValidationError(f"shifts of {l} around position {k} leave [1, {n - 1}]")
-    alpha_center, _, _ = max_product_overlap(gs_state, cut)
-    rows = []
-    for j in range(-l, l + 1):
-        alpha_j, _, _ = max_product_overlap(gs_state, CutSpec.contiguous(k + j))
-        rows.append((j, alpha_j, alpha_center * d ** abs(j)))
-    return ShiftedCutTable(tuple(rows))
+    alphas = {j: max_product_overlap(gs_state, CutSpec.contiguous(k + j))[0]
+              for j in range(-l, l + 1)}
+    return tuple((j, alpha, alphas[0] * d ** abs(j)) for j, alpha in alphas.items())

@@ -70,7 +70,7 @@ class SiteSpace:
         if self.d < 2:
             raise ValidationError("local dimension must be >= 2")
         # d**n must stay an exact int64 so downstream shape arithmetic cannot wrap
-        if self.n * np.log(self.d) > 62 * np.log(2):
+        if self.n > 62 or self.d ** self.n > 2 ** 62:
             raise ValidationError(
                 f"total dimension {self.d}**{self.n} does not fit in 64-bit arithmetic"
             )

@@ -100,11 +100,15 @@ def _matrix_to_rows(matrix: np.ndarray) -> list:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in mat]
 
 
-def _matrix_from_rows(rows) -> np.ndarray:
+def _matrix_from_rows(rows, path: str) -> np.ndarray:
+    """The square, finite complex matrix of `[re, im]` rows, or ValidationError naming path."""
     try:
         mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix rows: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"hamiltonian field {path!r}: malformed matrix rows: {exc}") from exc
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
+        raise ValidationError(f"hamiltonian field {path!r}: expected a square matrix of finite "
+                              f"entries, got shape {mat.shape}")
     return mat
 
 
@@ -137,7 +141,11 @@ def geometry_from_document(doc: dict) -> Geometry:
                         ly=_field(doc, "ly", "sites.geometry.ly", int))
     if kind == "custom-adjacency":
         edges = _field(doc, "edges", "sites.geometry.edges", list)
-        return Geometry(kind, edges=tuple((int(a), int(b)) for a, b in edges))
+        if any(type(e) is not list or len(e) != 2 or any(type(s) is not int for s in e)
+               for e in edges):
+            raise ValidationError("hamiltonian field 'sites.geometry.edges': expected a list "
+                                  f"of [a, b] integer pairs, got {edges!r}")
+        return Geometry(kind, edges=tuple((a, b) for a, b in edges))
     return Geometry(kind)
 
 
@@ -165,7 +173,8 @@ def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
                       geometry_from_document(_field(sites_doc, "geometry", "sites.geometry")))
     terms = []
     for i, term_doc in enumerate(terms_doc):
-        matrix = _matrix_from_rows(_field(term_doc, "matrix", f"terms[{i}].matrix"))
+        path = f"terms[{i}].matrix"
+        matrix = _matrix_from_rows(_field(term_doc, "matrix", path), path)
         support = _field(term_doc, "support", f"terms[{i}].support", list, int)
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
         is_proj = bool(np.abs(matrix @ matrix - matrix).max(initial=0.0) <= 1e-10 * scale)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from . import __version__
 from .correlations import (ObservableSpec, cone_absorption_check,
                            decay_profile, distinguishing_measurement,
                            entropy_gap_check)
-from .dl import (apply_pyramids, converge, dl_operator, fixed_space,
+from .dl import (DLOperator, apply_pyramids, converge, dl_operator, fixed_space,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,
                  pyramid_decompose, step_inequality_margin)
-from .entanglement import (CutSpec, area_law_certificate, density_entropy,
+from .entanglement import (CutSpec, SchmidtData, area_law_certificate, density_entropy,
                            max_product_overlap, rank_growth, reduced_density,
                            schmidt, shifted_cut_check, step_entropy_bound,
                            tail_bound_check)
@@ -35,7 +36,7 @@ from .io import (atomic_write_text, dumps_document, loads_document,
                  load_hamiltonian, write_csv)
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
                      check_parameters, descriptor_from_document, site_observable)
-from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector,
+from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector, check_dim,
                      gaussian_filter_deviation, ground_space, product_state,
                      random_state, spectrum)
 
@@ -185,7 +186,9 @@ def load_config(path: str, out_dir: str | None = None, out_format: str | None = 
 # ---------------------------------------------------------------------------
 
 class _Context:
-    """Lazily computed quantities shared by the pipeline steps."""
+    """The per-run objects, each computed once on first use and shared by the steps."""
+
+    top: float | None = None  # top of A^dag A on the ground complement, iterative only
 
     def __init__(self, config: RunConfig):
         self.records: list[CheckRecord] = []
@@ -197,63 +200,69 @@ class _Context:
             self.h = build_model(config.descriptor)
             self.label = config.descriptor.label()
         self.p = check_parameters(config.parameters, RUN_PARAMETERS, "parameters", self.h.sites.n)
+        dim = self.h.sites.dim
+        check_dim(dim)
+        if self.p["count"] is not None and self.p["count"] > dim:
+            raise ValidationError(f"field 'parameters.count': expected an integer in [1, {dim}] "
+                                  f"(the dimension), got {self.p['count']!r}")
         if not self.h.all_projectors():
             self.h, proj_report = projectorize(self.h)
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
                                             proj_report.max_term_norm))
-        self._spectrum: SpectrumData | None = None
-        self._top: float | None = None  # top of A^dag A on the complement, iterative only
-        self._gs: GroundSpaceData | None = None
-        self._a = None
 
-    @property
+    @cached_property
+    def a(self) -> DLOperator:
+        return dl_operator(self.h)
+
+    @cached_property
     def spectrum_data(self) -> SpectrumData:
         """The one spectrum of H in the run.
 
         Up to DENSE_CUTOFF it is the full dense spectrum.  Above, the ground
         space is the fixed space of A (dl.fixed_space), and one Lanczos solve
-        finds the states of H above it.
+        finds the states of H above it.  The fixed basis is not kept apart: it
+        is the first deg columns of the spectrum's vectors.  Only the top Ritz
+        value of its solve is, as top.
         """
-        if self._spectrum is None:
-            if self.h.sites.dim <= DENSE_CUTOFF:
-                self._spectrum = spectrum(self.h)
-            else:
-                fixed, self._top = fixed_space(self.a)
-                if fixed.shape[1] == 0:
-                    raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
-                                          "by every term; the model is not frustration-free")
-                self._spectrum = spectrum(self.h, self.p["count"], fixed)
-        return self._spectrum
+        if self.h.sites.dim <= DENSE_CUTOFF:
+            return spectrum(self.h)
+        fixed, self.top = fixed_space(self.a)
+        if fixed.shape[1] == 0:
+            raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
+                                  "by every term; the model is not frustration-free")
+        return spectrum(self.h, self.p["count"], fixed)
 
-    @property
+    @cached_property
     def gs(self) -> GroundSpaceData:
-        if self._gs is None:
-            self._gs = ground_space(self.h, self.spectrum_data)
-        return self._gs
+        return ground_space(self.h, self.spectrum_data)
 
     def shrinkage(self) -> float:
         """Norm of A on the ground complement: read from the fixed-space solve
         above DENSE_CUTOFF, one restricted-norm solve up to it."""
-        gs = self.gs  # sets _top above DENSE_CUTOFF
-        return measure_shrinkage(self.a, gs) if self._top is None else float(np.sqrt(self._top))
-
-    @property
-    def a(self):
-        if self._a is None:
-            self._a = dl_operator(self.h)
-        return self._a
+        gs = self.gs  # sets top above DENSE_CUTOFF
+        return measure_shrinkage(self.a, gs) if self.top is None else float(np.sqrt(self.top))
 
     @property
     def unique(self) -> bool:
         return self.gs.degeneracy == 1
 
-    @property
+    @cached_property
     def omega(self) -> StateVector:
         return self.gs.ground_basis[0].normalized()
 
-    @property
+    @cached_property
     def cut(self) -> CutSpec:
         return CutSpec.contiguous(self.p["cut"])
+
+    @cached_property
+    def cut_schmidt(self) -> SchmidtData:
+        """Schmidt spectrum of the ground state at the run's cut."""
+        return schmidt(self.omega, self.cut)
+
+    @cached_property
+    def overlap(self) -> float:
+        """Largest product-state overlap of the ground state at the run's cut."""
+        return max_product_overlap(self.omega, self.cut)[0]
 
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
@@ -385,32 +394,27 @@ def _product_start(ctx: _Context) -> StateVector:
 
 
 def _step_entropy(ctx: _Context) -> None:
-    cut = ctx.cut
-    data = schmidt(ctx.omega, cut)
+    data = ctx.cut_schmidt
     ctx.add(bounded_record("schmidt-normalization", "plumbing",
                            abs(float(data.eigenvalues.sum()) - 1.0), 0.0, 1e-10))
-    left, right = cut.sides(ctx.h.sites.n)
+    left, right = ctx.cut.sides(ctx.h.sites.n)
     max_entropy = min(len(left), len(right)) * np.log(ctx.h.sites.d)
     ctx.add(bounded_record("entropy-range", "plumbing", data.entropy, float(max_entropy), 1e-9))
     ctx.add_table("schmidt", ("j", "lambda_j"),
                   [(j + 1, float(l)) for j, l in enumerate(data.eigenvalues)])
-    if ctx.unique and ctx.h.sites.is_chain():
-        _step_tail(ctx, cut)
-
-
-def _step_tail(ctx: _Context, cut: CutSpec) -> None:
+    if not (ctx.unique and ctx.h.sites.is_chain()):
+        return
     # a single layer projects exactly (delta = 1); stay inside the open domain
     delta = min(1.0 - ctx.a.shrink_bound(ctx.gs.gap), 1.0 - 1e-12)
-    mu, _, _ = max_product_overlap(ctx.omega, cut)
-    table = tail_bound_check(ctx.omega, cut, mu, delta, ctx.p["l_max_tail"])
-    worst = max(t - b for _, t, b in table.rows)
+    rows = tail_bound_check(data, ctx.h.sites.d, ctx.overlap, delta, ctx.p["l_max_tail"])
+    worst = max(t - b for _, t, b in rows)
     ctx.add(bounded_record("schmidt-tail", "schmidt-tail", worst, 0.0, 1e-9))
-    ctx.add_table("tail", ("l", "tail_mass", "bound"), table.rows)
+    ctx.add_table("tail", ("l", "tail_mass", "bound"), rows)
 
 
 def _step_arealaw(ctx: _Context) -> None:
     cut = ctx.cut
-    cert = area_law_certificate(ctx.h, cut, ctx.gs)
+    cert = area_law_certificate(ctx.h, ctx.gs, ctx.cut_schmidt, ctx.overlap)
     ctx.add(info_record("max-product-overlap", "overlap-entropy-bound", cert.mu_measured))
     ctx.add(info_record("shrink-delta", "overlap-entropy-bound", cert.delta))
     ctx.add(info_record("cut-entropy", "overlap-entropy-bound", cert.entropy_measured))
@@ -429,8 +433,8 @@ def _step_arealaw(ctx: _Context) -> None:
     n = ctx.h.sites.n
     shift = min(ctx.p["cut_shift"], cut.position - 1, n - 1 - cut.position)
     if shift >= 1:
-        table = shifted_cut_check(ctx.omega, cut, shift)
-        worst = max(a - cap for _, a, cap in table.rows)
+        rows = shifted_cut_check(ctx.omega, cut, shift)
+        worst = max(a - cap for _, a, cap in rows)
         ctx.add(bounded_record("shifted-cut", "shifted-cut", worst, 0.0, 1e-10))
 
 
@@ -499,7 +503,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     l = min(ctx.p["window"], cut.position, ctx.h.sites.n - cut.position)
     if l < 1:
         return
-    check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a)
+    check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a, ctx.overlap)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
     ctx.add(info_record("measurement-overlap", "distinguishing-measurement", check.overlap))
@@ -508,7 +512,7 @@ def _step_measurecheck(ctx: _Context) -> None:
     if check.identity_deviation is not None:
         ctx.add(bounded_record("measurement-identity", "distinguishing-measurement",
                                check.identity_deviation, 0.0, 1e-10))
-    gap_check = entropy_gap_check(cut, l, ctx.gs, check)
+    gap_check = entropy_gap_check(check)
     ctx.add(bounded_record("entropy-gap", "entropy-gap",
                            gap_check.measurement_divergence - gap_check.mutual_information,
                            0.0, 1e-9))

@@ -41,7 +41,7 @@ def dimension_cap() -> int:
     return int(value) if value else HARD_DIM_CAP
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     cap = dimension_cap()
     if dim > cap:
         raise DimensionCapError(f"dimension {dim} exceeds cap {cap} (override with {_CAP_ENV})")
@@ -160,7 +160,7 @@ def _is_complex(h: HamiltonianSpec) -> bool:
 def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
     """Materialize the full d^n x d^n matrix (dense regime only)."""
     dim = h.sites.dim
-    _check_dim(dim)
+    check_dim(dim)
     if dim > DENSE_CUTOFF:
         raise DimensionCapError(f"dense matrix of dimension {dim} refused (> {DENSE_CUTOFF})")
     eye = np.eye(dim, dtype=complex if _is_complex(h) else float)
@@ -218,7 +218,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
     residual of the one hamiltonian_apply on all the vectors is too large.
     """
     dim = h.sites.dim
-    _check_dim(dim)
+    check_dim(dim)
     if dim <= DENSE_CUTOFF:
         # eigh works in place on the Fortran view of the matrix, conj(H): conjugate the
         # vectors back, into C order (the batched contractions are slow on Fortran order)

@@ -15,7 +15,7 @@ from dl_lab.dl import (apply_pyramids, converge, dl_operator, fixed_space,
                        measure_shrinkage, norm_energy_check, pyramid_decompose,
                        step_inequality_margin)
 from dl_lab.entanglement import (CutSpec, area_law_certificate,
-                                 max_product_overlap, rank_growth,
+                                 max_product_overlap, rank_growth, schmidt,
                                  shifted_cut_check, step_entropy_bound,
                                  tail_bound_check)
 from dl_lab.models import ModelDescriptor, build_model, site_observable
@@ -34,6 +34,10 @@ def _observable(model, name, site):
 
 def _center_cut(model) -> CutSpec:
     return CutSpec.contiguous(model.h.sites.n // 2)
+
+
+def _center_overlap(model) -> float:
+    return max_product_overlap(model.gs.ground_basis[0].normalized(), _center_cut(model))[0]
 
 
 def _delta(model) -> float:
@@ -158,8 +162,8 @@ def test_c07_schmidt_tail(unique_1d):
         cut = _center_cut(model)
         omega = model.gs.ground_basis[0].normalized()
         mu, _, _ = max_product_overlap(omega, cut)
-        table = tail_bound_check(omega, cut, mu, _delta(model), 4)
-        ok &= all(tail <= bound + 1e-9 for _, tail, bound in table.rows)
+        rows = tail_bound_check(schmidt(omega, cut), model.h.sites.d, mu, _delta(model), 4)
+        ok &= all(tail <= bound + 1e-9 for _, tail, bound in rows)
     _criterion(7, "ground Schmidt tails decay at the squared rate", ok)
 
 
@@ -185,7 +189,9 @@ def test_c08_step_entropy_bound():
 def test_c09_area_law(unique_1d):
     ok = True
     for model in unique_1d:
-        cert = area_law_certificate(model.h, _center_cut(model), gs=model.gs)
+        omega = model.gs.ground_basis[0].normalized()
+        cert = area_law_certificate(model.h, model.gs, schmidt(omega, _center_cut(model)),
+                                    _center_overlap(model))
         ok &= cert.entropy_measured <= cert.overlap_entropy_bound + 1e-9
         ok &= (cert.entropy_measured <= 0
                or math.log10(cert.entropy_measured) <= cert.gap_entropy_bound_log10)
@@ -242,8 +248,8 @@ def test_c12_distinguishing_measurement(unique_open):
     ok = True
     hypothesis_exercised = False
     for model in unique_open:
-        check = distinguishing_measurement(model.h, _center_cut(model), 2,
-                                           gs=model.gs, a=model.a)
+        check = distinguishing_measurement(model.h, _center_cut(model), 2, gs=model.gs,
+                                           a=model.a, overlap=_center_overlap(model))
         ok &= abs(check.trace_ground - 1.0) <= 1e-10
         ok &= check.identity_deviation <= 1e-10
         if check.hypothesis_met:
@@ -260,8 +266,9 @@ def test_c13_entropy_gap(unique_open):
     threshold_exercised = False
     for model in unique_open:
         cut = _center_cut(model)
-        measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
-        check = entropy_gap_check(cut, 2, gs=model.gs, measurement=measurement)
+        measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a,
+                                                 overlap=_center_overlap(model))
+        check = entropy_gap_check(measurement)
         ok &= check.mutual_information >= check.measurement_divergence - 1e-9
         if check.hypothesis_met:
             threshold_exercised = True
@@ -276,8 +283,8 @@ def test_c14_shifted_cuts(unique_1d):
     ok = True
     for model in unique_1d:
         omega = model.gs.ground_basis[0].normalized()
-        table = shifted_cut_check(omega, _center_cut(model), 2)
-        ok &= all(alpha <= cap + 1e-10 for _, alpha, cap in table.rows)
+        rows = shifted_cut_check(omega, _center_cut(model), 2)
+        ok &= all(alpha <= cap + 1e-10 for _, alpha, cap in rows)
     _criterion(14, "product overlaps at nearby cuts within the d^|j| factor", ok)
 
 

@@ -6,7 +6,7 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  cone_absorption_check, connected_correlation,
                                  decay_profile, distinguishing_measurement,
                                  entropy_gap_check, support_distance)
-from dl_lab.entanglement import CutSpec
+from dl_lab.entanglement import CutSpec, max_product_overlap
 from dl_lab.errors import ValidationError
 from dl_lab.models import site_observable
 from dl_lab.states import apply_local, random_state
@@ -212,9 +212,13 @@ def test_support_distance_on_ring(aklt6p):
 # distinguishing measurement
 # ---------------------------------------------------------------------------
 
+def _measure(model, cut):
+    overlap = max_product_overlap(model.gs.ground_basis[0].normalized(), cut)[0]
+    return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap)
+
+
 def test_measurement_product_ground(pinning6):
-    check = distinguishing_measurement(pinning6.h, CutSpec.contiguous(3), 2,
-                                       gs=pinning6.gs, a=pinning6.a)
+    check = _measure(pinning6, CutSpec.contiguous(3))
     assert check.trace_ground == pytest.approx(1.0, abs=1e-10)
     assert check.trace_product == pytest.approx(1.0, abs=1e-10)
     assert check.overlap == pytest.approx(1.0, abs=1e-10)
@@ -223,8 +227,7 @@ def test_measurement_product_ground(pinning6):
 
 
 def test_measurement_entangled_chain(parent632):
-    check = distinguishing_measurement(parent632.h, CutSpec.contiguous(3), 2,
-                                       gs=parent632.gs, a=parent632.a)
+    check = _measure(parent632, CutSpec.contiguous(3))
     assert check.trace_ground == pytest.approx(1.0, abs=1e-10)
     assert check.hypothesis_met
     assert check.trace_product <= check.bound + 1e-9
@@ -235,7 +238,7 @@ def test_measurement_entangled_chain(parent632):
 def test_measurement_ground_trace_across_open_corpus(unique_open):
     for model in unique_open:
         cut = CutSpec.contiguous(model.h.sites.n // 2)
-        check = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
+        check = _measure(model, cut)
         assert abs(check.trace_ground - 1.0) <= 1e-10, model.label
         if check.identity_deviation is not None:
             assert check.identity_deviation <= 1e-10, model.label
@@ -243,14 +246,12 @@ def test_measurement_ground_trace_across_open_corpus(unique_open):
 
 def test_measurement_window_must_fit(parent632):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(parent632.h, CutSpec.contiguous(1), 2,
-                                   gs=parent632.gs, a=parent632.a)
+        _measure(parent632, CutSpec.contiguous(1))
 
 
 def test_measurement_rejects_rings(aklt6p):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(aklt6p.h, CutSpec.contiguous(3), 2, gs=aklt6p.gs,
-                                   a=aklt6p.a)
+        _measure(aklt6p, CutSpec.contiguous(3))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +259,7 @@ def test_measurement_rejects_rings(aklt6p):
 # ---------------------------------------------------------------------------
 
 def _entropy_gap(model, cut):
-    measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a)
-    return entropy_gap_check(cut, 2, gs=model.gs, measurement=measurement)
+    return entropy_gap_check(_measure(model, cut))
 
 
 def test_entropy_gap_product_ground(pinning6):

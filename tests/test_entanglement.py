@@ -203,9 +203,10 @@ def _random_product(sites, seed):
 
 def test_tail_rank_one_ground(pinning6):
     omega = pinning6.gs.ground_basis[0].normalized()
-    table = tail_bound_check(omega, CutSpec.contiguous(3), mu=1.0, delta=0.12, l_max=4)
-    assert all(tail == 0.0 for _, tail, _ in table.rows)
-    assert all(tail <= bound + 1e-9 for _, tail, bound in table.rows)
+    rows = tail_bound_check(schmidt(omega, CutSpec.contiguous(3)), 2, mu=1.0, delta=0.12,
+                            l_max=4)
+    assert all(tail == 0.0 for _, tail, _ in rows)
+    assert all(tail <= bound + 1e-9 for _, tail, bound in rows)
 
 
 def test_tail_bound_unique_models(unique_1d):
@@ -216,8 +217,8 @@ def test_tail_bound_unique_models(unique_1d):
         delta = 1.0 - dl_bound(model.gs.gap, 2.0)
         if model.a.g == 1:
             delta = 0.5  # single-layer models project exactly; any rate works
-        table = tail_bound_check(omega, cut, mu, delta, 4)
-        assert all(tail <= bound + 1e-9 for _, tail, bound in table.rows), model.label
+        rows = tail_bound_check(schmidt(omega, cut), model.h.sites.d, mu, delta, 4)
+        assert all(tail <= bound + 1e-9 for _, tail, bound in rows), model.label
 
 
 def test_tail_exhaustion_is_zero(parent632):
@@ -291,8 +292,15 @@ def test_overlap_bound_arithmetic_regression():
     assert value == pytest.approx(89.71999162938293, abs=1e-9)
 
 
+def _at_cut(model, position):
+    """Schmidt data and largest product overlap of the first ground vector at a cut."""
+    omega = model.gs.ground_basis[0].normalized()
+    cut = CutSpec.contiguous(position)
+    return schmidt(omega, cut), max_product_overlap(omega, cut)[0]
+
+
 def test_certificate_product_ground(pinning6):
-    cert = area_law_certificate(pinning6.h, CutSpec.contiguous(3), gs=pinning6.gs)
+    cert = area_law_certificate(pinning6.h, pinning6.gs, *_at_cut(pinning6, 3))
     assert cert.mu_measured == pytest.approx(1.0, abs=1e-10)
     assert cert.entropy_measured == pytest.approx(0.0, abs=1e-10)
     assert cert.entropy_measured <= cert.overlap_entropy_bound + 1e-9
@@ -302,7 +310,7 @@ def test_certificate_product_ground(pinning6):
 
 def test_certificate_entangled_models(aklt6p, parent632):
     for model in (aklt6p, parent632):
-        cert = area_law_certificate(model.h, CutSpec.contiguous(3), gs=model.gs)
+        cert = area_law_certificate(model.h, model.gs, *_at_cut(model, 3))
         assert cert.entropy_measured <= cert.overlap_entropy_bound + 1e-9, model.label
         assert (cert.entropy_measured <= 0
                 or math.log10(cert.entropy_measured) <= cert.gap_entropy_bound_log10), \
@@ -314,12 +322,12 @@ def test_certificate_entangled_models(aklt6p, parent632):
 
 def test_certificate_requires_unique_ground(heis8):
     with pytest.raises(ValidationError):
-        area_law_certificate(heis8.h, CutSpec.contiguous(4), gs=heis8.gs)
+        area_law_certificate(heis8.h, heis8.gs, *_at_cut(heis8, 4))
 
 
 def test_certificate_requires_chain(toric22):
     with pytest.raises(ValidationError):
-        area_law_certificate(toric22.h, CutSpec.contiguous(4), gs=toric22.gs)
+        area_law_certificate(toric22.h, toric22.gs, *_at_cut(toric22, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +336,22 @@ def test_certificate_requires_chain(toric22):
 
 def test_shifted_cut_zero_shift_is_equality(parent632):
     omega = parent632.gs.ground_basis[0].normalized()
-    table = shifted_cut_check(omega, CutSpec.contiguous(3), 0)
-    (j, alpha, cap), = table.rows
+    (j, alpha, cap), = shifted_cut_check(omega, CutSpec.contiguous(3), 0)
     assert j == 0
     assert alpha == pytest.approx(cap, abs=1e-12)
 
 
 def test_shifted_cut_product_ground(pinning6):
     omega = pinning6.gs.ground_basis[0].normalized()
-    table = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
-    assert all(alpha <= cap + 1e-10 for _, alpha, cap in table.rows)
+    rows = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
+    assert all(alpha <= cap + 1e-10 for _, alpha, cap in rows)
 
 
 def test_shifted_cut_entangled_models(aklt6p, parent632):
     for model in (aklt6p, parent632):
         omega = model.gs.ground_basis[0].normalized()
-        table = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
-        assert all(alpha <= cap + 1e-10 for _, alpha, cap in table.rows), model.label
+        rows = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
+        assert all(alpha <= cap + 1e-10 for _, alpha, cap in rows), model.label
 
 
 def test_shifted_cut_out_of_range(parent632):

@@ -7,10 +7,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dl_lab.cli as cli
-from dl_lab import runner, states
+from dl_lab import correlations, entanglement, runner, states
+from dl_lab.entanglement import CutSpec
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
     custom_geometry, torus_geometry
@@ -80,6 +81,65 @@ def test_hamiltonian_document_missing_field():
     with pytest.raises(ValidationError, match="terms"):
         hamiltonian_from_document({"sites": {"n": 2, "d": 2,
                                              "geometry": {"kind": "chain-open"}}})
+
+
+def _fuzz_base_documents() -> list[dict]:
+    pinning = build_model(ModelDescriptor.make("pinning", n=4))
+    bond = np.diag([0.0, 1.0, 1.0, 0.0])  # projector onto the antiparallel pair
+    custom = HamiltonianSpec(SiteSpace(4, 2, custom_geometry([(0, 1), (1, 3), (2, 3)])),
+                             (LocalTerm((0, 1), bond, is_projector=True),
+                              LocalTerm((1, 3), bond, is_projector=True),
+                              LocalTerm((2,), np.diag([0.0, 1.0]), is_projector=True)))
+    return [hamiltonian_to_document(pinning), hamiltonian_to_document(custom)]
+
+
+_FUZZ_DOCUMENTS = _fuzz_base_documents()
+_DROP = object()
+
+
+def _document_paths(node, prefix=()):
+    """Every key or index path inside a document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _document_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_document(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_DOCUMENTS))))
+    values = st.one_of(st.just(_DROP), st.none(), st.booleans(), st.integers(-3, 12),
+                       st.integers(), st.floats(), st.text(max_size=3),
+                       st.lists(st.one_of(st.integers(-2, 6), st.floats(), st.booleans(),
+                                          st.lists(st.integers(-1, 5), max_size=3)),
+                                max_size=3),
+                       st.dictionaries(st.sampled_from(["n", "kind", "edges"]),
+                                       st.integers(-1, 5), max_size=2))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(list(_document_paths(doc))))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        value = draw(values)
+        if value is _DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutated_document())
+# d**n beyond int64 used to reach np.log(d) with a Python int np.log cannot take
+@example({**_FUZZ_DOCUMENTS[0], "sites": {**_FUZZ_DOCUMENTS[0]["sites"], "d": 2 ** 70}})
+def test_hamiltonian_loader_fuzzed_documents(doc):
+    # dropped keys and mixed-type values: a HamiltonianSpec or ValidationError, nothing else
+    try:
+        h = hamiltonian_from_document(doc)
+    except ValidationError:
+        return
+    assert isinstance(h, HamiltonianSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +274,34 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
         report = run(_config("verify", tmp_path, model=model, parameters=parameters))
         assert report.overall_pass
         assert len(calls) == 1, parameters
+
+
+@pytest.mark.parametrize("model, at_cut, densities", [
+    # rank_growth decomposes its product start and 3 iterates (4), then the Schmidt
+    # spectrum, the product overlap and the shifted cuts' center row, one each; the
+    # measurement takes 5 densities and the window-recursion diagnostic 2
+    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 7),
+    ({"name": "aklt", "parameters": {"n": 6, "periodic": True}}, 3, 2),  # no open-chain steps
+], ids=["parent-random-6", "aklt-6-ring"])
+def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, densities):
+    cut = CutSpec.contiguous(3)
+    calls = {"cut_matrix": 0, "reduced_density": 0}
+    cut_matrix, reduced_density = entanglement.cut_matrix, entanglement.reduced_density
+
+    def counting_cut_matrix(psi, where):
+        calls["cut_matrix"] += where == cut
+        return cut_matrix(psi, where)
+
+    def counting_reduced_density(psi, sites):
+        calls["reduced_density"] += 1
+        return reduced_density(psi, sites)
+
+    monkeypatch.setattr(entanglement, "cut_matrix", counting_cut_matrix)
+    monkeypatch.setattr(correlations, "reduced_density", counting_reduced_density)
+    monkeypatch.setattr(runner, "reduced_density", counting_reduced_density)
+    report = run(_config("verify", tmp_path, model=model))
+    assert report.overall_pass
+    assert calls == {"cut_matrix": at_cut, "reduced_density": densities}
 
 
 AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 4
@@ -432,8 +520,14 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     (lambda doc: doc["sites"].update(n=4.5), "sites.n"),
     (lambda doc: doc["terms"][0].update(support=["a"]), "terms[0].support"),
     (lambda doc: doc.update(terms=5), "terms"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency", "edges": [[0]]}),
+     "sites.geometry.edges"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency",
+                                               "edges": [[0, 1.5]]}),
+     "sites.geometry.edges"),
+    (lambda doc: doc["terms"][0].update(matrix=[[[1, 0], [0, 0]]]), "terms[0].matrix"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
-        "int-terms"])
+        "int-terms", "edge-single", "edge-float", "non-square-matrix"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -472,6 +566,50 @@ def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
     assert "'parameters.count'" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="parameters.count"):
         run(RunConfig.from_document(doc))
+
+
+def _count_fixed_space_calls(monkeypatch) -> list:
+    calls = []
+    original = runner.fixed_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "fixed_space", counting)
+    return calls
+
+
+def _write_gap_config(tmp_path, model, parameters) -> str:
+    doc = {"schema_version": 1, "model": model, "command": "gap", "parameters": parameters,
+           "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    return path
+
+
+@pytest.mark.parametrize("model, count, code", [
+    (AKLT8, 100000, 2),  # used to reach ARPACK after the fixed-space solve: TypeError, exit 1
+    ({"name": "pinning", "parameters": {"n": 4}}, 17, 2),  # used to exit 0 with 16 rows
+    ({"name": "pinning", "parameters": {"n": 4}}, 16, 0),  # the dimension itself is allowed
+], ids=["aklt8", "pinning4", "pinning4-dim"])
+def test_cli_count_bounded_by_dimension(tmp_path, monkeypatch, capsys, model, count, code):
+    calls = _count_fixed_space_calls(monkeypatch)
+    path = _write_gap_config(tmp_path, model, {"count": count})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == code
+    if code == 2:
+        assert "'parameters.count'" in capsys.readouterr().err
+        assert calls == []
+
+
+def test_dimension_cap_checked_before_any_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DL_LAB_MAX_DIM", "1000")
+    calls = _count_fixed_space_calls(monkeypatch)
+    path = _write_gap_config(tmp_path, AKLT8, {})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "exceeds cap 1000" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("update, field", [
