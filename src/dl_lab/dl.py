@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hamiltonian import HamiltonianSpec, LayerPartition, partition_layers
-from .states import (GroundSpaceData, StateVector, apply_term_array, gram_lanczos,
-                     restricted_norm)
+from .states import GroundSpaceData, StateVector, apply_term_array, restricted_norm
 
 
 def canonical_layer_order(h: HamiltonianSpec, layer: tuple[int, ...]) -> tuple[int, ...]:
@@ -114,45 +113,6 @@ def measure_shrinkage(a: DLOperator, gs: GroundSpaceData) -> float:
     """Norm of A on the ground complement (one restricted_norm solve), to set
     against a.shrink_bound(gs.gap)."""
     return restricted_norm(a.apply_array, a.adjoint_apply_array, gs)
-
-
-# A Ritz value of A^dag A at or above this counts as the eigenvalue 1.
-FIXED_RITZ_MIN = 1.0 - 1e-8
-
-
-def fixed_space(a: DLOperator) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the fixed space of A^dag A, and the top of the rest.
-
-    A fixes exactly the states annihilated by every term, the ground space
-    of H, and shrinks the rest, so every other eigenvalue of A^dag A is at
-    most shrinkage^2 < 1.  Lanczos (gram_lanczos, largest algebraic) runs on
-    A^dag A through the operator's own matvecs, with the fixed Ritz vectors
-    found so far projected out, until a round finds no fixed Ritz value (at
-    least FIXED_RITZ_MIN).  k starts at 2, doubles while every Ritz value is
-    fixed and drops to 1 otherwise.  The rounds are needed because
-    single-vector Lanczos sees a degenerate eigenvalue only once per start.
-    top is the largest Ritz value of that final round, the squared norm of A
-    on the ground complement (0.0 when A^dag A vanishes there).  An empty
-    basis means no state is fixed: the model is not frustration-free.
-    """
-    dim = a.h.sites.dim
-    basis = np.empty((dim, 0))
-    k, seed = 2, 1234
-    while True:
-        theta, vecs = gram_lanczos(a.apply_array, a.adjoint_apply_array, basis,
-                                   min(k, dim - 1), "A^dag A", seed)
-        fixed = theta >= FIXED_RITZ_MIN
-        if not fixed.any():
-            return basis, float(theta.max(initial=0.0))
-        # Lanczos may return near-copies of one vector in a degenerate
-        # cluster; keep an orthonormal basis of what is new
-        new = vecs[:, fixed] - basis @ (basis.conj().T @ vecs[:, fixed])
-        u, sigma, _ = np.linalg.svd(new, full_matrices=False)
-        basis = np.hstack([basis, u[:, sigma > 0.5]])
-        k = 2 * k if fixed.all() else 1
-        # a fresh start each round: the last one has no component left in
-        # the fixed space once its fixed Ritz vectors are projected out
-        seed += 1
 
 
 # ---------------------------------------------------------------------------

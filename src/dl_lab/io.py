@@ -177,7 +177,12 @@ def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
         matrix = _matrix_from_rows(_field(term_doc, "matrix", path), path)
         support = _field(term_doc, "support", f"terms[{i}].support", list, int)
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-        is_proj = bool(np.abs(matrix @ matrix - matrix).max(initial=0.0) <= 1e-10 * scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess = np.abs(matrix @ matrix - matrix).max(initial=0.0)
+        if not np.isfinite(excess):
+            raise ValidationError(f"hamiltonian field {path!r}: the square of the matrix "
+                                  "overflows; its entries are too large")
+        is_proj = bool(excess <= 1e-10 * scale)
         terms.append(LocalTerm(tuple(support), matrix, is_projector=is_proj))
     return HamiltonianSpec(sites, tuple(terms))
 

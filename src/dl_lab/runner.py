@@ -23,9 +23,9 @@ from . import __version__
 from .correlations import (ObservableSpec, cone_absorption_check,
                            decay_profile, distinguishing_measurement,
                            entropy_gap_check)
-from .dl import (DLOperator, apply_pyramids, converge, dl_operator, fixed_space,
-                 measure_shrinkage, norm_energy_check, pyramid_applicable,
-                 pyramid_decompose, step_inequality_margin)
+from .dl import (DLOperator, apply_pyramids, converge, dl_operator, measure_shrinkage,
+                 norm_energy_check, pyramid_applicable, pyramid_decompose,
+                 step_inequality_margin)
 from .entanglement import (CutSpec, SchmidtData, area_law_certificate, density_entropy,
                            max_product_overlap, rank_growth, reduced_density,
                            schmidt, shifted_cut_check, step_entropy_bound,
@@ -37,7 +37,7 @@ from .io import (atomic_write_text, dumps_document, loads_document,
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
                      check_parameters, descriptor_from_document, site_observable)
 from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector, check_dim,
-                     gaussian_filter_deviation, ground_space, product_state,
+                     gaussian_filter_deviation, ground_kernel, ground_space, product_state,
                      random_state, spectrum)
 
 COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
@@ -188,8 +188,6 @@ def load_config(path: str, out_dir: str | None = None, out_format: str | None = 
 class _Context:
     """The per-run objects, each computed once on first use and shared by the steps."""
 
-    top: float | None = None  # top of A^dag A on the ground complement, iterative only
-
     def __init__(self, config: RunConfig):
         self.records: list[CheckRecord] = []
         self.tables: list[tuple[str, tuple[str, ...], tuple[tuple, ...]]] = []
@@ -219,28 +217,21 @@ class _Context:
         """The one spectrum of H in the run.
 
         Up to DENSE_CUTOFF it is the full dense spectrum.  Above, the ground
-        space is the fixed space of A (dl.fixed_space), and one Lanczos solve
-        finds the states of H above it.  The fixed basis is not kept apart: it
-        is the first deg columns of the spectrum's vectors.  Only the top Ritz
-        value of its solve is, as top.
+        space is the common kernel of the terms (states.ground_kernel), and
+        one Lanczos solve finds the states of H above it.  The kernel is not
+        kept apart: it is the first deg columns of the spectrum's vectors.
         """
         if self.h.sites.dim <= DENSE_CUTOFF:
             return spectrum(self.h)
-        fixed, self.top = fixed_space(self.a)
-        if fixed.shape[1] == 0:
-            raise ValidationError("A^dag A has no eigenvalue 1: no state is annihilated "
-                                  "by every term; the model is not frustration-free")
-        return spectrum(self.h, self.p["count"], fixed)
+        kernel = ground_kernel(self.h)
+        if kernel.shape[1] == 0:
+            raise ValidationError("no state is annihilated by every term; "
+                                  "the model is not frustration-free")
+        return spectrum(self.h, self.p["count"], kernel)
 
     @cached_property
     def gs(self) -> GroundSpaceData:
         return ground_space(self.h, self.spectrum_data)
-
-    def shrinkage(self) -> float:
-        """Norm of A on the ground complement: read from the fixed-space solve
-        above DENSE_CUTOFF, one restricted-norm solve up to it."""
-        gs = self.gs  # sets top above DENSE_CUTOFF
-        return measure_shrinkage(self.a, gs) if self.top is None else float(np.sqrt(self.top))
 
     @property
     def unique(self) -> bool:
@@ -299,7 +290,7 @@ def _step_dl(ctx: _Context) -> None:
                 for v in gs.ground_basis)
     ctx.add(bounded_record("ground-fixed-point", "dl-shrinkage", fixed, 0.0, 1e-12))
     ctx.add(info_record("dl-f-value", "dl-shrinkage", a.f_value or 0.0))
-    ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", ctx.shrinkage(),
+    ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", measure_shrinkage(a, gs),
                            a.shrink_bound(gs.gap), 1e-9))
 
 

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from dl_lab import states
 from dl_lab.dl import (apply_pyramids, converge, dl_bound, dl_operator,
-                       fixed_space, measure_shrinkage, norm_energy_check,
+                       measure_shrinkage, norm_energy_check,
                        pyramid_applicable, pyramid_decompose, step_inequality_margin)
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
 from dl_lab.runner import RunConfig, run
-from dl_lab.states import random_state, uniform_superposition
+from dl_lab.states import (GroundSpaceData, StateVector, ground_kernel, random_state,
+                           spectrum, uniform_superposition)
 
 from oracles import dense_dl_matrix, dense_restricted_norm, kron_embed
 
@@ -26,6 +27,8 @@ def test_requires_projector_terms():
     h = HamiltonianSpec(sites, (LocalTerm((0,), 2 * np.diag([0.0, 1.0])),))
     with pytest.raises(ValidationError, match="projectorize"):
         dl_operator(h)
+    with pytest.raises(ValidationError, match="projectorize"):
+        ground_kernel(h)
 
 
 def test_ground_vectors_are_fixed_points(corpus):
@@ -145,43 +148,46 @@ def test_shrinkage_aklt_ring(aklt6p):
 
 
 # ---------------------------------------------------------------------------
-# ground space as the fixed space of A^dag A
+# ground space as the common kernel of the terms
 # ---------------------------------------------------------------------------
 
 def test_ground_degeneracy_matches_dense_ground_space(corpus):
-    # heisenberg-ferro(8) has a 9-fold ground space that single-vector
-    # Lanczos sees only once per start; parent-random(8,2,2,7) has 64
+    # heisenberg-ferro(8) has a 9-fold ground space; parent-random(8,2,2,7) has 64
     for model in corpus:
-        basis, _ = fixed_space(model.a)
+        basis = ground_kernel(model.h)
         assert basis.shape[1] == model.gs.degeneracy, model.label
         assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < 1e-10
         # the same subspace as the dense ground space
         assert np.linalg.norm(model.gs.project_array(basis) - basis) < 1e-7, model.label
 
 
-def test_fixed_space_top_is_restricted_norm(corpus):
+def test_kernel_shrinkage_is_restricted_norm(corpus):
     for model in corpus:
-        _, top = fixed_space(model.a)
-        assert abs(np.sqrt(top) - dense_restricted_norm(model.a, model.gs)) < 1e-9, model.label
+        basis = ground_kernel(model.h)
+        gs = GroundSpaceData(0.0, model.gs.gap,
+                             tuple(StateVector(v, model.h.sites) for v in basis.T))
+        measured = measure_shrinkage(model.a, gs)
+        assert abs(measured - dense_restricted_norm(model.a, model.gs)) < 1e-9, model.label
 
 
 def test_ground_degeneracy_zero_when_frustrated(pinning6):
-    n = pinning6.h.sites.n
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     for extra in (np.diag([1.0, 0.0]), minus):  # A = 0, and A != 0 with no fixed state
         extra_term = LocalTerm((0,), extra, is_projector=True)
         frustrated = HamiltonianSpec(pinning6.h.sites, pinning6.h.terms + (extra_term,))
-        assert fixed_space(dl_operator(frustrated))[0].shape[1] == 0
+        assert ground_kernel(frustrated).shape == (pinning6.h.sites.dim, 0)
 
 
 def test_ground_degeneracy_asserts_residual(heis6, monkeypatch):
-    def unconverged(op, k, **kwargs):
-        vecs = np.eye(op.shape[0], k)
-        return np.ones(k), vecs
-
-    monkeypatch.setattr(states.spla, "eigsh", unconverged)
+    # one kernel column tilted by 1e-6 out of the kernel: its energy (about 1e-12) stays
+    # under the zero threshold, so only the block residual check of spectrum catches it
+    kernel = ground_kernel(heis6.h)
+    tilt = random_state(heis6.h.sites, 5).amplitudes.real
+    kernel[:, 0] += 1e-6 * (tilt - kernel @ (kernel.T @ tilt))
+    kernel[:, 0] /= np.linalg.norm(kernel[:, 0])
+    monkeypatch.setattr(states, "DENSE_CUTOFF", 32)
     with pytest.raises(ConvergenceError, match="residual"):
-        fixed_space(heis6.a)
+        spectrum(heis6.h, 9, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -323,19 +323,26 @@ def test_iterative_verify_solves_once(tmp_path, monkeypatch):
 
 
 def test_iterative_missed_ground_state_exits_two(tmp_path, monkeypatch, capsys):
-    # stands in for a fixed-space solve that misses a degenerate ground state
-    true_fixed_space = runner.fixed_space
-
-    def dropping(a):
-        basis, top = true_fixed_space(a)
-        return basis[:, 1:], top
-
-    monkeypatch.setattr(runner, "fixed_space", dropping)
+    # stands in for a kernel sweep that misses a degenerate ground state
+    true_ground_kernel = runner.ground_kernel
+    monkeypatch.setattr(runner, "ground_kernel", lambda h: true_ground_kernel(h)[:, 1:])
     path = _write_config(tmp_path, command="verify", model=AKLT8)
     assert cli.main(["verify", "--config", path, "--quiet"]) == 2
     assert "not the zero-energy space" in capsys.readouterr().err
-    with pytest.raises(ConvergenceError, match="fixed space of A\\^dag A \\(3 states\\)"):
+    with pytest.raises(ConvergenceError, match="ground kernel \\(3 states\\)"):
         run(_config("verify", tmp_path, model=AKLT8))
+
+
+def test_kernel_width_guard_exits_two_before_any_solve(tmp_path, monkeypatch, capsys):
+    # bond = d drops every interior term: the kernel width doubles per uncovered site
+    # and reaches width * d = 4096 at site 12
+    calls = _count_spectrum_calls(monkeypatch)
+    model = {"name": "parent-random", "parameters": {"n": 13, "d": 2, "bond": 2, "seed": 7}}
+    path = _write_config(tmp_path, command="gap", model=model)
+    with pytest.warns(UserWarning, match="term dropped"):
+        assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "at site 12: width * d = 4096 exceeds 2048" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_iterative_gap_heisenberg_ferro_13(tmp_path):
@@ -526,8 +533,12 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
                                                "edges": [[0, 1.5]]}),
      "sites.geometry.edges"),
     (lambda doc: doc["terms"][0].update(matrix=[[[1, 0], [0, 0]]]), "terms[0].matrix"),
+    # finite entries whose square overflows: the projector test used to run on nan
+    (lambda doc: doc["terms"][0].update(matrix=[[[1.7e308, 0], [-1.7e308, 0]],
+                                                [[-1.7e308, 0], [1.7e308, 0]]]),
+     "terms[0].matrix"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
-        "int-terms", "edge-single", "edge-float", "non-square-matrix"])
+        "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -568,15 +579,15 @@ def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
         run(RunConfig.from_document(doc))
 
 
-def _count_fixed_space_calls(monkeypatch) -> list:
+def _count_ground_kernel_calls(monkeypatch) -> list:
     calls = []
-    original = runner.fixed_space
+    original = runner.ground_kernel
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "fixed_space", counting)
+    monkeypatch.setattr(runner, "ground_kernel", counting)
     return calls
 
 
@@ -590,12 +601,12 @@ def _write_gap_config(tmp_path, model, parameters) -> str:
 
 
 @pytest.mark.parametrize("model, count, code", [
-    (AKLT8, 100000, 2),  # used to reach ARPACK after the fixed-space solve: TypeError, exit 1
+    (AKLT8, 100000, 2),  # used to reach ARPACK after the ground-space solve: TypeError, exit 1
     ({"name": "pinning", "parameters": {"n": 4}}, 17, 2),  # used to exit 0 with 16 rows
     ({"name": "pinning", "parameters": {"n": 4}}, 16, 0),  # the dimension itself is allowed
 ], ids=["aklt8", "pinning4", "pinning4-dim"])
 def test_cli_count_bounded_by_dimension(tmp_path, monkeypatch, capsys, model, count, code):
-    calls = _count_fixed_space_calls(monkeypatch)
+    calls = _count_ground_kernel_calls(monkeypatch)
     path = _write_gap_config(tmp_path, model, {"count": count})
     assert cli.main(["gap", "--config", path, "--quiet"]) == code
     if code == 2:
@@ -605,11 +616,19 @@ def test_cli_count_bounded_by_dimension(tmp_path, monkeypatch, capsys, model, co
 
 def test_dimension_cap_checked_before_any_solve(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DL_LAB_MAX_DIM", "1000")
-    calls = _count_fixed_space_calls(monkeypatch)
+    calls = _count_ground_kernel_calls(monkeypatch)
     path = _write_gap_config(tmp_path, AKLT8, {})
     assert cli.main(["gap", "--config", path, "--quiet"]) == 2
     assert "exceeds cap 1000" in capsys.readouterr().err
     assert calls == []
+
+
+def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
+    # used to escape from a bare int() as ValueError, exit 1
+    monkeypatch.setenv("DL_LAB_MAX_DIM", "abc")
+    path = _write_gap_config(tmp_path, {"name": "pinning", "parameters": {"n": 4}}, {})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "DL_LAB_MAX_DIM" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("update, field", [
