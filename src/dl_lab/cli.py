@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .errors import DLLabError, ValidationError
-from .io import dumps_document, hamiltonian_to_document, atomic_write_text
+from .io import save_hamiltonian
 from .models import ModelDescriptor, build_model
 from .runner import COMMANDS, FORMATS, emit_report, list_models, load_config, run
 
@@ -58,9 +58,7 @@ def _model_main(args) -> int:
             return 2
         key, _, raw = item.partition("=")
         params[key] = _parse_value(raw)
-    descriptor = ModelDescriptor.make(args.name, **params)
-    h = build_model(descriptor)
-    atomic_write_text(args.out, dumps_document(hamiltonian_to_document(h)) + "\n")
+    save_hamiltonian(args.out, build_model(ModelDescriptor.make(args.name, **params)))
     print(f"wrote {args.out}")
     return 0
 

@@ -247,10 +247,12 @@ def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.n
 
 
 def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
-                               a: DLOperator, overlap: float) -> MeasurementCheck:
+                               a: DLOperator, overlap: float,
+                               rho_win: np.ndarray | None = None) -> MeasurementCheck:
     """Build the window measurement and measure its distinguishing probability.
 
-    overlap is the largest product-state overlap of the ground state at the cut.
+    overlap is the largest product-state overlap of the ground state at the cut;
+    rho_win, if given, its reduced density on the 2l sites around the cut.
     """
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
@@ -259,7 +261,7 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: Gro
     c = cut.position
 
     proj = window_ground_projector(h, window)
-    rho_win = reduced_density(omega, window)
+    rho_win = reduced_density(omega, window) if rho_win is None else rho_win
     trace_ground = float(np.real(np.trace(proj @ rho_win)))
 
     rho_l = reduced_density(omega, tuple(range(c - l, c)))

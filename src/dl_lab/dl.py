@@ -214,27 +214,32 @@ def apply_pyramids(a: DLOperator, decomposition: PyramidDecomposition,
 # ---------------------------------------------------------------------------
 
 def _check_projector(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > tol:
-        raise ValidationError(f"{name} is not Hermitian")
-    if np.abs(mat @ mat - mat).max(initial=0.0) > tol:
-        raise ValidationError(f"{name} is not a projector")
+    """ValidationError unless mat, or every member of a stack of them, is a projector."""
+    for what, excess in (("Hermitian", mat - np.swapaxes(mat, -1, -2).conj()),
+                         ("a projector", mat @ mat - mat)):
+        bad = np.abs(excess).max(axis=(-2, -1), initial=0.0) > tol
+        if bad.any():
+            where = f"{name}[{int(np.argmax(bad))}]" if bad.ndim else name
+            raise ValidationError(f"{where} is not {what}")
 
 
-def norm_energy_check(x_proj: np.ndarray, y_proj: np.ndarray,
-                      v: np.ndarray) -> tuple[float, float]:
-    """Evaluate ||(1-Y)XYv||^2 against eps(1-eps) with eps = 1 - ||XYv||^2."""
-    x_proj = np.asarray(x_proj)
-    y_proj = np.asarray(y_proj)
+def norm_energy_check(x_proj: np.ndarray, y_proj: np.ndarray, v: np.ndarray):
+    """Evaluate ||(1-Y)XYv||^2 against eps(1-eps) with eps = 1 - ||XYv||^2.
+
+    Floats for one pair; for stacks (m, dim, dim) and (m, dim), every member
+    is checked and the sides are arrays of m entries.
+    """
+    x_proj, y_proj = np.asarray(x_proj), np.asarray(y_proj)
     _check_projector(x_proj, "X")
     _check_projector(y_proj, "Y")
-    vec = np.asarray(v, dtype=complex)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+    vec = np.asarray(v, dtype=complex)[..., None]
+    if (np.abs(np.linalg.norm(vec, axis=(-2, -1)) - 1.0) > 1e-10).any():
         raise ValidationError("v must be normalized")
     xyv = x_proj @ (y_proj @ vec)
-    eps = 1.0 - float(np.linalg.norm(xyv) ** 2)
-    lhs = float(np.linalg.norm(xyv - y_proj @ xyv) ** 2)
+    eps = 1.0 - np.linalg.norm(xyv, axis=(-2, -1)) ** 2
+    lhs = np.linalg.norm(xyv - y_proj @ xyv, axis=(-2, -1)) ** 2
     rhs = eps * (1.0 - eps)
-    return lhs, rhs
+    return (float(lhs), float(rhs)) if lhs.ndim == 0 else (lhs, rhs)
 
 
 def step_inequality_margin(x: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:

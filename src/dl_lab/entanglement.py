@@ -226,33 +226,6 @@ def step_entropy_bound(bigD: int, bigK: float, theta: float) -> StepBoundResult:
     return StepBoundResult(bound, entropy, threshold, tuple(blocks))
 
 
-def sample_feasible_step_distribution(bigD: int, bigK: float, theta: float,
-                                      rng: np.random.Generator,
-                                      max_blocks: int = 12) -> np.ndarray:
-    """A random non-increasing distribution satisfying the tail constraints.
-
-    Random sub-saturating tails define block masses with equal weights per
-    block; concentrating a block on its leading entries and sorting the
-    result in non-increasing order can only lower every tail, so
-    feasibility is preserved.
-    """
-    tails = [1.0]
-    for l in range(1, max_blocks + 1):
-        cap = min(bigK * theta ** l, tails[-1])
-        tails.append(cap * rng.uniform(0.0, 1.0))
-    tails.append(0.0)
-    weights: list[float] = []
-    sizes = [bigD] + [bigD ** (l + 1) - bigD ** l for l in range(1, max_blocks + 1)]
-    for l, size in enumerate(sizes):
-        mass = tails[l] - tails[l + 1]
-        if mass <= 0:
-            continue
-        size = min(size, 20000)
-        weights.extend([mass / size] * size)
-    arr = np.sort(np.asarray(weights))[::-1]
-    return arr / arr.sum()
-
-
 # ---------------------------------------------------------------------------
 # area-law certificate
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ RUN_PARAMETERS = {
     "cone_rounds": (int, 2, 1, None),
 }
 
+# Samples of one dimension checked as one stack; the queues hold a few MB at most
+NORM_ENERGY_STACK = 16
+
 PASS = "pass"
 FAIL = "fail"
 GATED = "hypothesis-not-met"
@@ -255,6 +258,14 @@ class _Context:
         """Largest product-state overlap of the ground state at the run's cut."""
         return max_product_overlap(self.omega, self.cut)[0]
 
+    @cached_property
+    def window(self) -> tuple[int, np.ndarray]:
+        """Half-width l of the window around the cut ('window', kept on the chain) and
+        the reduced density of the ground state on its 2l sites."""
+        c = self.cut.position
+        l = min(self.p["window"], c, self.h.sites.n - c)
+        return l, reduced_density(self.omega, tuple(range(c - l, c + l)))
+
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
 
@@ -329,24 +340,44 @@ def _step_filter(ctx: _Context) -> None:
 
 
 def _step_norm_energy(ctx: _Context) -> None:
+    """The norm-energy trade-off on seeded random projectors X, Y and states v.
+
+    A sample draws its dimension, the spans of X and Y, each of random rank,
+    then v; samples queue by dimension and are checked NORM_ENERGY_STACK at a time.
+    """
     rng = np.random.default_rng(ctx.p["seed"])
+    queues: dict[int, list] = {}
     worst = -np.inf
     for _ in range(ctx.p["norm_energy_samples"]):
         dim = int(rng.integers(2, 33))
-        x = _random_projector(rng, dim)
-        y = _random_projector(rng, dim)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lhs, rhs = norm_energy_check(x, y, v)
-        worst = max(worst, lhs - rhs)
+        queue = queues.setdefault(dim, [])
+        spans = [_gaussian(rng, dim, int(rng.integers(1, dim))) for _ in "XY"]
+        queue.append((*spans, _gaussian(rng, dim, 1)[:, 0]))
+        if len(queue) == NORM_ENERGY_STACK:
+            worst = max(worst, _norm_energy_margin(queues.pop(dim)))
+    worst = max([worst] + [_norm_energy_margin(queue) for queue in queues.values()])
     ctx.add(bounded_record("norm-energy", "norm-energy", worst, 0.0, 1e-10))
 
 
-def _random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    rank = int(rng.integers(1, dim))
-    gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(gauss)
-    return q @ q.conj().T
+def _gaussian(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
+    re, im = rng.standard_normal((2, dim, cols))  # the stream of two draws of (dim, cols)
+    return re + 1j * im
+
+
+def _norm_energy_margin(samples: list) -> float:
+    """Largest lhs - rhs over samples of one dimension, checked as one stack."""
+    dim = len(samples[0][2])
+    spans = np.zeros((2, len(samples), dim, dim), complex)
+    for i, sample in enumerate(samples):
+        for j, span in enumerate(sample[:2]):
+            spans[j, i, :, :span.shape[1]] = span
+    # one QR of the zero-padded spans: the columns of Q that are not padding span the
+    # Gaussian's columns, as in a QR of the Gaussian alone
+    q = np.linalg.qr(spans)[0]
+    x_proj, y_proj = (q * spans.any(axis=-2, keepdims=True)) @ np.swapaxes(q, -1, -2).conj()
+    v = np.stack([sample[2] for sample in samples])
+    lhs, rhs = norm_energy_check(x_proj, y_proj, v / np.linalg.norm(v, axis=1, keepdims=True))
+    return float((lhs - rhs).max())
 
 
 def _step_scalar_inequality(ctx: _Context) -> None:
@@ -420,7 +451,7 @@ def _step_arealaw(ctx: _Context) -> None:
     log_s = float(np.log10(cert.entropy_measured)) if cert.entropy_measured > 0 else -300.0
     ctx.add(bounded_record("gap-entropy-bound-log10", "gap-entropy-bound",
                            log_s, cert.gap_entropy_bound_log10, 1e-9))
-    _window_recursion_diagnostic(ctx, cut, cert.delta)
+    _window_recursion_diagnostic(ctx, cert.delta)
     n = ctx.h.sites.n
     shift = min(ctx.p["cut_shift"], cut.position - 1, n - 1 - cut.position)
     if shift >= 1:
@@ -429,21 +460,17 @@ def _step_arealaw(ctx: _Context) -> None:
         ctx.add(bounded_record("shifted-cut", "shifted-cut", worst, 0.0, 1e-10))
 
 
-def _window_recursion_diagnostic(ctx: _Context, cut: CutSpec, delta: float) -> None:
+def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
     """Report S(2l) against 2 S(l) - (delta/2) l + 1; diagnostic only.
 
     The recursion holds under a for-contradiction overlap hypothesis, so it
     is recorded, never asserted.
     """
-    n = ctx.h.sites.n
-    c = cut.position
-    l = min(ctx.p["window"], c, n - c)
+    c, (l, rho_large) = ctx.cut.position, ctx.window
     if l < 2 or l % 2:
         return
-    omega = ctx.omega
-    half = l // 2
-    s_small = density_entropy(reduced_density(omega, tuple(range(c - half, c + half))))
-    s_large = density_entropy(reduced_density(omega, tuple(range(c - l, c + l))))
+    s_small = density_entropy(reduced_density(ctx.omega, tuple(range(c - l // 2, c + l // 2))))
+    s_large = density_entropy(rho_large)
     ctx.add(info_record("window-entropy-small", "overlap-entropy-bound", s_small))
     ctx.add(info_record("window-entropy-large", "overlap-entropy-bound", s_large))
     ctx.add(info_record("window-recursion-margin", "overlap-entropy-bound",
@@ -490,11 +517,8 @@ def _step_correlate(ctx: _Context) -> None:
 def _step_measurecheck(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
         return
-    cut = ctx.cut
-    l = min(ctx.p["window"], cut.position, ctx.h.sites.n - cut.position)
-    if l < 1:
-        return
-    check = distinguishing_measurement(ctx.h, cut, l, ctx.gs, ctx.a, ctx.overlap)
+    l, rho_win = ctx.window
+    check = distinguishing_measurement(ctx.h, ctx.cut, l, ctx.gs, ctx.a, ctx.overlap, rho_win)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
     ctx.add(info_record("measurement-overlap", "distinguishing-measurement", check.overlap))

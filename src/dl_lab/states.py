@@ -2,7 +2,9 @@
 
 Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  A run computes one
-spectrum of H: one in-place eigh of the dense matrix up to DENSE_CUTOFF.
+spectrum of H: one in-place eigh of the dense matrix up to DENSE_CUTOFF,
+whose terms are added in place, each into a view of the matrix, with no
+identity pushed through them (hamiltonian_matrix).
 Above it the ground space is the common kernel of the terms, built site by
 site (ground_kernel), and H is solved only above it, by one Lanczos solve
 with that space shifted out of the way; ground_space only selects from the
@@ -166,13 +168,24 @@ def _is_complex(h: HamiltonianSpec) -> bool:
 
 
 def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
-    """Materialize the full d^n x d^n matrix (dense regime only)."""
-    dim = h.sites.dim
+    """Materialize the full d^n x d^n matrix (dense regime only).
+
+    Each term is added in place, in term order, to a zeroed matrix through the
+    writable np.einsum view of its diagonal on the sites outside the support:
+    any support, and the entries of hamiltonian_apply on the identity, bit for bit.
+    """
+    n, d, dim = h.sites.n, h.sites.d, h.sites.dim
     check_dim(dim)
     if dim > DENSE_CUTOFF:
         raise DimensionCapError(f"dense matrix of dimension {dim} refused (> {DENSE_CUTOFF})")
-    eye = np.eye(dim, dtype=complex if _is_complex(h) else float)
-    return hamiltonian_apply(h, eye)
+    out = np.zeros((dim, dim), dtype=complex if _is_complex(h) else float)
+    for term in h.terms:  # row axis s is label s, column axis s is label n + s
+        support, rest = list(term.support), [s for s in range(n) if s not in term.support]
+        cols = [n + s if s in support else s for s in range(n)]
+        view = np.einsum(out.reshape((d,) * (2 * n)), list(range(n)) + cols,
+                         support + [n + s for s in support] + rest)
+        view += term.matrix.reshape((d,) * (2 * term.k) + (1,) * len(rest))
+    return out
 
 
 @dataclass(frozen=True)

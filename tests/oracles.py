@@ -77,3 +77,54 @@ def schmidt_eigenvalues_by_partial_trace(psi_amplitudes, left_count: int, n: int
     rho = mat @ mat.conj().T
     evals = np.linalg.eigvalsh(rho)[::-1]
     return np.clip(evals, 0.0, None)
+
+
+def random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Projector onto the span of a complex Gaussian (dim, rank), rank drawn in [1, dim)."""
+    rank = int(rng.integers(1, dim))
+    gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    q, _ = np.linalg.qr(gauss)
+    return q @ q.conj().T
+
+
+def norm_energy_sweep(seed: int, samples: int) -> float:
+    """Largest ||(1-Y)XYv||^2 - eps(1-eps) over seeded pairs, one pair at a time."""
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(samples):
+        dim = int(rng.integers(2, 33))
+        x = random_projector(rng, dim)
+        y = random_projector(rng, dim)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        xyv = x @ (y @ v)
+        eps = 1.0 - float(np.linalg.norm(xyv) ** 2)
+        worst = max(worst, float(np.linalg.norm(xyv - y @ xyv) ** 2) - eps * (1.0 - eps))
+    return worst
+
+
+def sample_feasible_step_distribution(bigD: int, bigK: float, theta: float,
+                                      rng: np.random.Generator,
+                                      max_blocks: int = 12) -> np.ndarray:
+    """A random non-increasing distribution satisfying the tail constraints.
+
+    Random sub-saturating tails define block masses with equal weights per
+    block; concentrating a block on its leading entries and sorting the
+    result in non-increasing order can only lower every tail, so
+    feasibility is preserved.
+    """
+    tails = [1.0]
+    for l in range(1, max_blocks + 1):
+        cap = min(bigK * theta ** l, tails[-1])
+        tails.append(cap * rng.uniform(0.0, 1.0))
+    tails.append(0.0)
+    weights: list[float] = []
+    sizes = [bigD] + [bigD ** (l + 1) - bigD ** l for l in range(1, max_blocks + 1)]
+    for l, size in enumerate(sizes):
+        mass = tails[l] - tails[l + 1]
+        if mass <= 0:
+            continue
+        size = min(size, 20000)
+        weights.extend([mass / size] * size)
+    arr = np.sort(np.asarray(weights))[::-1]
+    return arr / arr.sum()

@@ -15,7 +15,8 @@ from dl_lab.runner import RunConfig, run
 from dl_lab.states import (GroundSpaceData, StateVector, ground_kernel, random_state,
                            spectrum, uniform_superposition)
 
-from oracles import dense_dl_matrix, dense_restricted_norm, kron_embed
+from oracles import (dense_dl_matrix, dense_restricted_norm, kron_embed,
+                     norm_energy_sweep, random_projector)
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +276,65 @@ def test_norm_energy_random_sweep():
     rng = np.random.default_rng(12)
     for _ in range(500):
         dim = int(rng.integers(2, 33))
-        x = _random_projector(rng, dim)
-        y = _random_projector(rng, dim)
+        x = random_projector(rng, dim)
+        y = random_projector(rng, dim)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         lhs, rhs = norm_energy_check(x, y, v)
         assert lhs <= rhs + 1e-10
 
 
-def _random_projector(rng, dim):
-    rank = int(rng.integers(1, dim))
-    gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(gauss)
-    return q @ q.conj().T
-
-
 def test_norm_energy_rejects_non_projector():
     with pytest.raises(ValidationError):
         norm_energy_check(2 * np.eye(2), np.eye(2), np.array([1.0, 0.0]))
+
+
+def _projector_stack(seed, m=4, dim=5):
+    rng = np.random.default_rng(seed)
+    x = np.stack([random_projector(rng, dim) for _ in range(m)])
+    y = np.stack([random_projector(rng, dim) for _ in range(m)])
+    v = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    return x, y, v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_norm_energy_stack_matches_single_pairs():
+    x, y, v = _projector_stack(3)
+    lhs, rhs = norm_energy_check(x, y, v)
+    assert lhs.shape == rhs.shape == (4,)
+    for i in range(4):
+        single = norm_energy_check(x[i], y[i], v[i])
+        assert all(isinstance(value, float) for value in single)
+        assert np.allclose(single, (lhs[i], rhs[i]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("member", [0, 2, 3])
+def test_norm_energy_stack_checks_every_member(member):
+    x, y, v = _projector_stack(5)
+    bad = x.copy()
+    bad[member] *= 2.0  # still Hermitian, no longer idempotent
+    with pytest.raises(ValidationError, match=rf"X\[{member}\] is not a projector"):
+        norm_energy_check(bad, y, v)
+    bad = y.copy()
+    bad[member, 0, 1] += 1e-6  # no longer Hermitian
+    with pytest.raises(ValidationError, match=rf"Y\[{member}\] is not Hermitian"):
+        norm_energy_check(x, bad, v)
+    bad = v.copy()
+    bad[member] *= 1.0 + 1e-8
+    with pytest.raises(ValidationError, match="normalized"):
+        norm_energy_check(x, y, bad)
+
+
+@pytest.mark.parametrize("samples", [1, 15, 16, 17, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_norm_energy_record_matches_per_pair_oracle(seed, samples, tmp_path):
+    # the run checks stacks of up to 16 samples of one dimension: 15, 16 and 17
+    # samples cross a stack's boundary, 1000 is the default sweep
+    doc = {"command": "verify", "output": {"dir": str(tmp_path)},
+           "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
+           "parameters": {"seed": seed, "norm_energy_samples": samples}}
+    records = {r.name: r for r in run(RunConfig.from_document(doc)).records}
+    assert records["norm-energy"].measured == pytest.approx(
+        norm_energy_sweep(seed, samples), rel=0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,14 @@ import pytest
 from dl_lab.dl import dl_bound
 from dl_lab.entanglement import (CutSpec, area_law_certificate, density_entropy,
                                  max_product_overlap, overlap_entropy_bound_value,
-                                 rank_growth, reduced_density,
-                                 sample_feasible_step_distribution, schmidt,
+                                 rank_growth, reduced_density, schmidt,
                                  shifted_cut_check, step_entropy_bound,
                                  tail_bound_check, entropy_of_weights)
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import SiteSpace, chain_geometry
 from dl_lab.states import StateVector, product_state, random_state
 
-from oracles import schmidt_eigenvalues_by_partial_trace
+from oracles import sample_feasible_step_distribution, schmidt_eigenvalues_by_partial_trace
 
 
 def qubits(n):

@@ -279,8 +279,9 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("model, at_cut, densities", [
     # rank_growth decomposes its product start and 3 iterates (4), then the Schmidt
     # spectrum, the product overlap and the shifted cuts' center row, one each; the
-    # measurement takes 5 densities and the window-recursion diagnostic 2
-    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 7),
+    # window-recursion diagnostic takes 2 densities and the measurement 5, one of them
+    # the diagnostic's density of the whole window
+    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 6),
     ({"name": "aklt", "parameters": {"n": 6, "periodic": True}}, 3, 2),  # no open-chain steps
 ], ids=["parent-random-6", "aklt-6-ring"])
 def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, densities):

@@ -9,7 +9,7 @@ from dl_lab.errors import ConvergenceError, DimensionCapError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
     custom_geometry
 from dl_lab.io import hamiltonian_from_document, hamiltonian_to_document
-from dl_lab.models import ModelDescriptor, build_model, random_mps_state, \
+from dl_lab.models import BUNDLED_MODELS, ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
 from dl_lab.states import (StateVector, apply_local, basis_state,
                            gaussian_filter, gaussian_filter_deviation, ground_kernel,
@@ -229,6 +229,16 @@ def test_dimension_cap_override(monkeypatch):
     h = build_model(ModelDescriptor.make("pinning", n=6))
     with pytest.raises(DimensionCapError):
         spectrum(h)
+
+
+@pytest.mark.parametrize("descriptor", BUNDLED_MODELS, ids=lambda desc: desc.label())
+def test_hamiltonian_matrix_is_the_oracle_bit_for_bit(descriptor):
+    # toric-code terms sit on non-contiguous supports, the ring has a wrap bond and
+    # parent-random terms are complex: the in-place assembly adds the same entries
+    # in the same order as the index-arithmetic oracle
+    h = build_model(descriptor)
+    assert h.sites.dim <= states.DENSE_CUTOFF
+    assert np.array_equal(states.hamiltonian_matrix(h), dense_hamiltonian(h))
 
 
 # ---------------------------------------------------------------------------
