@@ -10,10 +10,9 @@ from .hamiltonian import (FrustrationCheck, Geometry, HamiltonianSpec,
                           LayerPartition, LocalTerm, SiteSpace, chain_geometry,
                           custom_geometry, partition_layers, projectorize,
                           torus_geometry, validate_frustration_free)
-from .states import (GroundSpaceData, SpectrumData, StateVector, apply_local,
-                     basis_state, gaussian_filter, gaussian_filter_deviation,
-                     ground_space, product_state, random_state, restricted_norm,
-                     spectrum, uniform_superposition)
+from .states import (GroundSpaceData, SpectrumData, StateVector,
+                     gaussian_filter_deviation, ground_space, product_state,
+                     random_state, restricted_norm, spectrum)
 from .dl import (ConvergenceTrace, DLOperator, PyramidDecomposition,
                  apply_pyramids, converge, dl_bound, dl_operator,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,

@@ -100,8 +100,8 @@ def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData
     inside = [idx for depth, depth_terms in enumerate(cone.layers)
               for idx in depth_terms if idx in cone.inside[depth]]
     worst = 0.0
-    for omega in gs.ground_basis:
-        seeded = b.apply(omega).amplitudes
+    for omega in gs.basis.T:
+        seeded = apply_term_array(b.matrix, b.support, omega, h.sites.n, h.sites.d)
         full = seeded
         for _ in range(l):
             full = a.apply_array(full)
@@ -122,7 +122,7 @@ def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
     """<XY> - <X><Y> in the unique ground state."""
     if gs.degeneracy != 1:
         raise ValidationError("connected correlations need a unique ground state")
-    omega = gs.ground_basis[0].normalized()
+    omega = gs.omega
     y_omega = y.apply(omega)
     xy = omega.inner(x.apply(y_omega))
     x_bar = omega.inner(x.apply(omega))
@@ -150,7 +150,7 @@ class DecayProfile:
 def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
                   y_family, a: DLOperator, noise_floor: float = 1e-13) -> DecayProfile:
     """Correlation decay table plus the exact cone rewriting of <X A^l Y>."""
-    omega = gs.ground_basis[0].normalized()
+    omega = gs.omega
     distances = [support_distance(h, x.support, y.support) for y in y_family]
     if any(m2 <= m1 for m1, m2 in zip(distances, distances[1:])):
         raise ValidationError("observable distances must be strictly increasing")
@@ -217,11 +217,9 @@ class MeasurementCheck:
 def _window_sites(h: HamiltonianSpec, cut: CutSpec, l: int) -> tuple[int, ...]:
     if h.sites.geometry.kind != "chain-open":
         raise ValidationError("window measurements are defined on open chains")
-    if cut.kind != "contiguous":
-        raise ValidationError("window measurements need a contiguous cut")
     n = h.sites.n
     c = cut.position
-    if c is None or c - l < 0 or c + l > n:
+    if c - l < 0 or c + l > n:
         raise ValidationError(f"window of half-width {l} at position {c} exceeds the chain")
     return tuple(range(c - l, c + l))
 
@@ -257,7 +255,7 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: Gro
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
     window = _window_sites(h, cut, l)
-    omega = gs.ground_basis[0].normalized()
+    omega = gs.omega
     c = cut.position
 
     proj = window_ground_projector(h, window)

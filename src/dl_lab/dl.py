@@ -272,7 +272,7 @@ def converge(a: DLOperator, gs: GroundSpaceData, psi: StateVector,
     if psi.sites.dim != a.h.sites.dim:
         raise ValidationError("state dimension does not match the operator")
     bound = a.shrink_bound(gs.gap)
-    target = gs.project_array(psi.amplitudes)
+    target = gs.basis @ (gs.basis.conj().T @ psi.amplitudes)
     perp = float(np.linalg.norm(psi.amplitudes - target))
     current = psi.amplitudes
     residuals = []

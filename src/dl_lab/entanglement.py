@@ -23,30 +23,18 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CutSpec:
-    """Bipartition of the sites: contiguous prefix cut or explicit subset."""
+    """Contiguous bipartition of the sites: [0, position) form the left side."""
 
-    kind: str  # "contiguous" or "subset"
-    position: int | None = None  # sites [0, position) form the left side
-    subset: frozenset[int] | None = None
+    position: int
 
     @staticmethod
     def contiguous(position: int) -> "CutSpec":
-        return CutSpec("contiguous", position=position)
-
-    @staticmethod
-    def of_subset(sites) -> "CutSpec":
-        return CutSpec("subset", subset=frozenset(int(s) for s in sites))
+        return CutSpec(position)
 
     def sides(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self.kind == "contiguous":
-            if self.position is None or not (1 <= self.position <= n - 1):
-                raise ValidationError(f"cut position must lie in [1, {n - 1}]")
-            return tuple(range(self.position)), tuple(range(self.position, n))
-        if not self.subset or len(self.subset) >= n:
-            raise ValidationError("subset cut must be proper and non-empty")
-        left = tuple(sorted(self.subset))
-        right = tuple(i for i in range(n) if i not in self.subset)
-        return left, right
+        if not (1 <= self.position <= n - 1):
+            raise ValidationError(f"cut position must lie in [1, {n - 1}]")
+        return tuple(range(self.position)), tuple(range(self.position, n))
 
 
 def cut_matrix(psi: StateVector, cut: CutSpec) -> np.ndarray:
@@ -136,8 +124,6 @@ class RankGrowthTrace:
 
 def rank_growth(a: DLOperator, psi0: StateVector, cut: CutSpec, l: int) -> RankGrowthTrace:
     """Track the Schmidt rank of repeated applications of A to a product state."""
-    if cut.kind != "contiguous":
-        raise ValidationError("rank growth is defined for contiguous cuts")
     start = schmidt(psi0.normalized(), cut)
     if start.rank != 1:
         raise ValidationError("psi0 must be a product state across the cut")
@@ -295,8 +281,6 @@ def area_law_certificate(h: HamiltonianSpec, gs: GroundSpaceData, data: SchmidtD
 def shifted_cut_check(gs_state: StateVector, cut: CutSpec,
                       l: int) -> tuple[tuple[int, float, float], ...]:
     """Rows (j, alpha_1(k+j), alpha_1(k) * d^|j|) for every |j| <= l: one overlap per cut."""
-    if cut.kind != "contiguous":
-        raise ValidationError("shifted cuts are defined for contiguous cuts")
     n, d = gs_state.sites.n, gs_state.sites.d
     k = cut.position
     if k - l < 1 or k + l > n - 1:

@@ -353,13 +353,14 @@ class FrustrationCheck:
 
 
 def validate_frustration_free(h: HamiltonianSpec, gs) -> FrustrationCheck:
-    """The residuals ||Q_i v|| of every term i on every ground-basis vector v."""
-    from .states import apply_local  # local import to avoid a cycle
+    """The residuals ||Q_i v|| of every term i on every column v of the ground basis."""
+    from .states import apply_term_array  # local import to avoid a cycle
 
+    if gs.basis.shape[0] != h.sites.dim:
+        raise ValidationError("ground vector dimension does not match the Hamiltonian")
     residuals = [0.0] * len(h.terms)
-    for vec in gs.ground_basis:
-        if vec.sites.dim != h.sites.dim:
-            raise ValidationError("ground vector dimension does not match the Hamiltonian")
+    for vec in gs.basis.T:
         for term_idx, term in enumerate(h.terms):
-            residuals[term_idx] = max(residuals[term_idx], float(apply_local(term, vec).norm()))
+            applied = apply_term_array(term.matrix, term.support, vec, h.sites.n, h.sites.d)
+            residuals[term_idx] = max(residuals[term_idx], float(np.linalg.norm(applied)))
     return FrustrationCheck(max(residuals, default=0.0), tuple(residuals))

@@ -1,4 +1,4 @@
-"""Serialization: structured-text documents, state binaries, CSV traces.
+"""Serialization: structured-text documents and CSV traces.
 
 Documents are JSON with deterministic key order and floats printed with
 17 significant digits so that every emitted number re-parses to the same
@@ -9,19 +9,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import tempfile
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import (Geometry, HamiltonianSpec, LocalTerm, SiteSpace,
-                          chain_geometry)
-from .states import StateVector
+from .hamiltonian import Geometry, HamiltonianSpec, LocalTerm, SiteSpace
 
 SCHEMA_VERSION = 1
-_STATE_MAGIC = b"DLSV"
 
 
 def format_float(value: float) -> str:
@@ -73,22 +69,37 @@ def loads_document(text: str) -> dict:
                               f"{exc.msg}") from exc
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; ValidationError naming the path if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"file {path!r} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:
+    """Write blob to path through a temporary file beside it; ValidationError naming
+    the path when the directory cannot be made or the file cannot be written."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,59 +203,7 @@ def save_hamiltonian(path: str, h: HamiltonianSpec) -> None:
 
 
 def load_hamiltonian(path: str) -> HamiltonianSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return hamiltonian_from_document(loads_document(handle.read()))
-
-
-# ---------------------------------------------------------------------------
-# state vectors
-# ---------------------------------------------------------------------------
-
-def state_to_bytes(psi: StateVector) -> bytes:
-    header = _STATE_MAGIC + struct.pack("<III", SCHEMA_VERSION, psi.sites.n, psi.sites.d)
-    interleaved = np.empty(2 * psi.dim)
-    amps = np.asarray(psi.amplitudes, dtype=complex)
-    interleaved[0::2] = amps.real
-    interleaved[1::2] = amps.imag
-    return header + interleaved.astype("<f8").tobytes()
-
-
-def state_from_bytes(blob: bytes, sites: SiteSpace | None = None) -> StateVector:
-    if blob[:4] != _STATE_MAGIC:
-        raise ValidationError("not a state-vector binary (bad magic)")
-    version, n, d = struct.unpack("<III", blob[4:16])
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported state binary version {version}")
-    data = np.frombuffer(blob[16:], dtype="<f8")
-    if data.size != 2 * d ** n:
-        raise ValidationError("state binary payload has the wrong length")
-    amps = data[0::2] + 1j * data[1::2]
-    if sites is None:
-        sites = SiteSpace(n, d, chain_geometry())
-    elif (sites.n, sites.d) != (n, d):
-        raise ValidationError("provided site space does not match the binary header")
-    return StateVector(amps, sites)
-
-
-def state_to_document(psi: StateVector) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "state",
-        "n": psi.sites.n,
-        "d": psi.sites.d,
-        "amplitudes": [[float(a.real), float(a.imag)]
-                       for a in np.asarray(psi.amplitudes, dtype=complex)],
-    }
-
-
-def state_from_document(doc: dict, sites: SiteSpace | None = None) -> StateVector:
-    n, d = int(doc["n"]), int(doc["d"])
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    if sites is None:
-        sites = SiteSpace(n, d, chain_geometry())
-    elif (sites.n, sites.d) != (n, d):
-        raise ValidationError("provided site space does not match the document's n and d")
-    return StateVector(amps, sites)
+    return hamiltonian_from_document(loads_document(read_text(path)))
 
 
 # ---------------------------------------------------------------------------

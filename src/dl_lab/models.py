@@ -17,7 +17,6 @@ from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
 from .states import StateVector
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 

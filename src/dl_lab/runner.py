@@ -33,7 +33,7 @@ from .entanglement import (CutSpec, SchmidtData, area_law_certificate, density_e
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
 from .io import (atomic_write_text, dumps_document, loads_document,
-                 load_hamiltonian, write_csv)
+                 load_hamiltonian, read_text, write_csv)
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
                      check_parameters, descriptor_from_document, site_observable)
 from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector, check_dim,
@@ -156,7 +156,7 @@ class RunConfig:
         model_path = None
         if "path" in model_doc:
             model_path = model_doc["path"]
-            if not os.path.exists(model_path):
+            if not isinstance(model_path, str) or not os.path.isfile(model_path):
                 raise ValidationError(f"field 'model.path': no such file {model_path!r}")
         elif "name" in model_doc:
             descriptor = descriptor_from_document(model_doc)
@@ -169,6 +169,8 @@ class RunConfig:
         if not isinstance(output, dict):
             raise ValidationError("field 'output': expected an object")
         directory = out_dir or output.get("dir", "out")
+        if not isinstance(directory, str):
+            raise ValidationError(f"field 'output.dir': expected a string, got {directory!r}")
         fmt = out_format or output.get("format", "structured")
         if fmt not in FORMATS:
             raise ValidationError(f"field 'output.format': expected one of {FORMATS}")
@@ -179,9 +181,7 @@ class RunConfig:
 
 def load_config(path: str, out_dir: str | None = None, out_format: str | None = None,
                 quiet: bool = False) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = loads_document(handle.read())
-    return RunConfig.from_document(doc, out_dir, out_format, quiet)
+    return RunConfig.from_document(loads_document(read_text(path)), out_dir, out_format, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +241,18 @@ class _Context:
         return self.gs.degeneracy == 1
 
     @cached_property
-    def omega(self) -> StateVector:
-        return self.gs.ground_basis[0].normalized()
-
-    @cached_property
     def cut(self) -> CutSpec:
         return CutSpec.contiguous(self.p["cut"])
 
     @cached_property
     def cut_schmidt(self) -> SchmidtData:
         """Schmidt spectrum of the ground state at the run's cut."""
-        return schmidt(self.omega, self.cut)
+        return schmidt(self.gs.omega, self.cut)
 
     @cached_property
     def overlap(self) -> float:
         """Largest product-state overlap of the ground state at the run's cut."""
-        return max_product_overlap(self.omega, self.cut)[0]
+        return max_product_overlap(self.gs.omega, self.cut)[0]
 
     @cached_property
     def window(self) -> tuple[int, np.ndarray]:
@@ -264,7 +260,7 @@ class _Context:
         the reduced density of the ground state on its 2l sites."""
         c = self.cut.position
         l = min(self.p["window"], c, self.h.sites.n - c)
-        return l, reduced_density(self.omega, tuple(range(c - l, c + l)))
+        return l, reduced_density(self.gs.omega, tuple(range(c - l, c + l)))
 
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
@@ -297,8 +293,7 @@ def _step_gap(ctx: _Context) -> None:
 
 def _step_dl(ctx: _Context) -> None:
     gs, a = ctx.gs, ctx.a
-    fixed = max(float(np.linalg.norm(a.apply(v).amplitudes - v.amplitudes))
-                for v in gs.ground_basis)
+    fixed = max(float(np.linalg.norm(a.apply_array(v) - v)) for v in gs.basis.T)
     ctx.add(bounded_record("ground-fixed-point", "dl-shrinkage", fixed, 0.0, 1e-12))
     ctx.add(info_record("dl-f-value", "dl-shrinkage", a.f_value or 0.0))
     ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", measure_shrinkage(a, gs),
@@ -455,7 +450,7 @@ def _step_arealaw(ctx: _Context) -> None:
     n = ctx.h.sites.n
     shift = min(ctx.p["cut_shift"], cut.position - 1, n - 1 - cut.position)
     if shift >= 1:
-        rows = shifted_cut_check(ctx.omega, cut, shift)
+        rows = shifted_cut_check(ctx.gs.omega, cut, shift)
         worst = max(a - cap for _, a, cap in rows)
         ctx.add(bounded_record("shifted-cut", "shifted-cut", worst, 0.0, 1e-10))
 
@@ -469,7 +464,7 @@ def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
     c, (l, rho_large) = ctx.cut.position, ctx.window
     if l < 2 or l % 2:
         return
-    s_small = density_entropy(reduced_density(ctx.omega, tuple(range(c - l // 2, c + l // 2))))
+    s_small = density_entropy(reduced_density(ctx.gs.omega, tuple(range(c - l // 2, c + l // 2))))
     s_large = density_entropy(rho_large)
     ctx.add(info_record("window-entropy-small", "overlap-entropy-bound", s_small))
     ctx.add(info_record("window-entropy-large", "overlap-entropy-bound", s_large))
@@ -622,21 +617,8 @@ def report_to_document(report: Report) -> dict:
     }
 
 
-def report_from_document(doc: dict) -> Report:
-    meta = doc["meta"]
-    records = tuple(
-        CheckRecord(c["name"], c["anchor"], c["status"], c["measured"], c["bound"],
-                    c["tolerance"])
-        for c in doc["checks"]
-    )
-    return Report(meta["command"], meta["model"], meta["config_sha256"],
-                  meta["package_version"], meta["created_utc"], records,
-                  tuple(doc.get("artifacts", ())))
-
-
 def emit_report(report: Report, out_dir: str, out_format: str) -> tuple[Report, list[str]]:
     """Write the report document (and CSV traces for the csv format)."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     if out_format == "csv":
         for name, header, rows in report.tables:

@@ -6,17 +6,19 @@ spectrum of H: one in-place eigh of the dense matrix up to DENSE_CUTOFF,
 whose terms are added in place, each into a view of the matrix, with no
 identity pushed through them (hamiltonian_matrix).
 Above it the ground space is the common kernel of the terms, built site by
-site (ground_kernel), and H is solved only above it, by one Lanczos solve
-with that space shifted out of the way; ground_space only selects from the
-spectrum.  Its residuals are checked as one block through the contraction
-path, hamiltonian_apply.  The restricted operator norm on the ground-space
-complement is one Lanczos solve on the Gram operator.  Every Lanczos solve
-asserts its residuals.
+site (ground_kernel), and H is solved only above it, one Lanczos solve per
+state, with the kernel and the states found so far shifted out of the way.
+ground_space only selects from the spectrum, and holds the ground space as
+one (dim, deg) view of its vectors.  The residuals are checked as one block
+through the contraction path, hamiltonian_apply.  The restricted operator
+norm on the ground-space complement is one Lanczos solve on the Gram
+operator.  Every Lanczos solve asserts its residuals.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,10 +76,6 @@ class StateVector:
             raise ValidationError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.sites.dim
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -91,19 +89,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def basis_state(sites: SiteSpace, occupancies: Sequence[int]) -> StateVector:
-    if len(occupancies) != sites.n:
-        raise ValidationError("need one occupancy per site")
-    index = 0
-    for occ in occupancies:
-        if not (0 <= occ < sites.d):
-            raise ValidationError(f"occupancy {occ} out of range for d={sites.d}")
-        index = index * sites.d + occ
-    amps = np.zeros(sites.dim)
-    amps[index] = 1.0
-    return StateVector(amps, sites)
-
-
 def product_state(sites: SiteSpace, local_vectors: Sequence[np.ndarray]) -> StateVector:
     if len(local_vectors) != sites.n:
         raise ValidationError("need one local vector per site")
@@ -111,10 +96,6 @@ def product_state(sites: SiteSpace, local_vectors: Sequence[np.ndarray]) -> Stat
     for vec in local_vectors[1:]:
         amps = np.kron(amps, np.asarray(vec, dtype=complex))
     return StateVector(amps, sites)
-
-
-def uniform_superposition(sites: SiteSpace) -> StateVector:
-    return StateVector(np.full(sites.dim, sites.dim ** -0.5), sites)
 
 
 def random_state(sites: SiteSpace, seed: int | np.random.Generator = 0) -> StateVector:
@@ -143,16 +124,6 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     out = np.tensordot(mat, tensor, axes=(tuple(range(k, 2 * k)), tuple(support)))
     out = np.moveaxis(out, tuple(range(k)), tuple(support))
     return np.ascontiguousarray(out).reshape((d ** n,) + batch)
-
-
-def apply_local(term: LocalTerm, psi: StateVector) -> StateVector:
-    """Return (M x 1_rest)|psi>; does not normalize."""
-    sites = psi.sites
-    for s in term.support:
-        if not (0 <= s < sites.n):
-            raise ValidationError(f"support site {s} out of range for n={sites.n}")
-    out = apply_term_array(term.matrix, term.support, psi.amplitudes, sites.n, sites.d)
-    return StateVector(out, sites)
 
 
 def hamiltonian_apply(h: HamiltonianSpec, arr: np.ndarray) -> np.ndarray:
@@ -288,14 +259,15 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
 
 
 def spectrum(h: HamiltonianSpec, count: int | None = None,
-             fixed: np.ndarray | None = None) -> SpectrumData:
+             kernel: np.ndarray | None = None) -> SpectrumData:
     """Lowest eigenpairs of sum_i Q_i: all, or the lowest `count`, when dense.
 
-    Dense, one in-place eigh.  Above DENSE_CUTOFF, fixed is the ground space
-    (ground_kernel): its columns are the first rows, and one Lanczos solve on
-    H + norm_bound * P_fixed adds the lowest max(1, count - deg) states above
-    it.  ConvergenceError when a solved value is under the zero threshold (a
-    ground state the kernel missed), a fixed state is above it, or a
+    Dense, one in-place eigh.  Above DENSE_CUTOFF, kernel is the ground space
+    (ground_kernel): its columns are the first rows, and the lowest
+    max(1, count - deg) states above it follow, one Lanczos solve each, on H
+    plus norm_bound times the projector onto the kernel and the states found
+    so far.  ConvergenceError when a solved value is under the zero threshold
+    (a ground state the kernel missed), a kernel state is above it, or a
     residual of the one hamiltonian_apply on all the vectors is too large.
     """
     dim = h.sites.dim
@@ -308,26 +280,30 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
         evals, vectors = evals[:count], np.conjugate(vectors[:, :count], order="C")
         applied = hamiltonian_apply(h, vectors)
     else:
-        if fixed is None:
+        if kernel is None:
             raise ValidationError(f"dimension {dim} is out of the dense regime: the spectrum "
                                   "needs the ground kernel")
         dtype = complex if _is_complex(h) else float
-        v0 = np.random.default_rng(1234).standard_normal(dim).astype(dtype)
-        shift = h.norm_bound()
-        shifted = lambda v: (hamiltonian_apply(h, v.astype(dtype, copy=False))
-                             + shift * (fixed @ (fixed.conj().T @ v)))
-        deg = fixed.shape[1]
-        theta, vecs, _ = _lanczos(shifted, v0, max(1, (count or 0) - deg), "SA",
-                                  "shifted eigenpair")
-        vectors = np.hstack([fixed, vecs])
+        rng, shift, deg = np.random.default_rng(1234), h.norm_bound(), kernel.shape[1]
+        vectors, theta = kernel, []
+        # one state per solve, each from a fresh start: a start reused would have no
+        # component in the copies of a degenerate level that are still missing
+        for _ in range(max(1, (count or 0) - deg)):
+            shifted = lambda v, found=vectors: (hamiltonian_apply(h, v.astype(dtype, copy=False))
+                                                + shift * (found @ (found.conj().T @ v)))
+            value, vec, _ = _lanczos(shifted, rng.standard_normal(dim).astype(dtype), 1, "SA",
+                                     "shifted eigenpair")
+            vectors, theta = np.hstack([vectors, vec]), theta + [value[0]]
+        order = np.argsort(theta, kind="stable")
+        theta, vectors[:, deg:] = np.array(theta)[order], vectors[:, deg + order]
         applied = hamiltonian_apply(h, vectors)
-        rayleigh = np.einsum("ij,ij->j", fixed.conj(), applied[:, :deg]).real
+        rayleigh = np.einsum("ij,ij->j", kernel.conj(), applied[:, :deg]).real
         evals = np.concatenate([rayleigh, theta])
         zero = GROUND_TOL_SCALE * (1.0 + shift)  # the threshold of ground_space
         if theta[0] <= zero or (rayleigh > zero).any():
             raise ConvergenceError(
                 f"the ground kernel ({deg} states) is not the zero-energy space of H: "
-                f"lowest solved energy {theta[0]:g}, highest fixed-state energy "
+                f"lowest solved energy {theta[0]:g}, highest kernel-state energy "
                 f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
     residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
     return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals)
@@ -335,29 +311,24 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
 
 @dataclass(frozen=True)
 class GroundSpaceData:
-    """Zero-energy eigenspace of a frustration-free Hamiltonian plus its gap."""
+    """Zero-energy eigenspace of a frustration-free Hamiltonian plus its gap.
+
+    basis is orthonormal, one state per column: a view of the spectrum's vectors.
+    """
 
     ground_energy: float
     gap: float
-    ground_basis: tuple[StateVector, ...]
+    basis: np.ndarray
+    sites: SiteSpace
 
     @property
     def degeneracy(self) -> int:
-        return len(self.ground_basis)
+        return self.basis.shape[1]
 
-    @property
-    def sites(self) -> SiteSpace:
-        return self.ground_basis[0].sites
-
-    def basis_matrix(self) -> np.ndarray:
-        return np.stack([v.amplitudes for v in self.ground_basis], axis=1)
-
-    def project_array(self, arr: np.ndarray) -> np.ndarray:
-        b = self.basis_matrix()
-        return b @ (b.conj().T @ arr)
-
-    def project_out(self, psi: StateVector) -> StateVector:
-        return StateVector(psi.amplitudes - self.project_array(psi.amplitudes), psi.sites)
+    @cached_property
+    def omega(self) -> StateVector:
+        """The first ground state, normalized: the state the one-vector checks measure."""
+        return StateVector(self.basis[:, 0], self.sites).normalized()
 
 
 def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpaceData:
@@ -376,20 +347,8 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
         )
     if n_ground >= len(values):
         raise ValidationError("no eigenvalue found above the ground threshold")
-    basis = tuple(StateVector(spectrum_data.vectors[:, i], h.sites) for i in range(n_ground))
-    return GroundSpaceData(float(values[0]), float(values[n_ground]), basis)
-
-
-def gaussian_filter(h: HamiltonianSpec, q: float, psi: StateVector,
-                    spectrum_data: SpectrumData) -> StateVector:
-    """Apply sum_E exp(-q E^2 / 2) |E><E| to psi, given the full spectrum of h."""
-    if q < 0:
-        raise ValidationError("q must be non-negative")
-    if len(spectrum_data.values) < h.sites.dim:
-        raise ValidationError("the spectral filter needs the full spectrum")
-    weights = np.exp(-q * spectrum_data.values ** 2 / 2.0)
-    coeffs = spectrum_data.vectors.conj().T @ psi.amplitudes
-    return StateVector(spectrum_data.vectors @ (weights * coeffs), psi.sites)
+    return GroundSpaceData(float(values[0]), float(values[n_ground]),
+                           spectrum_data.vectors[:, :n_ground], h.sites)
 
 
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
@@ -397,7 +356,7 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     """Operator-norm distance of the filter from the ground projector, given the full spectrum."""
     if len(spectrum_data.values) < gs.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    basis, b = spectrum_data.vectors, gs.basis_matrix()
+    basis, b = spectrum_data.vectors, gs.basis
     diff = (basis.conj() * np.exp(-q * spectrum_data.values ** 2 / 2.0)) @ basis.T
     diff -= b.conj() @ b.T
     # diff is conj(filt - proj), Hermitian with the same eigenvalues, so its 2-norm is
@@ -418,7 +377,7 @@ def restricted_norm(op_apply: Callable[[np.ndarray], np.ndarray],
     start (up to GRAM_ZERO_TOL): G vanishes on the complement, and ARPACK
     cannot start from such a vector.
     """
-    basis = gs.basis_matrix()
+    basis = gs.basis
     project_out = lambda v: v - basis @ (basis.conj().T @ v)
     v0 = project_out(np.random.default_rng(97).standard_normal(basis.shape[0]))
     a_v0 = op_apply(v0)

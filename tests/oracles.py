@@ -57,7 +57,7 @@ def dense_dl_matrix(a) -> np.ndarray:
 
 def dense_restricted_norm(a, gs) -> float:
     """Largest singular value of the layered operator on the ground complement (full SVD)."""
-    basis = gs.basis_matrix()
+    basis = gs.basis
     perp = np.eye(basis.shape[0]) - basis @ basis.conj().T
     return float(np.linalg.svd(dense_dl_matrix(a) @ perp, compute_uv=False)[0])
 
@@ -66,7 +66,7 @@ def dense_filter_deviation(h, q: float, gs) -> float:
     """2-norm (largest singular value) of exp(-q H^2 / 2) minus the ground projector."""
     evals, evecs = np.linalg.eigh(dense_hamiltonian(h))
     filt = (evecs * np.exp(-q * evals ** 2 / 2.0)) @ evecs.conj().T
-    basis = gs.basis_matrix()
+    basis = gs.basis
     return float(np.linalg.norm(filt - basis @ basis.conj().T, 2))
 
 

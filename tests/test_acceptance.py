@@ -37,7 +37,7 @@ def _center_cut(model) -> CutSpec:
 
 
 def _center_overlap(model) -> float:
-    return max_product_overlap(model.gs.ground_basis[0].normalized(), _center_cut(model))[0]
+    return max_product_overlap(model.gs.omega, _center_cut(model))[0]
 
 
 def _delta(model) -> float:
@@ -56,7 +56,7 @@ def _random_product(sites, seed):
 @pytest.fixture(scope="module")
 def aklt12():
     h = build_model(ModelDescriptor.make("aklt", n=12, periodic=True))
-    gs = ground_space(h, spectrum(h, fixed=ground_kernel(h)))
+    gs = ground_space(h, spectrum(h, kernel=ground_kernel(h)))
     return h, gs
 
 
@@ -160,7 +160,7 @@ def test_c07_schmidt_tail(unique_1d):
     ok = True
     for model in unique_1d:
         cut = _center_cut(model)
-        omega = model.gs.ground_basis[0].normalized()
+        omega = model.gs.omega
         mu, _, _ = max_product_overlap(omega, cut)
         rows = tail_bound_check(schmidt(omega, cut), model.h.sites.d, mu, _delta(model), 4)
         ok &= all(tail <= bound + 1e-9 for _, tail, bound in rows)
@@ -189,7 +189,7 @@ def test_c08_step_entropy_bound():
 def test_c09_area_law(unique_1d):
     ok = True
     for model in unique_1d:
-        omega = model.gs.ground_basis[0].normalized()
+        omega = model.gs.omega
         cert = area_law_certificate(model.h, model.gs, schmidt(omega, _center_cut(model)),
                                     _center_overlap(model))
         ok &= cert.entropy_measured <= cert.overlap_entropy_bound + 1e-9
@@ -282,7 +282,7 @@ def test_c13_entropy_gap(unique_open):
 def test_c14_shifted_cuts(unique_1d):
     ok = True
     for model in unique_1d:
-        omega = model.gs.ground_basis[0].normalized()
+        omega = model.gs.omega
         rows = shifted_cut_check(omega, _center_cut(model), 2)
         ok &= all(alpha <= cap + 1e-10 for _, alpha, cap in rows)
     _criterion(14, "product overlaps at nearby cuts within the d^|j| factor", ok)

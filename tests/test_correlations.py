@@ -8,8 +8,9 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  entropy_gap_check, support_distance)
 from dl_lab.entanglement import CutSpec, max_product_overlap
 from dl_lab.errors import ValidationError
+from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import site_observable
-from dl_lab.states import apply_local, random_state
+from dl_lab.states import GroundSpaceData, random_state, spectrum
 
 from oracles import kron_embed
 
@@ -71,9 +72,9 @@ def test_cone_outside_occurrences_commute_with_seed(heis6):
         for idx in layer:
             if idx in cone.inside[depth]:
                 continue
-            term = heis6.h.terms[idx]
-            one = apply_local(term, b.apply(psi))
-            two = b.apply(apply_local(term, psi))
+            term = ObservableSpec(heis6.h.terms[idx].support, heis6.h.terms[idx].matrix)
+            one = term.apply(b.apply(psi))
+            two = b.apply(term.apply(psi))
             assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
 
 
@@ -101,6 +102,18 @@ def test_absorption_heisenberg_sigma_z(heis8):
     assert cone_absorption_check(heis8.h, heis8.a, heis8.gs, b, 1) <= 1e-12
 
 
+def test_every_ground_space_reader_looks_at_every_column(aklt4):
+    # only the last of aklt(4)'s 4 ground columns is tilted out of the kernel: a reader
+    # of the first column alone would see an untouched ground space
+    basis = aklt4.gs.basis.copy()
+    basis[:, -1] += 1e-6 * spectrum(aklt4.h).vectors[:, aklt4.gs.degeneracy]
+    tilted = GroundSpaceData(0.0, aklt4.gs.gap, basis, aklt4.h.sites)
+    b = observable(aklt4, "sx", 0)  # one round from site 0 leaves the terms on 1-2, 2-3 out
+    for gs, low in ((aklt4.gs, True), (tilted, False)):
+        assert (validate_frustration_free(aklt4.h, gs).max_residual <= 1e-8) == low
+        assert (cone_absorption_check(aklt4.h, aklt4.a, gs, b, 1) <= 1e-8) == low
+
+
 def test_absorption_across_corpus(corpus):
     for model in corpus:
         b = observable(model, "sx", model.h.sites.n // 2)
@@ -118,8 +131,8 @@ def test_inside_then_outside_factorization(heis8):
     rounds = 2
     cone = causality_cone(h, a.partition, b.support, rounds)
     n, d = h.sites.n, h.sites.d
-    for omega in gs.ground_basis[:3]:
-        seeded = b.apply(omega).amplitudes
+    for omega in gs.basis.T[:3]:
+        seeded = apply_term_array(b.matrix, b.support, omega, n, d)
         full = seeded
         for _ in range(rounds):
             full = a.apply_array(full)
@@ -159,7 +172,7 @@ def test_correlation_matches_dense_oracle(aklt6p):
     x = observable(aklt6p, "sz", 0)
     y = observable(aklt6p, "sz", 2)
     corr = connected_correlation(aklt6p.gs, x, y)
-    omega = aklt6p.gs.ground_basis[0].normalized().amplitudes
+    omega = aklt6p.gs.omega.amplitudes
     x_mat = kron_embed(x.matrix, x.support, 6, 3)
     y_mat = kron_embed(y.matrix, y.support, 6, 3)
     oracle = (omega.conj() @ x_mat @ y_mat @ omega
@@ -213,7 +226,7 @@ def test_support_distance_on_ring(aklt6p):
 # ---------------------------------------------------------------------------
 
 def _measure(model, cut):
-    overlap = max_product_overlap(model.gs.ground_basis[0].normalized(), cut)[0]
+    overlap = max_product_overlap(model.gs.omega, cut)[0]
     return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap)
 
 

@@ -12,8 +12,8 @@ from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
 from dl_lab.runner import RunConfig, run
-from dl_lab.states import (GroundSpaceData, StateVector, ground_kernel, random_state,
-                           spectrum, uniform_superposition)
+from dl_lab.states import (GroundSpaceData, ground_kernel, product_state, random_state,
+                           spectrum)
 
 from oracles import (dense_dl_matrix, dense_restricted_norm, kron_embed,
                      norm_energy_sweep, random_projector)
@@ -34,14 +34,14 @@ def test_requires_projector_terms():
 
 def test_ground_vectors_are_fixed_points(corpus):
     for model in corpus:
-        for vec in model.gs.ground_basis:
-            out = model.a.apply(vec)
-            assert np.abs(out.amplitudes - vec.amplitudes).max() < 1e-12, model.label
+        for vec in model.gs.basis.T:
+            out = model.a.apply_array(vec)
+            assert np.abs(out - vec).max() < 1e-12, model.label
 
 
 def test_pinning_collapses_plus_state(pinning6):
     n = pinning6.h.sites.n
-    psi = uniform_superposition(pinning6.h.sites)
+    psi = product_state(pinning6.h.sites, [np.ones(2) / np.sqrt(2)] * n)
     out = pinning6.a.apply(psi)
     expected = np.zeros(2 ** n)
     expected[0] = 2 ** (-n / 2)
@@ -159,14 +159,14 @@ def test_ground_degeneracy_matches_dense_ground_space(corpus):
         assert basis.shape[1] == model.gs.degeneracy, model.label
         assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < 1e-10
         # the same subspace as the dense ground space
-        assert np.linalg.norm(model.gs.project_array(basis) - basis) < 1e-7, model.label
+        dense = model.gs.basis
+        assert np.linalg.norm(dense @ (dense.conj().T @ basis) - basis) < 1e-7, model.label
 
 
 def test_kernel_shrinkage_is_restricted_norm(corpus):
     for model in corpus:
         basis = ground_kernel(model.h)
-        gs = GroundSpaceData(0.0, model.gs.gap,
-                             tuple(StateVector(v, model.h.sites) for v in basis.T))
+        gs = GroundSpaceData(0.0, model.gs.gap, basis, model.h.sites)
         measured = measure_shrinkage(model.a, gs)
         assert abs(measured - dense_restricted_norm(model.a, model.gs)) < 1e-9, model.label
 
@@ -367,12 +367,12 @@ def test_step_inequality_grid_matches_scalar_loop():
 # ---------------------------------------------------------------------------
 
 def test_converge_ground_vector_stays(heis6):
-    trace = converge(heis6.a, heis6.gs, heis6.gs.ground_basis[0], 5)
+    trace = converge(heis6.a, heis6.gs, heis6.gs.omega, 5)
     assert max(trace.residuals) < 1e-12
 
 
 def test_converge_pinning_first_step(pinning6):
-    psi = uniform_superposition(pinning6.h.sites)
+    psi = product_state(pinning6.h.sites, [np.ones(2) / np.sqrt(2)] * pinning6.h.sites.n)
     trace = converge(pinning6.a, pinning6.gs, psi, 3)
     assert trace.residuals[0] <= 1e-12
 
@@ -383,7 +383,7 @@ def test_converge_heisenberg_bound_and_monotone(heis8):
     assert all(r <= b + 1e-9 for _, r, b in trace.rows())
     assert all(b <= a + 1e-14 for a, b in zip(trace.residuals, trace.residuals[1:]))
     # independent residual check against a dense ground projector
-    basis = heis8.gs.basis_matrix()
+    basis = heis8.gs.basis
     target = basis @ (basis.conj().T @ psi.amplitudes)
     current = psi.amplitudes
     for l in range(3):
@@ -394,4 +394,4 @@ def test_converge_heisenberg_bound_and_monotone(heis8):
 
 def test_converge_validates_l_max(heis6):
     with pytest.raises(ValidationError):
-        converge(heis6.a, heis6.gs, heis6.gs.ground_basis[0], 0)
+        converge(heis6.a, heis6.gs, heis6.gs.omega, 0)

@@ -8,7 +8,7 @@ from dl_lab.hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
                                 projectorize, torus_geometry,
                                 validate_frustration_free)
 from dl_lab.models import ModelDescriptor, build_model, singlet_projector
-from dl_lab.states import ground_space, random_state, apply_local, spectrum
+from dl_lab.states import apply_term_array, ground_space, random_state, spectrum
 
 from oracles import dense_hamiltonian
 
@@ -46,6 +46,12 @@ def test_custom_adjacency_is_normalized_symmetric():
 def test_custom_adjacency_range_checked():
     with pytest.raises(ValidationError):
         SiteSpace(2, 2, custom_geometry([(0, 5)]))
+
+
+def test_term_site_out_of_range_refused():
+    # no term can act on a site outside the space: the contractions never check it
+    with pytest.raises(ValidationError, match="out of range"):
+        chain_spec(2, 2, (LocalTerm((3,), EXCITED),))
 
 
 def test_chain_locality_rejects_distant_support():
@@ -193,14 +199,16 @@ def test_partition_toric_layers_disjoint(toric22):
 def test_same_layer_projectors_commute(corpus):
     rng = np.random.default_rng(3)
     for model in corpus:
-        psi = random_state(model.h.sites, rng)
+        n, d = model.h.sites.n, model.h.sites.d
+        apply = lambda term, arr: apply_term_array(term.matrix, term.support, arr, n, d)
+        psi = random_state(model.h.sites, rng).amplitudes
         for layer in model.a.partition.layers:
             if len(layer) < 2:
                 continue
             i, j = layer[0], layer[1]
-            one = apply_local(model.h.terms[i], apply_local(model.h.terms[j], psi))
-            two = apply_local(model.h.terms[j], apply_local(model.h.terms[i], psi))
-            assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
+            one = apply(model.h.terms[i], apply(model.h.terms[j], psi))
+            two = apply(model.h.terms[j], apply(model.h.terms[i], psi))
+            assert np.abs(one - two).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

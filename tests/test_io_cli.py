@@ -17,12 +17,11 @@ from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geom
     custom_geometry, torus_geometry
 from dl_lab.io import (dumps_document, format_float, hamiltonian_from_document,
                        hamiltonian_to_document, load_hamiltonian, loads_document,
-                       save_hamiltonian, state_from_bytes, state_from_document,
-                       state_to_bytes, state_to_document, write_csv)
+                       save_hamiltonian, write_csv)
 from dl_lab.runner import (RUN_PARAMETERS, CheckRecord, Report, RunConfig, emit_report,
-                           report_from_document, report_to_document, run)
+                           report_to_document, run)
 from dl_lab.models import ModelDescriptor, build_model
-from dl_lab.states import DENSE_CUTOFF, random_state
+from dl_lab.states import DENSE_CUTOFF
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +142,6 @@ def test_hamiltonian_loader_fuzzed_documents(doc):
 
 
 # ---------------------------------------------------------------------------
-# state vectors
-# ---------------------------------------------------------------------------
-
-def test_state_binary_round_trip():
-    sites = SiteSpace(3, 2, chain_geometry())
-    psi = random_state(sites, 42)
-    back = state_from_bytes(state_to_bytes(psi), sites=sites)
-    assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-
-def test_state_binary_magic_checked():
-    with pytest.raises(ValidationError):
-        state_from_bytes(b"XXXX" + b"\0" * 32)
-
-
-def test_state_document_round_trip():
-    sites = SiteSpace(2, 3, chain_geometry())
-    psi = random_state(sites, 1)
-    back = state_from_document(state_to_document(psi))
-    assert np.abs(back.amplitudes - psi.amplitudes).max() == 0.0
-
-
-def test_state_document_site_space_must_match():
-    # n=2, d=4 has the dimension of four qubits but not their factorization
-    doc = state_to_document(random_state(SiteSpace(2, 4, chain_geometry()), 1))
-    with pytest.raises(ValidationError, match="site space"):
-        state_from_document(doc, SiteSpace(4, 2, chain_geometry()))
-    sites = SiteSpace(2, 4, chain_geometry())
-    assert state_from_document(doc, sites).sites == sites
-
-
-# ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
@@ -211,12 +178,8 @@ def test_dl_pipeline_pinning(tmp_path):
 
 
 def test_report_document_round_trip(tmp_path):
-    report = run(_config("gap", tmp_path))
-    doc = loads_document(dumps_document(report_to_document(report)))
-    back = report_from_document(doc)
-    assert back == Report(report.command, report.model_label, report.config_sha256,
-                          report.package_version, report.created_utc, report.records,
-                          report.artifact_paths)
+    doc = report_to_document(run(_config("gap", tmp_path)))
+    assert loads_document(dumps_document(doc)) == doc
 
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):
@@ -311,7 +274,8 @@ AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 
 def test_iterative_verify_solves_once(tmp_path, monkeypatch):
     assert 3 ** 8 > DENSE_CUTOFF
     calls = _count_spectrum_calls(monkeypatch)
-    # the 4 fixed states of A, then max(1, count - 4) solved pairs; the table shows count rows
+    # the 4 states of the ground kernel, then max(1, count - 4) pairs solved one per solve;
+    # the table shows count rows
     for parameters, rows in (({}, 5), ({"count": 3}, 3)):
         calls.clear()
         report = run(_config("verify", tmp_path, model=AKLT8, parameters=parameters))
@@ -493,6 +457,39 @@ def test_cli_exit_two_on_bad_config(tmp_path):
     with open(path, "w") as handle:
         handle.write("{not json")
     assert cli.main(["gap", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("name", ["missing.json", "", "latin1.json"],
+                         ids=["missing", "directory", "not-utf8"])
+def test_cli_exit_two_on_unreadable_config(tmp_path, capsys, name):
+    (tmp_path / "latin1.json").write_bytes(b'{"command": "gap", "model": "\xe9"}')
+    path = str(tmp_path / name)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert repr(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["model-path-directory", "output-dir-not-string",
+                                  "output-dir-under-a-file"])
+def test_cli_exit_two_on_unusable_path_in_config(tmp_path, capsys, case):
+    pinning = {"name": "pinning", "parameters": {"n": 3}}
+    blocked = str(tmp_path / "file.txt" / "out")  # under a regular file
+    (tmp_path / "file.txt").write_text("x")
+    model, out, named = {
+        "model-path-directory": ({"path": str(tmp_path)}, str(tmp_path / "out"), "'model.path'"),
+        "output-dir-not-string": (pinning, 5, "'output.dir'"),
+        "output-dir-under-a-file": (pinning, blocked, blocked),
+    }[case]
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump({"command": "gap", "model": model, "output": {"dir": out}}, handle)
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cli_model_emit_exit_two_on_directory(tmp_path, capsys):
+    argv = ["model", "emit", "--name", "pinning", "--set", "n=3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert repr(str(tmp_path)) in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_list_config(tmp_path, capsys):

@@ -106,7 +106,7 @@ def test_parent_bond_one_is_product_parent(parent821):
     for term in h.terms:
         assert np.linalg.matrix_rank(term.matrix) == d * d - 1
     target = random_mps_state(8, 2, 1, 4)
-    overlap = abs(parent821.gs.ground_basis[0].inner(target))
+    overlap = abs(parent821.gs.omega.inner(target))
     assert parent821.gs.degeneracy == 1
     assert overlap >= 1 - 1e-9
 

@@ -11,10 +11,9 @@ from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geom
 from dl_lab.io import hamiltonian_from_document, hamiltonian_to_document
 from dl_lab.models import BUNDLED_MODELS, ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
-from dl_lab.states import (StateVector, apply_local, basis_state,
-                           gaussian_filter, gaussian_filter_deviation, ground_kernel,
-                           ground_space, product_state, random_state,
-                           restricted_norm, spectrum, uniform_superposition)
+from dl_lab.states import (StateVector, apply_term_array, gaussian_filter_deviation,
+                           ground_kernel, ground_space, product_state, random_state,
+                           restricted_norm, spectrum)
 
 from oracles import (dense_filter_deviation, dense_hamiltonian, dense_restricted_norm,
                      kron_embed)
@@ -25,43 +24,33 @@ def qubits(n):
 
 
 # ---------------------------------------------------------------------------
-# apply_local
+# apply_term_array
 # ---------------------------------------------------------------------------
 
 def test_apply_identity_returns_input():
-    psi = random_state(qubits(4), 1)
-    term = LocalTerm((1, 2), np.eye(4))
-    out = apply_local(term, psi)
-    assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-15
+    psi = random_state(qubits(4), 1).amplitudes
+    out = apply_term_array(np.eye(4), (1, 2), psi, 4, 2)
+    assert np.abs(out - psi).max() < 1e-15
 
 
 def test_apply_single_qubit_projection():
-    sites = qubits(2)
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     zero = np.array([1.0, 0.0])
-    psi = product_state(sites, [plus, zero])
-    term = LocalTerm((0,), np.array([[1.0, 0.0], [0.0, 0.0]]))
-    out = apply_local(term, psi)
+    psi = product_state(qubits(2), [plus, zero]).amplitudes
+    out = apply_term_array(np.array([[1.0, 0.0], [0.0, 0.0]]), (0,), psi, 2, 2)
     expected = np.zeros(4, dtype=complex)
     expected[0] = 1 / np.sqrt(2)
-    assert np.abs(out.amplitudes - expected).max() < 1e-15
+    assert np.abs(out - expected).max() < 1e-15
 
 
 def test_apply_singlet_projector_on_01():
-    sites = qubits(2)
-    psi = basis_state(sites, [0, 1])
-    out = apply_local(LocalTerm((0, 1), singlet_projector()), psi)
+    psi = np.array([0.0, 1.0, 0.0, 0.0])  # |01>
+    out = apply_term_array(singlet_projector(), (0, 1), psi, 2, 2)
     # oracle: explicit 4x4 matrix-vector product
-    expected = kron_embed(singlet_projector(), (0, 1), 2, 2) @ psi.amplitudes
-    assert np.abs(out.amplitudes - expected).max() < 1e-15
-    assert out.amplitudes[1] == pytest.approx(0.5)
-    assert out.amplitudes[2] == pytest.approx(-0.5)
-
-
-def test_apply_out_of_range_support():
-    psi = random_state(qubits(2), 0)
-    with pytest.raises(ValidationError):
-        apply_local(LocalTerm((3,), np.eye(2)), psi)
+    expected = kron_embed(singlet_projector(), (0, 1), 2, 2) @ psi
+    assert np.abs(out - expected).max() < 1e-15
+    assert out[1] == pytest.approx(0.5)
+    assert out[2] == pytest.approx(-0.5)
 
 
 @pytest.mark.parametrize("n,d,support", [
@@ -79,10 +68,9 @@ def test_contraction_matches_kron_embedding(n, d, support):
     k = len(support)
     gauss = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
     herm = gauss @ gauss.conj().T
-    term = LocalTerm(support, herm)
-    psi = random_state(sites, rng)
-    fast = apply_local(term, psi).amplitudes
-    slow = kron_embed(herm, support, n, d) @ psi.amplitudes
+    psi = random_state(sites, rng).amplitudes
+    fast = apply_term_array(herm, support, psi, n, d)
+    slow = kron_embed(herm, support, n, d) @ psi
     assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
 
 
@@ -99,10 +87,9 @@ def test_contraction_matches_kron_embedding_hypothesis(data):
     sites = SiteSpace(n, d, custom_geometry([(0, 1)]))
     gauss = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
     herm = (gauss + gauss.conj().T) / 2 + 2 * d ** k * np.eye(d ** k)
-    term = LocalTerm(support, herm)
-    psi = random_state(sites, rng)
-    fast = apply_local(term, psi).amplitudes
-    slow = kron_embed(herm, support, n, d) @ psi.amplitudes
+    psi = random_state(sites, rng).amplitudes
+    fast = apply_term_array(herm, support, psi, n, d)
+    slow = kron_embed(herm, support, n, d) @ psi
     assert np.abs(fast - slow).max() < 1e-12 * max(1.0, np.abs(slow).max())
 
 
@@ -150,8 +137,7 @@ def test_pinning_ground_space(pinning6):
     gs = pinning6.gs
     assert gs.degeneracy == 1
     assert gs.gap == pytest.approx(1.0)
-    expected = basis_state(pinning6.h.sites, [0] * 6)
-    assert abs(abs(gs.ground_basis[0].inner(expected)) - 1) < 1e-12
+    assert abs(abs(gs.basis[0, 0]) - 1) < 1e-12  # |000000>
 
 
 def test_heisenberg_four_site_degeneracy():
@@ -163,13 +149,13 @@ def test_parent_random_unique_and_recovers_target(parent632):
     gs = parent632.gs
     assert gs.degeneracy == 1
     target = random_mps_state(6, 3, 2, 2)
-    overlap = abs(gs.ground_basis[0].inner(target))
+    overlap = abs(gs.omega.inner(target))
     assert overlap >= 1 - 1e-9
 
 
 def test_ground_basis_orthonormal(corpus):
     for model in corpus:
-        basis = model.gs.basis_matrix()
+        basis = model.gs.basis
         gram = basis.conj().T @ basis
         assert np.abs(gram - np.eye(model.gs.degeneracy)).max() < 1e-10
 
@@ -184,8 +170,23 @@ def test_iterative_regime_matches_dense(monkeypatch):
     calls = []
     monkeypatch.setattr(states, "_lanczos", lambda *args: calls.append(args) or true_lanczos(*args))
     sparse = spectrum(h, 3, fixed)
-    assert len(calls) == 1
+    assert len(calls) == 2  # one solve per state above the ground kernel
     assert np.allclose(dense, sparse.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("name, params, count", [
+    ("aklt", {"n": 7, "periodic": True}, 5),  # 0, then 4 copies of a 6-fold level
+    ("heisenberg-ferro", {"n": 10}, 14),  # 11 ground states, then 3 of a 9-fold level
+], ids=["aklt-7-ring", "heisenberg-ferro-10"])
+def test_iterative_count_keeps_every_copy_of_a_level(monkeypatch, name, params, count):
+    # Lanczos from one start finds the copies of a degenerate level only by luck: every
+    # copy the rows hold must be there, not the next level in their place
+    h = build_model(ModelDescriptor.make(name, **params))
+    dense = spectrum(h, count).values
+    monkeypatch.setattr(states, "DENSE_CUTOFF", 16)
+    sparse = spectrum(h, count, ground_kernel(h))
+    assert np.allclose(dense, sparse.values, atol=1e-8)
+    assert np.abs(sparse.vectors.conj().T @ sparse.vectors - np.eye(count)).max() < 1e-8
 
 
 @pytest.mark.parametrize("count", [None, 3])
@@ -331,23 +332,21 @@ def test_ground_kernel_refines_an_ill_conditioned_step():
 # ---------------------------------------------------------------------------
 
 def test_filter_scales_eigenvectors():
+    # pinning(2) has the levels 0, 1, 1, 2: off the ground space the filter's largest
+    # weight is exp(-q / 2), on the first excited states
     h = build_model(ModelDescriptor.make("pinning", n=2))
-    psi = basis_state(h.sites, [1, 1])  # eigenvector with energy 2
-    out = gaussian_filter(h, 2.0, psi, spectrum_data=spectrum(h))
-    assert np.abs(out.amplitudes - np.exp(-4.0) * psi.amplitudes).max() < 1e-14
+    spec = spectrum(h)
+    for q in (0.5, 2.0):
+        measured = gaussian_filter_deviation(q, ground_space(h, spec), spectrum_data=spec)
+        assert measured == pytest.approx(np.exp(-q / 2.0), abs=1e-14)
 
 
 def test_filter_q_zero_is_identity():
+    # the filter at q = 0 is the identity, one away from the ground projector
     h = build_model(ModelDescriptor.make("pinning", n=3))
-    psi = random_state(h.sites, 5)
-    out = gaussian_filter(h, 0.0, psi, spectrum_data=spectrum(h))
-    assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
-
-
-def test_filter_rejects_negative_q(pinning6):
-    psi = random_state(pinning6.h.sites, 0)
-    with pytest.raises(ValidationError):
-        gaussian_filter(pinning6.h, -1.0, psi, spectrum_data=spectrum(pinning6.h))
+    spec = spectrum(h)
+    measured = gaussian_filter_deviation(0.0, ground_space(h, spec), spectrum_data=spec)
+    assert measured == pytest.approx(1.0, abs=1e-12)
 
 
 def test_filter_deviation_needs_full_spectrum(heis6):
@@ -357,9 +356,8 @@ def test_filter_deviation_needs_full_spectrum(heis6):
 
 
 def test_filter_monotone_on_complement(heis6):
-    psi = heis6.gs.project_out(random_state(heis6.h.sites, 9))
     spec = spectrum(heis6.h)
-    norms = [np.linalg.norm(gaussian_filter(heis6.h, q, psi, spectrum_data=spec).amplitudes)
+    norms = [gaussian_filter_deviation(q, heis6.gs, spectrum_data=spec)
              for q in (0.0, 1.0, 4.0, 16.0)]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -391,8 +389,9 @@ def test_restricted_norm_identity(heis6):
 
 
 def test_restricted_norm_of_ground_projector(heis6):
-    gs = heis6.gs
-    assert restricted_norm(gs.project_array, gs.project_array, gs) <= 1e-10
+    basis = heis6.gs.basis
+    project = lambda arr: basis @ (basis.conj().T @ arr)
+    assert restricted_norm(project, project, heis6.gs) <= 1e-10
 
 
 def test_restricted_norm_dl_pinning(pinning6):
@@ -453,8 +452,3 @@ def test_state_vector_validation():
         StateVector(np.zeros(3), sites)
     with pytest.raises(ValidationError):
         StateVector(np.array([np.nan, 0, 0, 0]), sites)
-
-
-def test_uniform_superposition_norm():
-    psi = uniform_superposition(qubits(5))
-    assert psi.norm() == pytest.approx(1.0)
