@@ -62,12 +62,6 @@ class CausalityCone:
     inside: tuple[frozenset[int], ...]  # inside term indices per depth
     clusters: tuple[frozenset[int], ...]  # site cluster after each depth
 
-    def saturated(self, h: HamiltonianSpec) -> bool:
-        per_round = len(self.layers) // self.rounds
-        final_round = self.inside[-per_round:]
-        members = set().union(*final_round) if final_round else set()
-        return len(members) == h.m
-
     def touches(self, sites) -> bool:
         return bool(self.clusters[-1] & set(sites))
 

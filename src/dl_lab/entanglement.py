@@ -81,12 +81,6 @@ class SchmidtData:
     def eigenvalues(self) -> np.ndarray:
         return self.coefficients ** 2
 
-    def best_rank_overlap(self, r: int) -> float:
-        """Largest inner product achievable by a rank-r unit vector."""
-        if r < 1:
-            raise ValidationError("rank must be at least 1")
-        return float(np.sqrt(self.eigenvalues[:r].sum()))
-
     def tail_mass(self, first_excluded: int) -> float:
         """Sum of eigenvalues with 1-based index > first_excluded."""
         return float(self.eigenvalues[first_excluded:].sum())

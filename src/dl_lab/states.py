@@ -13,6 +13,15 @@ one (dim, deg) view of its vectors.  The residuals are checked as one block
 through the contraction path, hamiltonian_apply.  The restricted operator
 norm on the ground-space complement is one Lanczos solve on the Gram
 operator.  Every Lanczos solve asserts its residuals.
+
+numpy and scipy each load their own OpenBLAS with its own thread pool, and
+ARPACK does its vector work in scipy's.  So no ARPACK matvec calls threaded
+numpy BLAS: a single vector on a run of sites (the periodic wrap bond
+included) is contracted in GEMMs of at most GEMM_BLOCK_WORK multiply-adds,
+which OpenBLAS runs on the calling thread (row blocks on the last bond,
+column blocks elsewhere), and the projections onto found states are
+np.einsum calls, which never call BLAS (_projection).  This holds for terms
+with d^(2k) <= GEMM_BLOCK_WORK whose support is a run of sites.
 """
 from __future__ import annotations
 
@@ -41,6 +50,14 @@ GRAM_ZERO_TOL = 1e-24
 # Largest width * d whose Gram matrix one ground_kernel step diagonalizes: that eigh
 # took 0.23 s at 1024, 1.5 s at 2048 and 12 s at 4096 (2-vCPU Xeon, 2 BLAS threads).
 KERNEL_WIDTH_CAP = 2048
+# Most multiply-adds in one GEMM of the single-vector contraction.  OpenBLAS runs a GEMM on
+# the calling thread up to m * n * k = 65536 * 4 (SMP_THRESHOLD_MIN times
+# GEMM_MULTITHREAD_THRESHOLD) and wakes its pool above that.  numpy and scipy each load
+# their own OpenBLAS, and ARPACK runs its vector work in scipy's pool: one threaded 2-D GEMM
+# per matvec slowed ARPACK's own time on the AKLT-12 ring from 1.26 to 4.70 s (2 threads).
+# In blocks, that ring's spectrum went 8.6-9.6 s -> 4.0 s (with the einsum projections),
+# and 2**12 to 2**18 gave the same AKLT-10 spectrum time within noise (2-vCPU Xeon).
+GEMM_BLOCK_WORK = 2 ** 18
 _CAP_ENV = "DL_LAB_MAX_DIM"
 
 
@@ -108,22 +125,64 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
                      n: int, d: int) -> np.ndarray:
     """Contract (M x 1_rest) with arr over the support site axes.
 
-    arr may carry trailing batch axes after the leading d**n axis.
+    arr may carry trailing batch axes after the leading d**n axis; a batch on
+    a contiguous support is one np.einsum on the (left, d^k, rest) fold.  A
+    single vector on a run of sites is contracted in GEMMs of at most
+    GEMM_BLOCK_WORK multiply-adds each, so that OpenBLAS runs every one on the
+    calling thread (_blocked_apply): row blocks of d^k-wide rows on the last
+    bond, column blocks of each d^k-tall slice elsewhere.  A run that wraps
+    round the ring, such as the bond (n-1, 0), is first rotated to end at the
+    last site, contracted there, and rotated back.  Any other support goes
+    through np.tensordot.
     """
     k = len(support)
     batch = arr.shape[1:]
     s0 = support[0]
+    if not batch and tuple(support) == tuple((s0 + i) % n for i in range(k)):
+        wrapped = s0 + k - n  # sites 0 .. wrapped-1 close the run on a ring
+        if wrapped <= 0:
+            return _blocked_apply(matrix, arr, d ** s0, d ** (n - s0 - k), d)
+        # rotate the sites so that the run ends at the last one, in support order
+        head = d ** wrapped
+        rotated = np.ascontiguousarray(arr.reshape(head, -1).T)
+        out = _blocked_apply(matrix, rotated, d ** (n - k), 1, d)
+        return np.ascontiguousarray(out.reshape(-1, head).T).reshape(d ** n)
     if tuple(support) == tuple(range(s0, s0 + k)):
-        left = d ** s0
-        right = (d ** (n - s0 - k),) + batch
-        folded = arr.reshape((left, d ** k) + right)
-        out = np.einsum("ab,lb...->la...", matrix, folded) if batch else np.matmul(matrix, folded)
-        return out.reshape((d ** n,) + batch)
+        folded = arr.reshape((d ** s0, d ** k, d ** (n - s0 - k)) + batch)
+        return np.einsum("ab,lb...->la...", matrix, folded).reshape((d ** n,) + batch)
     tensor = arr.reshape((d,) * n + batch)
     mat = matrix.reshape((d,) * (2 * k))
     out = np.tensordot(mat, tensor, axes=(tuple(range(k, 2 * k)), tuple(support)))
     out = np.moveaxis(out, tuple(range(k)), tuple(support))
     return np.ascontiguousarray(out).reshape((d ** n,) + batch)
+
+
+def _blocked_apply(matrix: np.ndarray, arr: np.ndarray, left: int, right: int,
+                   d: int) -> np.ndarray:
+    """matrix on the middle axis of the vector arr folded as (left, size, right).
+
+    Each GEMM takes at most GEMM_BLOCK_WORK multiply-adds: on the last bond
+    (right 1) row blocks of the (left, size) fold times matrix.T, elsewhere
+    matrix times column blocks of each (size, right) slice, written through a
+    transposed view of the output.  A block is a power of d, so it divides
+    left and right.
+    """
+    size = matrix.shape[0]
+
+    def block(extent: int) -> int:
+        while extent > 1 and extent * size * size > GEMM_BLOCK_WORK:
+            extent //= d
+        return extent
+
+    if right == 1:
+        return np.matmul(arr.reshape(-1, block(left), size), matrix.T).reshape(-1)
+    cols = block(right)
+    if cols == right:  # one block: the plain product, which costs less to set up
+        return np.matmul(matrix, arr.reshape(left, size, right)).reshape(-1)
+    out = np.empty(arr.shape, np.result_type(matrix, arr))
+    blocks = lambda a: a.reshape(left, size, right // cols, cols).transpose(0, 2, 1, 3)
+    np.matmul(matrix, blocks(arr), out=blocks(out))
+    return out
 
 
 def hamiltonian_apply(h: HamiltonianSpec, arr: np.ndarray) -> np.ndarray:
@@ -185,6 +244,19 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
     order = np.argsort(theta)
     theta, vecs = theta[order], vecs[:, order]
     return theta, vecs, _checked_residuals(matvec(vecs), theta, vecs, what)
+
+
+def _projection(basis: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> basis basis^dag v, for a vector or a (dim, b) block, in two np.einsum calls.
+
+    np.einsum never calls BLAS, so a projection inside a Lanczos matvec keeps off
+    numpy's thread pool (see GEMM_BLOCK_WORK), where basis @ (basis^dag v) made two
+    threaded gemv calls.  The basis is held once as C-contiguous conjugated rows,
+    and basis c = conj(rows^T conj(c)).
+    """
+    rows = np.conjugate(basis.T, order="C")
+    return lambda v: np.einsum("md,m...->d...", rows,
+                               np.einsum("md,d...->m...", rows, v).conj()).conj()
 
 
 def _checked_residuals(applied: np.ndarray, values: np.ndarray, vectors: np.ndarray,
@@ -289,8 +361,8 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
         # one state per solve, each from a fresh start: a start reused would have no
         # component in the copies of a degenerate level that are still missing
         for _ in range(max(1, (count or 0) - deg)):
-            shifted = lambda v, found=vectors: (hamiltonian_apply(h, v.astype(dtype, copy=False))
-                                                + shift * (found @ (found.conj().T @ v)))
+            shifted = lambda v, found=_projection(vectors): (
+                hamiltonian_apply(h, v.astype(dtype, copy=False)) + shift * found(v))
             value, vec, _ = _lanczos(shifted, rng.standard_normal(dim).astype(dtype), 1, "SA",
                                      "shifted eigenpair")
             vectors, theta = np.hstack([vectors, vec]), theta + [value[0]]
@@ -377,9 +449,9 @@ def restricted_norm(op_apply: Callable[[np.ndarray], np.ndarray],
     start (up to GRAM_ZERO_TOL): G vanishes on the complement, and ARPACK
     cannot start from such a vector.
     """
-    basis = gs.basis
-    project_out = lambda v: v - basis @ (basis.conj().T @ v)
-    v0 = project_out(np.random.default_rng(97).standard_normal(basis.shape[0]))
+    project = _projection(gs.basis)
+    project_out = lambda v: v - project(v)
+    v0 = project_out(np.random.default_rng(97).standard_normal(gs.basis.shape[0]))
     a_v0 = op_apply(v0)
     if np.linalg.norm(project_out(adjoint_apply(a_v0))) <= GRAM_ZERO_TOL * np.linalg.norm(v0):
         return 0.0

@@ -34,6 +34,23 @@ def kron_embed(matrix: np.ndarray, support, n: int, d: int) -> np.ndarray:
     return out
 
 
+def einsum_apply(matrix: np.ndarray, support, arr: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(M x 1_rest) arr as one np.einsum over labelled site axes.
+
+    Site s is axis label s, and the support sites get fresh output labels, so
+    no axis is folded, rotated or blocked.  arr may carry trailing batch axes.
+    """
+    support = list(support)
+    k = len(support)
+    fresh = list(range(n, n + k))
+    out_labels = [fresh[support.index(s)] if s in support else s for s in range(n)]
+    batch = arr.shape[1:]
+    out = np.einsum(matrix.reshape((d,) * (2 * k)), fresh + support,
+                    arr.reshape((d,) * n + batch), list(range(n)) + [Ellipsis],
+                    out_labels + [Ellipsis])
+    return out.reshape((d ** n,) + batch)
+
+
 def dense_hamiltonian(h) -> np.ndarray:
     """Full matrix of a HamiltonianSpec via the embedding oracle."""
     n, d = h.sites.n, h.sites.d

@@ -46,7 +46,8 @@ def test_schmidt_product_state():
     data = schmidt(psi, CutSpec.contiguous(1))
     assert data.rank == 1
     assert data.entropy == pytest.approx(0.0, abs=1e-12)
-    assert data.best_rank_overlap(1) == pytest.approx(1.0, abs=1e-12)
+    # the largest overlap with a product state is the top Schmidt coefficient
+    assert data.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_schmidt_rejects_unnormalized():
@@ -132,7 +133,7 @@ def test_fact1_no_trial_beats_best_rank_overlap():
     cut = CutSpec.contiguous(3)
     data = schmidt(psi, cut)
     for r in (1, 2, 4):
-        best = data.best_rank_overlap(r)
+        best = np.sqrt(data.eigenvalues[:r].sum())  # the best rank-r overlap
         for _ in range(300):
             parts = rng.standard_normal((r, 2, 8)) + 1j * rng.standard_normal((r, 2, 8))
             trial = sum(np.kron(parts[i, 0], parts[i, 1]) for i in range(r))

@@ -16,7 +16,7 @@ from dl_lab.states import (StateVector, apply_term_array, gaussian_filter_deviat
                            restricted_norm, spectrum)
 
 from oracles import (dense_filter_deviation, dense_hamiltonian, dense_restricted_norm,
-                     kron_embed)
+                     einsum_apply, kron_embed)
 
 
 def qubits(n):
@@ -106,6 +106,33 @@ def test_apply_term_array_batched_matches_kron(support):
     assert np.abs(out - kron_embed(raw, support, n, d) @ block).max() < 1e-12
 
 
+@pytest.mark.parametrize("n,d", [(10, 3), (14, 2)])
+@pytest.mark.parametrize("bond", ["first", "middle", "right-d", "last", "wrap", "site-first",
+                                  "site-last", "three-last"])
+def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
+    # the GEMM blocks of the single-vector path, and the batched path, against labelled-axis
+    # np.einsum: at the default block size and at blocks of d rows or columns, so that row
+    # and column blocks are crossed at both sizes
+    support = {"first": (0, 1), "middle": (n // 2, n // 2 + 1), "right-d": (n - 3, n - 2),
+               "last": (n - 2, n - 1), "wrap": (n - 1, 0), "site-first": (0,),
+               "site-last": (n - 1,), "three-last": (n - 3, n - 2, n - 1)}[bond]
+    size = d ** len(support)
+    rng = np.random.default_rng(n * d)
+    draw = lambda shape, dtype: (rng.standard_normal(shape) if dtype is float else
+                                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for block_work in (states.GEMM_BLOCK_WORK, d * size * size):
+        monkeypatch.setattr(states, "GEMM_BLOCK_WORK", block_work)
+        for matrix_dtype, arr_dtype in [(float, float), (float, complex), (complex, float),
+                                        (complex, complex)]:
+            matrix = draw((size, size), matrix_dtype)
+            for shape in [(d ** n,), (d ** n, 3)]:
+                arr = draw(shape, arr_dtype)
+                fast = apply_term_array(matrix, support, arr, n, d)
+                slow = einsum_apply(matrix, support, arr, n, d)
+                assert fast.shape == shape
+                assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
 # ---------------------------------------------------------------------------
 # spectrum and ground space
 # ---------------------------------------------------------------------------
@@ -177,7 +204,9 @@ def test_iterative_regime_matches_dense(monkeypatch):
 @pytest.mark.parametrize("name, params, count", [
     ("aklt", {"n": 7, "periodic": True}, 5),  # 0, then 4 copies of a 6-fold level
     ("heisenberg-ferro", {"n": 10}, 14),  # 11 ground states, then 3 of a 9-fold level
-], ids=["aklt-7-ring", "heisenberg-ferro-10"])
+    # complex terms: the projections hold the conjugated rows of the states found
+    ("parent-random", {"n": 6, "d": 3, "bond": 2, "seed": 2}, 6),
+], ids=["aklt-7-ring", "heisenberg-ferro-10", "parent-random-6322"])
 def test_iterative_count_keeps_every_copy_of_a_level(monkeypatch, name, params, count):
     # Lanczos from one start finds the copies of a degenerate level only by luck: every
     # copy the rows hold must be there, not the next level in their place
