@@ -57,6 +57,9 @@ KERNEL_WIDTH_CAP = 2048
 # per matvec slowed ARPACK's own time on the AKLT-12 ring from 1.26 to 4.70 s (2 threads).
 # In blocks, that ring's spectrum went 8.6-9.6 s -> 4.0 s (with the einsum projections),
 # and 2**12 to 2**18 gave the same AKLT-10 spectrum time within noise (2-vCPU Xeon).
+# The batched np.einsum fold never calls BLAS either, but is slower on one vector: at 3^10
+# with a two-site term it took 0.29, 0.66, 3.9 and 0.72 ms on the first, a middle, the
+# right == d and the last bond, where these blocks took 0.045, 0.076, 0.27 and 0.12 ms.
 GEMM_BLOCK_WORK = 2 ** 18
 _CAP_ENV = "DL_LAB_MAX_DIM"
 
@@ -177,8 +180,6 @@ def _blocked_apply(matrix: np.ndarray, arr: np.ndarray, left: int, right: int,
     if right == 1:
         return np.matmul(arr.reshape(-1, block(left), size), matrix.T).reshape(-1)
     cols = block(right)
-    if cols == right:  # one block: the plain product, which costs less to set up
-        return np.matmul(matrix, arr.reshape(left, size, right)).reshape(-1)
     out = np.empty(arr.shape, np.result_type(matrix, arr))
     blocks = lambda a: a.reshape(left, size, right // cols, cols).transpose(0, 2, 1, 3)
     np.matmul(matrix, blocks(arr), out=blocks(out))
