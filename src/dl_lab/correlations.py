@@ -17,8 +17,10 @@ import numpy as np
 from .dl import DLOperator, application_layers
 from .entanglement import CutSpec, density_entropy, reduced_density
 from .errors import ValidationError
-from .hamiltonian import HamiltonianSpec, LayerPartition
-from .states import GroundSpaceData, StateVector, apply_term_array
+from .hamiltonian import (HamiltonianSpec, LayerPartition, LocalTerm, SiteSpace,
+                          custom_geometry)
+from .states import (GroundSpaceData, StateVector, apply_term_array, hamiltonian_matrix,
+                     zero_threshold)
 
 
 @dataclass(frozen=True)
@@ -220,20 +222,13 @@ def _window_sites(h: HamiltonianSpec, cut: CutSpec, l: int) -> tuple[int, ...]:
 
 def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
     """Projector onto the common ground space of the terms inside the window."""
-    d = h.sites.d
-    w = len(window)
-    dim = d ** w
-    inner = [t for t in h.terms if set(t.support) <= set(window)]
+    inner = [LocalTerm(tuple(window.index(s) for s in t.support), t.matrix, t.is_projector)
+             for t in h.terms if set(t.support) <= set(window)]
     if not inner:
-        return np.eye(dim)
-    local_h = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for term in inner:
-        local_support = tuple(window.index(s) for s in term.support)
-        local_h += apply_term_array(term.matrix, local_support, eye, w, d)
-    evals, evecs = np.linalg.eigh(local_h)
-    threshold = 1e-10 * (1.0 + float(len(inner)))
-    keep = evals <= threshold
+        return np.eye(h.sites.d ** len(window))
+    local = HamiltonianSpec(SiteSpace(len(window), h.sites.d, custom_geometry(())), inner)
+    evals, evecs = np.linalg.eigh(hamiltonian_matrix(local).astype(complex))
+    keep = evals <= zero_threshold(local)
     basis = evecs[:, keep]
     return basis @ basis.conj().T
 

@@ -187,6 +187,9 @@ def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
         path = f"terms[{i}].matrix"
         matrix = _matrix_from_rows(_field(term_doc, "matrix", path), path)
         support = _field(term_doc, "support", f"terms[{i}].support", list, int)
+        if not support:
+            raise ValidationError(f"hamiltonian field 'terms[{i}].support': a term needs at "
+                                  "least one site")
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
         with np.errstate(over="ignore", invalid="ignore"):
             excess = np.abs(matrix @ matrix - matrix).max(initial=0.0)

@@ -178,7 +178,7 @@ def random_mps_state(n: int, d: int, bond: int, seed: int) -> StateVector:
         left = 1 if i == 0 else bond
         right = 1 if i == n - 1 else bond
         tensor = rng.standard_normal((left, d, right)) + 1j * rng.standard_normal((left, d, right))
-        amps = tensor if amps is None else np.tensordot(amps, tensor, axes=([-1], [0]))
+        amps = tensor if amps is None else np.dot(amps.reshape(-1, left), tensor.reshape(left, -1))
     amps = amps.reshape(-1)
     sites = SiteSpace(n, d, chain_geometry())
     return StateVector(amps / np.linalg.norm(amps), sites)

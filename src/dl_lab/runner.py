@@ -36,9 +36,9 @@ from .io import (atomic_write_text, dumps_document, loads_document,
                  load_hamiltonian, read_text, write_csv)
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
                      check_parameters, descriptor_from_document, site_observable)
-from .states import (DENSE_CUTOFF, GroundSpaceData, SpectrumData, StateVector, check_dim,
-                     gaussian_filter_deviation, ground_kernel, ground_space, product_state,
-                     random_state, spectrum)
+from .states import (GroundSpaceData, SpectrumData, StateVector, check_dim,
+                     gaussian_filter_deviation, ground_space, product_state, random_state,
+                     spectrum)
 
 COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
             "measurecheck", "verify")
@@ -217,20 +217,12 @@ class _Context:
 
     @cached_property
     def spectrum_data(self) -> SpectrumData:
-        """The one spectrum of H in the run.
+        """The one spectrum of H in the run, in the regime states.spectrum picks.
 
-        Up to DENSE_CUTOFF it is the full dense spectrum.  Above, the ground
-        space is the common kernel of the terms (states.ground_kernel), and
-        one Lanczos solve finds the states of H above it.  The kernel is not
-        kept apart: it is the first deg columns of the spectrum's vectors.
+        The full spectrum in the dense regime; above it, the ground kernel in
+        the first deg columns and the lowest states above it ('count').
         """
-        if self.h.sites.dim <= DENSE_CUTOFF:
-            return spectrum(self.h)
-        kernel = ground_kernel(self.h)
-        if kernel.shape[1] == 0:
-            raise ValidationError("no state is annihilated by every term; "
-                                  "the model is not frustration-free")
-        return spectrum(self.h, self.p["count"], kernel)
+        return spectrum(self.h, self.p["count"])
 
     @cached_property
     def gs(self) -> GroundSpaceData:
@@ -325,7 +317,7 @@ def _step_pyramids(ctx: _Context) -> None:
 
 
 def _step_filter(ctx: _Context) -> None:
-    if ctx.h.sites.dim > DENSE_CUTOFF:
+    if len(ctx.spectrum_data.values) < ctx.h.sites.dim:
         return
     worst = -np.inf
     for q in (1.0, 4.0, 16.0):

@@ -1,13 +1,16 @@
 """Dense state-vector arithmetic over (C^d)^(x n).
 
 Local operators are applied by tensor contraction over their support
-axes only, so the cost is O(d^n * d^k) per term.  A run computes one
-spectrum of H: one in-place eigh of the dense matrix up to DENSE_CUTOFF,
-whose terms are added in place, each into a view of the matrix, with no
-identity pushed through them (hamiltonian_matrix).
+axes only, so the cost is O(d^n * d^k) per term.  Each decision is made in
+one place.  apply_term_array has two cases: a forward run of sites, and any
+other support, whose axes are moved to the end and contracted there as a
+last bond.  spectrum picks the regime: one in-place eigh of the dense
+matrix up to DENSE_CUTOFF, whose terms are added in place, each into a view
+of the matrix, with no identity pushed through them (hamiltonian_matrix).
 Above it the ground space is the common kernel of the terms, built site by
 site (ground_kernel), and H is solved only above it, one Lanczos solve per
 state, with the kernel and the states found so far shifted out of the way.
+zero_threshold is the one energy under which a state counts as ground.
 ground_space only selects from the spectrum, and holds the ground space as
 one (dim, deg) view of its vectors.  The residuals are checked as one block
 through the contraction path, hamiltonian_apply.  The restricted operator
@@ -16,15 +19,16 @@ operator.  Every Lanczos solve asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 ARPACK does its vector work in scipy's.  So no ARPACK matvec calls threaded
-numpy BLAS: a single vector on a run of sites (the periodic wrap bond
-included) is contracted in GEMMs of at most GEMM_BLOCK_WORK multiply-adds,
-which OpenBLAS runs on the calling thread (row blocks on the last bond,
-column blocks elsewhere), and the projections onto found states are
-np.einsum calls, which never call BLAS (_projection).  This holds for terms
-with d^(2k) <= GEMM_BLOCK_WORK whose support is a run of sites.
+numpy BLAS: a single vector on a run of sites, and any array on any other
+support, is contracted in GEMMs of at most GEMM_BLOCK_WORK multiply-adds,
+which OpenBLAS runs on the calling thread (_blocked_apply); a batch on a run
+of sites is one np.einsum, and the projections onto found states are
+np.einsum calls (_projection), which never call BLAS.  This holds for terms
+with d^(2k) <= GEMM_BLOCK_WORK.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,35 +132,28 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
                      n: int, d: int) -> np.ndarray:
     """Contract (M x 1_rest) with arr over the support site axes.
 
-    arr may carry trailing batch axes after the leading d**n axis; a batch on
-    a contiguous support is one np.einsum on the (left, d^k, rest) fold.  A
-    single vector on a run of sites is contracted in GEMMs of at most
+    arr may carry trailing batch axes after the leading d**n axis.  On a
+    forward run of sites a single vector is contracted in GEMMs of at most
     GEMM_BLOCK_WORK multiply-adds each, so that OpenBLAS runs every one on the
-    calling thread (_blocked_apply): row blocks of d^k-wide rows on the last
-    bond, column blocks of each d^k-tall slice elsewhere.  A run that wraps
-    round the ring, such as the bond (n-1, 0), is first rotated to end at the
-    last site, contracted there, and rotated back.  Any other support goes
-    through np.tensordot.
+    calling thread (_blocked_apply), and a batch is one np.einsum on the
+    (left, d^k, rest) fold.  Any other support (the periodic wrap bond, a
+    reversed or scattered support, a plaquette) has its axes moved to the end
+    in support order, after the batch axes, is contracted there as a last
+    bond by the same row blocks, and is moved back.
     """
     k = len(support)
     batch = arr.shape[1:]
     s0 = support[0]
-    if not batch and tuple(support) == tuple((s0 + i) % n for i in range(k)):
-        wrapped = s0 + k - n  # sites 0 .. wrapped-1 close the run on a ring
-        if wrapped <= 0:
-            return _blocked_apply(matrix, arr, d ** s0, d ** (n - s0 - k), d)
-        # rotate the sites so that the run ends at the last one, in support order
-        head = d ** wrapped
-        rotated = np.ascontiguousarray(arr.reshape(head, -1).T)
-        out = _blocked_apply(matrix, rotated, d ** (n - k), 1, d)
-        return np.ascontiguousarray(out.reshape(-1, head).T).reshape(d ** n)
     if tuple(support) == tuple(range(s0, s0 + k)):
+        if not batch:
+            return _blocked_apply(matrix, arr, d ** s0, d ** (n - s0 - k), d)
         folded = arr.reshape((d ** s0, d ** k, d ** (n - s0 - k)) + batch)
         return np.einsum("ab,lb...->la...", matrix, folded).reshape((d ** n,) + batch)
-    tensor = arr.reshape((d,) * n + batch)
-    mat = matrix.reshape((d,) * (2 * k))
-    out = np.tensordot(mat, tensor, axes=(tuple(range(k, 2 * k)), tuple(support)))
-    out = np.moveaxis(out, tuple(range(k)), tuple(support))
+    order = [s for s in range(n) if s not in support] + list(range(n, n + len(batch)))
+    order += support
+    moved = np.ascontiguousarray(arr.reshape((d,) * n + batch).transpose(order))
+    out = _blocked_apply(matrix, moved.reshape(-1), moved.size // d ** k, 1, d)
+    out = out.reshape(moved.shape).transpose(np.argsort(order))
     return np.ascontiguousarray(out).reshape((d ** n,) + batch)
 
 
@@ -167,19 +164,17 @@ def _blocked_apply(matrix: np.ndarray, arr: np.ndarray, left: int, right: int,
     Each GEMM takes at most GEMM_BLOCK_WORK multiply-adds: on the last bond
     (right 1) row blocks of the (left, size) fold times matrix.T, elsewhere
     matrix times column blocks of each (size, right) slice, written through a
-    transposed view of the output.  A block is a power of d, so it divides
-    left and right.
+    transposed view of the output.  A block is the largest common divisor of
+    the extent and the largest power of d within that work, so it divides the
+    rows whatever batch axes they hold.
     """
     size = matrix.shape[0]
-
-    def block(extent: int) -> int:
-        while extent > 1 and extent * size * size > GEMM_BLOCK_WORK:
-            extent //= d
-        return extent
-
+    most = 1
+    while most * d * size * size <= GEMM_BLOCK_WORK:
+        most *= d
     if right == 1:
-        return np.matmul(arr.reshape(-1, block(left), size), matrix.T).reshape(-1)
-    cols = block(right)
+        return np.matmul(arr.reshape(-1, math.gcd(left, most), size), matrix.T).reshape(-1)
+    cols = math.gcd(right, most)
     out = np.empty(arr.shape, np.result_type(matrix, arr))
     blocks = lambda a: a.reshape(left, size, right // cols, cols).transpose(0, 2, 1, 3)
     np.matmul(matrix, blocks(arr), out=blocks(out))
@@ -271,6 +266,11 @@ def _checked_residuals(applied: np.ndarray, values: np.ndarray, vectors: np.ndar
     return residuals
 
 
+def zero_threshold(h: HamiltonianSpec) -> float:
+    """Largest energy that counts as zero: GROUND_TOL_SCALE times 1 + norm_bound."""
+    return GROUND_TOL_SCALE * (1.0 + h.norm_bound())
+
+
 def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     """Orthonormal (dim, deg) basis of the common kernel of the projector terms.
 
@@ -278,16 +278,16 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     site by site as in Bravyi's kernel propagation for quantum 2-SAT.  G
     spans the states of sites 0..j-1 that every term ending there
     annihilates.  At site j, B = G (x) C^d keeps only the null space (Gram
-    eigenvalues at most the zero threshold of ground_space) of the terms
-    whose last site is j, refined once.  B is never formed: the terms act on
-    G (x) e_t, one t at a time.  Empty once a step keeps nothing.
+    eigenvalues at most zero_threshold) of the terms whose last site is j,
+    refined once.  B is never formed: the terms act on G (x) e_t, one t at a
+    time.  Empty once a step keeps nothing.
     DimensionCapError, naming the site, when width * d exceeds
     KERNEL_WIDTH_CAP before a step.
     """
     if not h.all_projectors():
         raise ValidationError("the ground kernel needs projector terms; run projectorize first")
     n, d = h.sites.n, h.sites.d
-    zero = GROUND_TOL_SCALE * (1.0 + h.norm_bound())
+    zero = zero_threshold(h)
     ending: list[list[LocalTerm]] = [[] for _ in range(n)]
     for term in h.terms:
         ending[max(term.support)].append(term)
@@ -331,17 +331,19 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     return g
 
 
-def spectrum(h: HamiltonianSpec, count: int | None = None,
-             kernel: np.ndarray | None = None) -> SpectrumData:
-    """Lowest eigenpairs of sum_i Q_i: all, or the lowest `count`, when dense.
+def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
+    """Lowest eigenpairs of sum_i Q_i; this is where the regime is decided.
 
-    Dense, one in-place eigh.  Above DENSE_CUTOFF, kernel is the ground space
-    (ground_kernel): its columns are the first rows, and the lowest
+    Up to DENSE_CUTOFF, all of them, from one in-place eigh (count is not
+    read).  Above it, the ground space is the common kernel of the terms,
+    built here (ground_kernel): its columns are the first rows, and the lowest
     max(1, count - deg) states above it follow, one Lanczos solve each, on H
     plus norm_bound times the projector onto the kernel and the states found
-    so far.  ConvergenceError when a solved value is under the zero threshold
-    (a ground state the kernel missed), a kernel state is above it, or a
-    residual of the one hamiltonian_apply on all the vectors is too large.
+    so far.  ValidationError when the kernel is empty (the model is not
+    frustration-free); ConvergenceError when a solved value is under
+    zero_threshold (a ground state the kernel missed), a kernel state is
+    above it, or a residual of the one hamiltonian_apply on all the vectors
+    is too large.
     """
     dim = h.sites.dim
     check_dim(dim)
@@ -350,12 +352,13 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
         # vectors back, into C order (the batched contractions are slow on Fortran order)
         evals, vectors = scipy.linalg.eigh(hamiltonian_matrix(h).T, overwrite_a=True,
                                            check_finite=False, driver="evd")
-        evals, vectors = evals[:count], np.conjugate(vectors[:, :count], order="C")
+        vectors = np.conjugate(vectors, order="C")
         applied = hamiltonian_apply(h, vectors)
     else:
-        if kernel is None:
-            raise ValidationError(f"dimension {dim} is out of the dense regime: the spectrum "
-                                  "needs the ground kernel")
+        kernel = ground_kernel(h)
+        if kernel.shape[1] == 0:
+            raise ValidationError("no state is annihilated by every term; "
+                                  "the model is not frustration-free")
         dtype = complex if _is_complex(h) else float
         rng, shift, deg = np.random.default_rng(1234), h.norm_bound(), kernel.shape[1]
         vectors, theta = kernel, []
@@ -372,7 +375,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None,
         applied = hamiltonian_apply(h, vectors)
         rayleigh = np.einsum("ij,ij->j", kernel.conj(), applied[:, :deg]).real
         evals = np.concatenate([rayleigh, theta])
-        zero = GROUND_TOL_SCALE * (1.0 + shift)  # the threshold of ground_space
+        zero = zero_threshold(h)
         if theta[0] <= zero or (rayleigh > zero).any():
             raise ConvergenceError(
                 f"the ground kernel ({deg} states) is not the zero-energy space of H: "
@@ -410,7 +413,7 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
     Selects from spectrum_data, the lowest eigenpairs of h; it never
     diagonalizes.
     """
-    threshold = GROUND_TOL_SCALE * (1.0 + h.norm_bound())
+    threshold = zero_threshold(h)
     values = spectrum_data.values
     n_ground = int(np.searchsorted(values, threshold, side="right"))
     if values[0] > threshold:

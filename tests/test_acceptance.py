@@ -19,8 +19,8 @@ from dl_lab.entanglement import (CutSpec, area_law_certificate,
                                  shifted_cut_check, step_entropy_bound,
                                  tail_bound_check)
 from dl_lab.models import ModelDescriptor, build_model, site_observable
-from dl_lab.states import ground_kernel, ground_space, product_state, random_state, \
-    spectrum, gaussian_filter_deviation
+from dl_lab.states import ground_space, product_state, random_state, spectrum, \
+    gaussian_filter_deviation
 
 
 def _criterion(num: int, description: str, ok: bool) -> None:
@@ -56,7 +56,7 @@ def _random_product(sites, seed):
 @pytest.fixture(scope="module")
 def aklt12():
     h = build_model(ModelDescriptor.make("aklt", n=12, periodic=True))
-    gs = ground_space(h, spectrum(h, kernel=ground_kernel(h)))
+    gs = ground_space(h, spectrum(h))
     return h, gs
 
 

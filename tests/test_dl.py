@@ -187,8 +187,9 @@ def test_ground_degeneracy_asserts_residual(heis6, monkeypatch):
     kernel[:, 0] += 1e-6 * (tilt - kernel @ (kernel.T @ tilt))
     kernel[:, 0] /= np.linalg.norm(kernel[:, 0])
     monkeypatch.setattr(states, "DENSE_CUTOFF", 32)
+    monkeypatch.setattr(states, "ground_kernel", lambda h: kernel)
     with pytest.raises(ConvergenceError, match="residual"):
-        spectrum(heis6.h, 9, kernel)
+        spectrum(heis6.h, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def test_custom_adjacency_allows_any_support():
 
 
 def test_local_term_validation():
+    with pytest.raises(ValidationError, match="at least one site"):
+        LocalTerm((), np.zeros((1, 1)))  # used to reach IndexError in the contractions
     with pytest.raises(ValidationError):
         LocalTerm((0, 0), np.eye(4))
     with pytest.raises(ValidationError):

@@ -228,6 +228,14 @@ def _count_spectrum_calls(monkeypatch) -> list:
     return calls
 
 
+def _count_lanczos_calls(monkeypatch) -> list:
+    """The Lanczos solves of the iterative spectrum, which follow the ground kernel."""
+    calls = []
+    original = states._lanczos
+    monkeypatch.setattr(states, "_lanczos", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
     calls = _count_spectrum_calls(monkeypatch)
     model = {"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}
@@ -289,8 +297,8 @@ def test_iterative_verify_solves_once(tmp_path, monkeypatch):
 
 def test_iterative_missed_ground_state_exits_two(tmp_path, monkeypatch, capsys):
     # stands in for a kernel sweep that misses a degenerate ground state
-    true_ground_kernel = runner.ground_kernel
-    monkeypatch.setattr(runner, "ground_kernel", lambda h: true_ground_kernel(h)[:, 1:])
+    true_ground_kernel = states.ground_kernel
+    monkeypatch.setattr(states, "ground_kernel", lambda h: true_ground_kernel(h)[:, 1:])
     path = _write_config(tmp_path, command="verify", model=AKLT8)
     assert cli.main(["verify", "--config", path, "--quiet"]) == 2
     assert "not the zero-energy space" in capsys.readouterr().err
@@ -301,7 +309,7 @@ def test_iterative_missed_ground_state_exits_two(tmp_path, monkeypatch, capsys):
 def test_kernel_width_guard_exits_two_before_any_solve(tmp_path, monkeypatch, capsys):
     # bond = d drops every interior term: the kernel width doubles per uncovered site
     # and reaches width * d = 4096 at site 12
-    calls = _count_spectrum_calls(monkeypatch)
+    calls = _count_lanczos_calls(monkeypatch)
     model = {"name": "parent-random", "parameters": {"n": 13, "d": 2, "bond": 2, "seed": 7}}
     path = _write_config(tmp_path, command="gap", model=model)
     with pytest.warns(UserWarning, match="term dropped"):
@@ -330,7 +338,7 @@ def test_frustrated_iterative_model_exits_two_before_spectrum(tmp_path, monkeypa
                                  pinning.terms + (LocalTerm((0,), extra, is_projector=True),))
     model_path = str(tmp_path / "frustrated.json")
     save_hamiltonian(model_path, frustrated)
-    calls = _count_spectrum_calls(monkeypatch)
+    calls = _count_lanczos_calls(monkeypatch)
     path = _write_config(tmp_path, command="gap", model={"path": model_path})
     assert cli.main(["gap", "--config", path, "--quiet"]) == 2
     assert "not frustration-free" in capsys.readouterr().err
@@ -535,8 +543,12 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     (lambda doc: doc["terms"][0].update(matrix=[[[1.7e308, 0], [-1.7e308, 0]],
                                                 [[-1.7e308, 0], [1.7e308, 0]]]),
      "terms[0].matrix"),
+    # an empty support on a geometry that admits any support: used to escape as IndexError
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency", "edges": []})
+     or doc["terms"][0].update(support=[], matrix=[[[0, 0]]]), "terms[0].support"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
-        "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix"])
+        "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix",
+        "empty-support"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -579,13 +591,13 @@ def test_cli_exit_two_on_count_below_one(tmp_path, capsys, count):
 
 def _count_ground_kernel_calls(monkeypatch) -> list:
     calls = []
-    original = runner.ground_kernel
+    original = states.ground_kernel
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "ground_kernel", counting)
+    monkeypatch.setattr(states, "ground_kernel", counting)
     return calls
 
 

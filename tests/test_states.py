@@ -11,9 +11,9 @@ from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geom
 from dl_lab.io import hamiltonian_from_document, hamiltonian_to_document
 from dl_lab.models import BUNDLED_MODELS, ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
-from dl_lab.states import (StateVector, apply_term_array, gaussian_filter_deviation,
-                           ground_kernel, ground_space, product_state, random_state,
-                           restricted_norm, spectrum)
+from dl_lab.states import (SpectrumData, StateVector, apply_term_array,
+                           gaussian_filter_deviation, ground_kernel, ground_space,
+                           product_state, random_state, restricted_norm, spectrum)
 
 from oracles import (dense_filter_deviation, dense_hamiltonian, dense_restricted_norm,
                      einsum_apply, kron_embed)
@@ -108,24 +108,30 @@ def test_apply_term_array_batched_matches_kron(support):
 
 @pytest.mark.parametrize("n,d", [(10, 3), (14, 2)])
 @pytest.mark.parametrize("bond", ["first", "middle", "right-d", "last", "wrap", "site-first",
-                                  "site-last", "three-last"])
+                                  "site-last", "three-last", "reversed", "scattered"])
 def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
-    # the GEMM blocks of the single-vector path, and the batched path, against labelled-axis
-    # np.einsum: at the default block size and at blocks of d rows or columns, so that row
-    # and column blocks are crossed at both sizes
+    # the GEMM blocks of the single-vector path, the batched path and the general path of
+    # the supports that are no forward run, against labelled-axis np.einsum: at the default
+    # block size and at blocks of d rows or columns, so that row and column blocks are
+    # crossed at both sizes.  Last, a batch of width 7, not a power of d, at a work of
+    # 4 * size**2: blocks of 4 rows at d = 2, where dividing the 7 * 2**m rows down by d
+    # until they fit would stop at 3, which does not divide them
     support = {"first": (0, 1), "middle": (n // 2, n // 2 + 1), "right-d": (n - 3, n - 2),
                "last": (n - 2, n - 1), "wrap": (n - 1, 0), "site-first": (0,),
-               "site-last": (n - 1,), "three-last": (n - 3, n - 2, n - 1)}[bond]
+               "site-last": (n - 1,), "three-last": (n - 3, n - 2, n - 1),
+               "reversed": (1, 0), "scattered": (0, 2, 3)}[bond]
     size = d ** len(support)
     rng = np.random.default_rng(n * d)
     draw = lambda shape, dtype: (rng.standard_normal(shape) if dtype is float else
                                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for block_work in (states.GEMM_BLOCK_WORK, d * size * size):
+    for block_work, shapes in [(states.GEMM_BLOCK_WORK, [(d ** n,), (d ** n, 3)]),
+                               (d * size * size, [(d ** n,), (d ** n, 3)]),
+                               (4 * size * size, [(d ** n, 7)])]:
         monkeypatch.setattr(states, "GEMM_BLOCK_WORK", block_work)
         for matrix_dtype, arr_dtype in [(float, float), (float, complex), (complex, float),
                                         (complex, complex)]:
             matrix = draw((size, size), matrix_dtype)
-            for shape in [(d ** n,), (d ** n, 3)]:
+            for shape in shapes:
                 arr = draw(shape, arr_dtype)
                 fast = apply_term_array(matrix, support, arr, n, d)
                 slow = einsum_apply(matrix, support, arr, n, d)
@@ -190,13 +196,12 @@ def test_ground_basis_orthonormal(corpus):
 def test_iterative_regime_matches_dense(monkeypatch):
     h = build_model(ModelDescriptor.make("aklt", n=6, periodic=True))
     dense = spectrum(h).values[:3]
-    fixed = ground_kernel(h)
     # dim 729 is dense by default: lower the cutoff so the Lanczos branch runs
     monkeypatch.setattr(states, "DENSE_CUTOFF", 64)
     true_lanczos = states._lanczos
     calls = []
     monkeypatch.setattr(states, "_lanczos", lambda *args: calls.append(args) or true_lanczos(*args))
-    sparse = spectrum(h, 3, fixed)
+    sparse = spectrum(h, 3)
     assert len(calls) == 2  # one solve per state above the ground kernel
     assert np.allclose(dense, sparse.values, atol=1e-8)
 
@@ -211,17 +216,21 @@ def test_iterative_count_keeps_every_copy_of_a_level(monkeypatch, name, params, 
     # Lanczos from one start finds the copies of a degenerate level only by luck: every
     # copy the rows hold must be there, not the next level in their place
     h = build_model(ModelDescriptor.make(name, **params))
-    dense = spectrum(h, count).values
+    dense = spectrum(h).values[:count]
     monkeypatch.setattr(states, "DENSE_CUTOFF", 16)
-    sparse = spectrum(h, count, ground_kernel(h))
+    sparse = spectrum(h, count)
     assert np.allclose(dense, sparse.values, atol=1e-8)
     assert np.abs(sparse.vectors.conj().T @ sparse.vectors - np.eye(count)).max() < 1e-8
 
 
 @pytest.mark.parametrize("count", [None, 3])
-def test_spectrum_vectors_are_one_c_order_array(heis6, count):
-    spec = spectrum(heis6.h, count)
-    assert spec.vectors.shape == (heis6.h.sites.dim, count or heis6.h.sites.dim)
+def test_spectrum_vectors_are_one_c_order_array(pinning6, monkeypatch, count):
+    # the dense regime returns every column, count or not; a count is read in the
+    # iterative one: the one kernel state and count - 1 above it
+    if count is not None:
+        monkeypatch.setattr(states, "DENSE_CUTOFF", 32)
+    spec = spectrum(pinning6.h, count)
+    assert spec.vectors.shape == (pinning6.h.sites.dim, count or pinning6.h.sites.dim)
     assert spec.vectors.flags["C_CONTIGUOUS"]
 
 
@@ -379,7 +388,8 @@ def test_filter_q_zero_is_identity():
 
 
 def test_filter_deviation_needs_full_spectrum(heis6):
-    partial = spectrum(heis6.h, heis6.gs.degeneracy)
+    spec, deg = spectrum(heis6.h), heis6.gs.degeneracy
+    partial = SpectrumData(spec.values[:deg], spec.vectors[:, :deg], spec.residuals[:deg])
     with pytest.raises(ValidationError, match="full spectrum"):
         gaussian_filter_deviation(1.0, heis6.gs, spectrum_data=partial)
 
