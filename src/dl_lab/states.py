@@ -4,18 +4,23 @@ Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  Each decision is made in
 one place.  apply_term_array has two cases: a forward run of sites, and any
 other support, whose axes are moved to the end and contracted there as a
-last bond.  spectrum picks the regime: one in-place eigh of the dense
-matrix up to DENSE_CUTOFF, whose terms are added in place, each into a view
-of the matrix, with no identity pushed through them (hamiltonian_matrix).
-Above it the ground space is the common kernel of the terms, built site by
+last bond.  spectrum picks the regime.  Up to DENSE_CUTOFF it assembles
+the dense matrix, each term added in place into a view of it, with no
+identity pushed through them (hamiltonian_matrix), and splits it into the
+connected components of its exact-nonzero pattern: the S_z sectors of
+Heisenberg and AKLT, the syndrome sectors of the toric code, the diagonal of
+pinning.  Each block gets its own in-place eigh; a connected matrix is one
+block, diagonalized with no copy.  The spectral filter takes the 2-norm of
+filt - proj one block at a time, from one dense eigvalsh of each.  Above
+the cutoff the ground space is the common kernel of the terms, built site by
 site (ground_kernel), and H is solved only above it, one Lanczos solve per
 state, with the kernel and the states found so far shifted out of the way.
 zero_threshold is the one energy under which a state counts as ground.
 ground_space only selects from the spectrum, and holds the ground space as
-one (dim, deg) view of its vectors.  The residuals are checked as one block
-through the contraction path, hamiltonian_apply.  The restricted operator
-norm on the ground-space complement is one Lanczos solve on the Gram
-operator.  Every Lanczos solve asserts its residuals.
+one (dim, deg) view of its vectors.  The residuals of every column are
+checked in one batch through the contraction path, hamiltonian_apply.  The
+restricted operator norm on the ground-space complement is one Lanczos solve
+on the Gram operator.  Every Lanczos solve asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 ARPACK does its vector work in scipy's.  So no ARPACK matvec calls threaded
@@ -216,11 +221,17 @@ def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumData:
-    """Lowest eigenpairs, ascending; vectors is C-order (dim, count), one per column."""
+    """Lowest eigenpairs, ascending; vectors is C-order (dim, count), one per column.
+
+    blocks holds, for each exact block of H, its rows and the columns of vectors
+    that are its eigenvectors: each such column is zero off those rows.  None is
+    one block of every row and column (the iterative regime).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
 
 def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
@@ -331,28 +342,85 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     return g
 
 
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """Rows of each connected component of the exact-nonzero pattern of mat, ascending.
+
+    Rows i and j are joined when mat[i, j] or mat[j, i] is nonzero, so every
+    entry between two components is an exact zero in both triangles.  Each
+    component is grown breadth first from its lowest row, through the rows and
+    the columns of one boolean (dim, dim) pattern; the components come in the
+    order of their lowest rows.
+    """
+    pattern = mat != 0
+    unseen = np.ones(len(mat), bool)
+    components = []
+    for start in range(len(mat)):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        frontier = np.array([start])
+        found = [frontier]
+        while frontier.size:
+            reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)
+            frontier = np.flatnonzero(reach & unseen)
+            unseen[frontier] = False
+            found.append(frontier)
+        components.append(np.sort(np.concatenate(found)))
+    return components
+
+
+def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a C-order Hermitian matrix, in place; vectors in C order, one per column.
+
+    eigh works in place on the Fortran view of the matrix, conj(block): the
+    vectors are conjugated back, into C order (the batched contractions are slow
+    on Fortran order).
+    """
+    values, vectors = scipy.linalg.eigh(block.T, overwrite_a=True, check_finite=False,
+                                        driver="evd")
+    return values, np.conjugate(vectors, order="C")
+
+
 def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     """Lowest eigenpairs of sum_i Q_i; this is where the regime is decided.
 
-    Up to DENSE_CUTOFF, all of them, from one in-place eigh (count is not
-    read).  Above it, the ground space is the common kernel of the terms,
-    built here (ground_kernel): its columns are the first rows, and the lowest
-    max(1, count - deg) states above it follow, one Lanczos solve each, on H
-    plus norm_bound times the projector onto the kernel and the states found
-    so far.  ValidationError when the kernel is empty (the model is not
-    frustration-free); ConvergenceError when a solved value is under
-    zero_threshold (a ground state the kernel missed), a kernel state is
-    above it, or a residual of the one hamiltonian_apply on all the vectors
-    is too large.
+    Up to DENSE_CUTOFF, all of them (count is not read), one in-place eigh per
+    exact block of the dense matrix, a connected component of its exact-nonzero
+    pattern (_components).  A connected matrix is one block, diagonalized in
+    place with no copy.  Otherwise each block is copied out and diagonalized,
+    and the zeroed buffer of the matrix takes the vectors: each block's on its
+    rows, at the columns its values take in the ascending order (stable, so a
+    tie keeps the blocks in row order).  Above it, the ground space is the
+    common kernel of the terms, built here (ground_kernel): its columns are
+    the first rows, and the lowest max(1, count - deg) states above it
+    follow, one Lanczos solve each, on H plus norm_bound times the projector
+    onto the kernel and the states found so far.  ValidationError when the
+    kernel is empty (the model is not frustration-free); ConvergenceError
+    when a solved value is under zero_threshold (a ground state the kernel
+    missed), a kernel state is above it, or a residual of the one
+    hamiltonian_apply on all the vectors is too large.
     """
     dim = h.sites.dim
     check_dim(dim)
+    blocks = None
     if dim <= DENSE_CUTOFF:
-        # eigh works in place on the Fortran view of the matrix, conj(H): conjugate the
-        # vectors back, into C order (the batched contractions are slow on Fortran order)
-        evals, vectors = scipy.linalg.eigh(hamiltonian_matrix(h).T, overwrite_a=True,
-                                           check_finite=False, driver="evd")
-        vectors = np.conjugate(vectors, order="C")
+        mat = hamiltonian_matrix(h)
+        rows = _components(mat)
+        pairs = [_block_eigh(mat if len(r) == dim else mat[np.ix_(r, r)]) for r in rows]
+        evals = np.concatenate([values for values, _ in pairs])
+        order = np.argsort(evals, kind="stable")
+        evals, position = evals[order], np.empty(dim, np.intp)
+        position[order] = np.arange(dim)  # the column of each block's value, in block order
+        cols = np.split(position, np.cumsum([len(r) for r in rows[:-1]]))
+        if len(rows) == 1:
+            vectors = pairs[0][1]
+        else:  # every block is copied out of mat, so its buffer takes the vectors
+            vectors = mat
+            vectors.fill(0)
+            for r, c, (_, block_vectors) in zip(rows, cols, pairs):
+                vectors[np.ix_(r, c)] = block_vectors
+        del mat, pairs
+        blocks = tuple(zip(rows, cols))
         applied = hamiltonian_apply(h, vectors)
     else:
         kernel = ground_kernel(h)
@@ -382,7 +450,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
                 f"lowest solved energy {theta[0]:g}, highest kernel-state energy "
                 f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
     residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
-    return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals)
+    return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals, blocks)
 
 
 @dataclass(frozen=True)
@@ -429,16 +497,28 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
 
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
                               spectrum_data: SpectrumData) -> float:
-    """Operator-norm distance of the filter from the ground projector, given the full spectrum."""
-    if len(spectrum_data.values) < gs.sites.dim:
+    """Operator-norm distance of the filter from the ground projector, given the full spectrum.
+
+    filt - proj is materialized one exact block of H at a time, from the
+    block's eigenvectors and the ground basis on its rows.  Every entry
+    between two blocks is an exact zero, so the 2-norm of the whole is the
+    largest over the blocks of the largest |eigenvalue| of one dense eigvalsh.
+    """
+    dim = gs.sites.dim
+    if len(spectrum_data.values) < dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    basis, b = spectrum_data.vectors, gs.basis
-    diff = (basis.conj() * np.exp(-q * spectrum_data.values ** 2 / 2.0)) @ basis.T
-    diff -= b.conj() @ b.T
-    # diff is conj(filt - proj), Hermitian with the same eigenvalues, so its 2-norm is
-    # its largest |eigenvalue|; numpy's eigvalsh shares the BLAS threads of the product
-    # above, where scipy's own thread pool slowed the small models
-    return float(np.abs(np.linalg.eigvalsh(diff)).max())
+    weights, vectors = np.exp(-q * spectrum_data.values ** 2 / 2.0), spectrum_data.vectors
+    worst = 0.0
+    for rows, cols in spectrum_data.blocks or ((np.arange(dim), np.arange(dim)),):
+        basis = vectors if len(rows) == dim else vectors[np.ix_(rows, cols)]
+        ground = gs.basis[rows]
+        diff = (basis.conj() * weights[cols]) @ basis.T
+        diff -= ground.conj() @ ground.T
+        # diff is conj(filt - proj) on the block, Hermitian with the same eigenvalues, so
+        # its 2-norm is its largest |eigenvalue|; numpy's eigvalsh shares the BLAS threads
+        # of the product above, where scipy's own thread pool slowed the small models
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(diff)).max()))
+    return worst
 
 
 def restricted_norm(op_apply: Callable[[np.ndarray], np.ndarray],

@@ -235,18 +235,49 @@ def test_spectrum_vectors_are_one_c_order_array(pinning6, monkeypatch, count):
 
 
 def test_dense_spectrum_checks_every_returned_column(monkeypatch):
-    # one eigenvector perturbed after eigh: the block residual check must catch it
-    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
+    # one entry of the vectors of the largest block perturbed after its eigh: the one
+    # residual check on every column must catch it.  heisenberg-ferro(4) has S_z blocks
+    # of sizes 1, 4, 6, 4, 1; parent-random(4,2,1,0) is one block of all 16 rows
     true_eigh = states.scipy.linalg.eigh
+    for name, params, largest in [("heisenberg-ferro", {"n": 4}, 6),
+                                  ("parent-random", {"n": 4, "d": 2, "bond": 1, "seed": 0}, 16)]:
+        h = build_model(ModelDescriptor.make(name, **params))
 
-    def perturbed(*args, **kwargs):
-        values, vectors = true_eigh(*args, **kwargs)
-        vectors[0, 7] += 1e-6
-        return values, vectors
+        def perturbed(*args, largest=largest, **kwargs):
+            values, vectors = true_eigh(*args, **kwargs)
+            if len(values) == largest:
+                vectors[0, largest // 2] += 1e-6
+            return values, vectors
 
-    monkeypatch.setattr(states.scipy.linalg, "eigh", perturbed)
-    with pytest.raises(ConvergenceError, match="eigenpair residuals"):
-        spectrum(h)
+        monkeypatch.setattr(states.scipy.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match="eigenpair residuals"):
+            spectrum(h)
+
+
+@pytest.mark.parametrize("name, params, count", [
+    ("pinning", {"n": 4}, 16),  # diagonal: every row its own block
+    ("heisenberg-ferro", {"n": 6}, 7),  # S_z sectors
+    ("aklt", {"n": 4}, 9),  # S_z sectors
+    ("toric-code", {"lx": 2, "ly": 2}, 32),  # syndrome sectors
+    ("parent-random", {"n": 4, "d": 3, "bond": 2, "seed": 2}, 1),  # complex, one block
+])
+def test_dense_spectrum_splits_into_exact_blocks(name, params, count):
+    h = build_model(ModelDescriptor.make(name, **params))
+    spec, dim = spectrum(h), h.sites.dim
+    assert len(spec.blocks) == count
+    owner = np.empty(dim, int)
+    for b, (rows, cols) in enumerate(spec.blocks):
+        owner[rows] = b
+        assert len(rows) == len(cols)
+    # each column is nonzero on the rows of exactly one block
+    for j in range(dim):
+        assert len(set(owner[np.flatnonzero(spec.vectors[:, j])])) == 1
+    assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(dim)).max() < 1e-12
+    assert np.abs(spec.values - np.linalg.eigvalsh(dense_hamiltonian(h))).max() < 1e-12
+    gs = ground_space(h, spec)
+    for q in (1.0, 4.0, 16.0):
+        measured = gaussian_filter_deviation(q, gs, spectrum_data=spec)
+        assert abs(measured - dense_filter_deviation(h, q, gs)) < 1e-12
 
 
 def test_complex_dense_spectrum_and_filter():
@@ -297,7 +328,8 @@ def _max_sites(d: int) -> int:
     return n
 
 
-def _assert_kernel_is_dense_ground_space(h: HamiltonianSpec) -> None:
+def _assert_kernel_is_dense_ground_space(h: HamiltonianSpec) -> np.ndarray:
+    """Asserts the kernel spans the oracle's ground space; returns the oracle's eigenvalues."""
     kernel = ground_kernel(h)
     evals, evecs = np.linalg.eigh(dense_hamiltonian(h))
     dense = evecs[:, evals <= states.GROUND_TOL_SCALE * (1.0 + h.norm_bound())]
@@ -305,6 +337,7 @@ def _assert_kernel_is_dense_ground_space(h: HamiltonianSpec) -> None:
     cosines = np.linalg.svd(dense.conj().T @ kernel, compute_uv=False)
     assert cosines.min() >= 1 - 1e-10
     assert np.linalg.norm(states.hamiltonian_apply(h, kernel)) <= 1e-10
+    return evals
 
 
 @settings(max_examples=50, deadline=None)
@@ -353,7 +386,13 @@ def test_ground_kernel_matches_dense_planted_product(data):
                                max_size=len(edges)), label="ranks")
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     is_complex = data.draw(st.booleans(), label="complex")
-    _assert_kernel_is_dense_ground_space(_planted_product(n, d, edges, ranks, seed, is_complex))
+    h = _planted_product(n, d, edges, ranks, seed, is_complex)
+    evals = _assert_kernel_is_dense_ground_space(h)
+    # the random edge sets leave random exact-zero patterns: where they split H, the
+    # blocks of the dense spectrum must give the oracle's eigenvalues (a connected H is
+    # one in-place eigh, as in the complex and one-block tests, and is skipped for time)
+    if len(states._components(states.hamiltonian_matrix(h))) > 1:
+        assert np.abs(spectrum(h).values - evals).max() <= 1e-12 * (1.0 + h.norm_bound())
 
 
 def test_ground_kernel_refines_an_ill_conditioned_step():
