@@ -17,8 +17,10 @@ site (ground_kernel), and H is solved only above it, one Lanczos solve per
 state, with the kernel and the states found so far shifted out of the way.
 zero_threshold is the one energy under which a state counts as ground.
 ground_space only selects from the spectrum, and holds the ground space as
-one (dim, deg) view of its vectors.  The residuals of every column are
-checked in one batch through the contraction path, hamiltonian_apply.  The
+one (dim, deg) view of its vectors.  Every eigenpair's residual is checked
+through the contraction path, hamiltonian_apply, in one batch: in the dense
+regime on the packed vectors, column j the j-th vector of every block at
+once, so the product has the width of the largest block, not dim.  The
 restricted operator norm on the ground-space complement is one Lanczos solve
 on the Gram operator.  Every Lanczos solve asserts its residuals.
 
@@ -268,9 +270,17 @@ def _projection(basis: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def _checked_residuals(applied: np.ndarray, values: np.ndarray, vectors: np.ndarray,
                        what: str) -> np.ndarray:
-    """Column norms of G V - V diag(values), given applied = G V (overwritten)."""
+    """Column norms of G V - V diag(values), given applied = G V (overwritten).
+
+    The Lanczos solves and the iterative spectrum check every column's norm here;
+    the dense spectrum checks its packed norms with the same _checked.
+    """
     applied -= vectors * values
-    residuals = np.linalg.norm(applied, axis=0)
+    return _checked(np.linalg.norm(applied, axis=0), what)
+
+
+def _checked(residuals: np.ndarray, what: str) -> np.ndarray:
+    """residuals, once none exceeds RESIDUAL_TOL; else ConvergenceError."""
     if residuals.size and residuals.max() > RESIDUAL_TOL:
         raise ConvergenceError(
             f"{what} residuals up to {residuals.max():g} exceed {RESIDUAL_TOL:g}")
@@ -397,8 +407,16 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     onto the kernel and the states found so far.  ValidationError when the
     kernel is empty (the model is not frustration-free); ConvergenceError
     when a solved value is under zero_threshold (a ground state the kernel
-    missed), a kernel state is above it, or a residual of the one
-    hamiltonian_apply on all the vectors is too large.
+    missed), a kernel state is above it, or a residual is too large.
+
+    The residuals come from one hamiltonian_apply.  Above the cutoff it takes
+    all the vectors.  Up to it, it takes them packed: column j of a (dim,
+    width) array, width the largest block, holds the j-th vector of every
+    block, each on its own rows, filled from the eigh output.  The rows of
+    block b in packed column j are its j-th residual for j < size_b, and for
+    larger j only the leak of the other blocks through H; every one of them
+    must be within RESIDUAL_TOL, so a wrong split fails too.  A connected
+    matrix packs as itself, and its residuals are the column norms, as above.
     """
     dim = h.sites.dim
     check_dim(dim)
@@ -411,17 +429,26 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
         order = np.argsort(evals, kind="stable")
         evals, position = evals[order], np.empty(dim, np.intp)
         position[order] = np.arange(dim)  # the column of each block's value, in block order
-        cols = np.split(position, np.cumsum([len(r) for r in rows[:-1]]))
+        sizes = np.array([len(r) for r in rows])
+        cols, width = np.split(position, np.cumsum(sizes[:-1])), sizes.max()
         if len(rows) == 1:
-            vectors = pairs[0][1]
+            vectors = packed = pairs[0][1]
+            scale = evals
         else:  # every block is copied out of mat, so its buffer takes the vectors
-            vectors = mat
+            vectors, packed, scale = mat, np.zeros((dim, width), mat.dtype), np.zeros((dim, width))
             vectors.fill(0)
-            for r, c, (_, block_vectors) in zip(rows, cols, pairs):
+            for r, c, (values, block_vectors) in zip(rows, cols, pairs):
                 vectors[np.ix_(r, c)] = block_vectors
+                packed[r, :len(r)], scale[r, :len(r)] = block_vectors, values
         del mat, pairs
         blocks = tuple(zip(rows, cols))
-        applied = hamiltonian_apply(h, vectors)
+        # rows of block b in packed column j: its residual for j < size_b, else a leak
+        applied = hamiltonian_apply(h, packed)
+        applied -= packed * scale
+        norms = np.stack([np.linalg.norm(applied if len(r) == dim else applied[r], axis=0)
+                          for r in rows])
+        _checked(norms.ravel(), "eigenpair")
+        residuals = norms[sizes[:, None] > np.arange(width)][order]
     else:
         kernel = ground_kernel(h)
         if kernel.shape[1] == 0:
@@ -449,7 +476,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
                 f"the ground kernel ({deg} states) is not the zero-energy space of H: "
                 f"lowest solved energy {theta[0]:g}, highest kernel-state energy "
                 f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
-    residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
+        residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
     return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals, blocks)
 
 

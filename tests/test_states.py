@@ -254,13 +254,17 @@ def test_dense_spectrum_checks_every_returned_column(monkeypatch):
             spectrum(h)
 
 
-@pytest.mark.parametrize("name, params, count", [
+# models and the number of exact blocks of their dense H
+BLOCK_MODELS = [
     ("pinning", {"n": 4}, 16),  # diagonal: every row its own block
     ("heisenberg-ferro", {"n": 6}, 7),  # S_z sectors
     ("aklt", {"n": 4}, 9),  # S_z sectors
     ("toric-code", {"lx": 2, "ly": 2}, 32),  # syndrome sectors
     ("parent-random", {"n": 4, "d": 3, "bond": 2, "seed": 2}, 1),  # complex, one block
-])
+]
+
+
+@pytest.mark.parametrize("name, params, count", BLOCK_MODELS)
 def test_dense_spectrum_splits_into_exact_blocks(name, params, count):
     h = build_model(ModelDescriptor.make(name, **params))
     spec, dim = spectrum(h), h.sites.dim
@@ -278,6 +282,51 @@ def test_dense_spectrum_splits_into_exact_blocks(name, params, count):
     for q in (1.0, 4.0, 16.0):
         measured = gaussian_filter_deviation(q, gs, spectrum_data=spec)
         assert abs(measured - dense_filter_deviation(h, q, gs)) < 1e-12
+
+
+@pytest.mark.parametrize("name, params, count", BLOCK_MODELS)
+def test_dense_spectrum_residuals_match_full_product(name, params, count):
+    # the packed check gives each column the residual of one H product on all of them
+    h = build_model(ModelDescriptor.make(name, **params))
+    spec = spectrum(h)
+    full = states.hamiltonian_apply(h, spec.vectors) - spec.vectors * spec.values
+    assert np.abs(spec.residuals - np.linalg.norm(full, axis=0)).max() <= 1e-15
+
+
+def test_dense_spectrum_checks_the_leak_between_blocks(monkeypatch):
+    # 1e-6 at an entry of the packed product that no column owns: a row of a block
+    # smaller than the largest, in a packed column at or past that block's size
+    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))  # S_z blocks 1, 4, 6, 4, 1
+    rows = [rows for rows, _ in spectrum(h).blocks]
+    width = max(map(len, rows))
+    small = min(rows, key=len)
+    true_apply = states.hamiltonian_apply
+
+    def leaking(h, arr):
+        out = true_apply(h, arr)
+        out[small[0], width - 1] += 1e-6
+        return out
+
+    monkeypatch.setattr(states, "hamiltonian_apply", leaking)
+    with pytest.raises(ConvergenceError, match="eigenpair residuals"):
+        spectrum(h)
+
+
+def test_dense_spectrum_catches_a_wrong_block_split(monkeypatch):
+    # the 6-row S_z = 0 block of heisenberg-ferro(4) cut into 5 + 1 rows: the split
+    # blocks' vectors are not eigenvectors of H
+    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
+    true_components = states._components
+
+    def cut(mat):
+        parts = []
+        for rows in true_components(mat):
+            parts += [rows[:5], rows[5:]] if len(rows) == 6 else [rows]
+        return parts
+
+    monkeypatch.setattr(states, "_components", cut)
+    with pytest.raises(ConvergenceError, match="eigenpair residuals"):
+        spectrum(h)
 
 
 def test_complex_dense_spectrum_and_filter():
