@@ -64,7 +64,8 @@ RUN_PARAMETERS = {
     "cone_rounds": (int, 2, 1, None),
 }
 
-# Samples of one dimension checked as one stack; the queues hold a few MB at most
+# Norm-energy samples of one dimension drawn and checked as one stack; it bounds the
+# sweep's memory to a few MB, whatever the sample count
 NORM_ENERGY_STACK = 16
 
 PASS = "pass"
@@ -329,40 +330,40 @@ def _step_filter(ctx: _Context) -> None:
 def _step_norm_energy(ctx: _Context) -> None:
     """The norm-energy trade-off on seeded random projectors X, Y and states v.
 
-    A sample draws its dimension, the spans of X and Y, each of random rank,
-    then v; samples queue by dimension and are checked NORM_ENERGY_STACK at a time.
+    The dimensions of all samples come first, uniform on [2, 32].  Each dimension,
+    in ascending order, is then drawn and checked NORM_ENERGY_STACK samples at a
+    time (_norm_energy_margin).
     """
     rng = np.random.default_rng(ctx.p["seed"])
-    queues: dict[int, list] = {}
+    dims, counts = np.unique(rng.integers(2, 33, ctx.p["norm_energy_samples"]),
+                             return_counts=True)
     worst = -np.inf
-    for _ in range(ctx.p["norm_energy_samples"]):
-        dim = int(rng.integers(2, 33))
-        queue = queues.setdefault(dim, [])
-        spans = [_gaussian(rng, dim, int(rng.integers(1, dim))) for _ in "XY"]
-        queue.append((*spans, _gaussian(rng, dim, 1)[:, 0]))
-        if len(queue) == NORM_ENERGY_STACK:
-            worst = max(worst, _norm_energy_margin(queues.pop(dim)))
-    worst = max([worst] + [_norm_energy_margin(queue) for queue in queues.values()])
+    for dim, count in zip(dims.tolist(), counts.tolist()):
+        for start in range(0, count, NORM_ENERGY_STACK):
+            m = min(NORM_ENERGY_STACK, count - start)
+            worst = max(worst, _norm_energy_margin(rng, dim, m))
     ctx.add(bounded_record("norm-energy", "norm-energy", worst, 0.0, 1e-10))
 
 
-def _gaussian(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
-    re, im = rng.standard_normal((2, dim, cols))  # the stream of two draws of (dim, cols)
-    return re + 1j * im
+def _norm_energy_margin(rng: np.random.Generator, dim: int, m: int) -> float:
+    """Largest lhs - rhs over m samples of one dimension, drawn and checked as one stack.
 
-
-def _norm_energy_margin(samples: list) -> float:
-    """Largest lhs - rhs over samples of one dimension, checked as one stack."""
-    dim = len(samples[0][2])
-    spans = np.zeros((2, len(samples), dim, dim), complex)
-    for i, sample in enumerate(samples):
-        for j, span in enumerate(sample[:2]):
-            spans[j, i, :, :span.shape[1]] = span
-    # one QR of the zero-padded spans: the columns of Q that are not padding span the
-    # Gaussian's columns, as in a QR of the Gaussian alone
-    q = np.linalg.qr(spans)[0]
-    x_proj, y_proj = (q * spans.any(axis=-2, keepdims=True)) @ np.swapaxes(q, -1, -2).conj()
-    v = np.stack([sample[2] for sample in samples])
+    The ranks of X and Y are uniform on [1, dim - 1], and each span is uniformly
+    random.  A span of rank r is drawn as the narrow side, r or dim - r columns
+    of a complex Gaussian, orthonormalized by one QR of the stack: the orthogonal
+    complement of a uniformly random subspace is uniformly random too.  So the
+    projector is Q Q^H, or I - Q Q^H where r > dim - r.
+    """
+    ranks = rng.integers(1, dim, (2, m))
+    re, im = rng.standard_normal((2, 2, m, dim, dim // 2))
+    v_re, v_im = rng.standard_normal((2, m, dim))
+    # the Gaussian's unused columns are zeroed before the QR, and the columns of Q
+    # they give (orthogonal to the used ones) after it
+    used = (np.arange(dim // 2) < np.minimum(ranks, dim - ranks)[..., None])[..., None, :]
+    q = np.linalg.qr((re + 1j * im) * used)[0] * used
+    proj = q @ np.swapaxes(q, -1, -2).conj()
+    x_proj, y_proj = np.where((2 * ranks > dim)[..., None, None], np.eye(dim) - proj, proj)
+    v = v_re + 1j * v_im
     lhs, rhs = norm_energy_check(x_proj, y_proj, v / np.linalg.norm(v, axis=1, keepdims=True))
     return float((lhs - rhs).max())
 

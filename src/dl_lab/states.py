@@ -359,9 +359,11 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     entry between two components is an exact zero in both triangles.  Each
     component is grown breadth first from its lowest row, through the rows and
     the columns of one boolean (dim, dim) pattern; the components come in the
-    order of their lowest rows.
+    order of their lowest rows.  A row with no off-diagonal nonzero in its row
+    or column, found in one pass, is its own component without a search.
     """
     pattern = mat != 0
+    alone = pattern.sum(axis=0) + pattern.sum(axis=1) == 2 * pattern.diagonal()
     unseen = np.ones(len(mat), bool)
     components = []
     for start in range(len(mat)):
@@ -369,6 +371,9 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
             continue
         unseen[start] = False
         frontier = np.array([start])
+        if alone[start]:
+            components.append(frontier)
+            continue
         found = [frontier]
         while frontier.size:
             reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)

@@ -10,6 +10,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from dl_lab.runner import NORM_ENERGY_STACK
+
 
 def kron_embed(matrix: np.ndarray, support, n: int, d: int) -> np.ndarray:
     """Embed a local operator into the full space by index arithmetic."""
@@ -105,19 +107,42 @@ def random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def norm_energy_sweep(seed: int, samples: int) -> float:
-    """Largest ||(1-Y)XYv||^2 - eps(1-eps) over seeded pairs, one pair at a time."""
+    """Largest ||(1-Y)XYv||^2 - eps(1-eps) over seeded pairs, one pair at a time.
+
+    The draws are the run's: every dimension first, then per dimension in
+    ascending order, NORM_ENERGY_STACK samples at a time, the ranks of X and Y,
+    their Gaussian spans (dim // 2 columns each) and v.  A span of rank r is
+    the QR of its first min(r, dim - r) columns alone, and the complement of
+    that where r > dim - r.
+    """
     rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 33, samples)
     worst = -np.inf
-    for _ in range(samples):
-        dim = int(rng.integers(2, 33))
-        x = random_projector(rng, dim)
-        y = random_projector(rng, dim)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        xyv = x @ (y @ v)
-        eps = 1.0 - float(np.linalg.norm(xyv) ** 2)
-        worst = max(worst, float(np.linalg.norm(xyv - y @ xyv) ** 2) - eps * (1.0 - eps))
+    for dim in sorted(set(dims.tolist())):
+        left = int(np.count_nonzero(dims == dim))
+        while left:
+            m = min(NORM_ENERGY_STACK, left)
+            left -= m
+            ranks = rng.integers(1, dim, (2, m))
+            gauss = rng.standard_normal((2, 2, m, dim, dim // 2))
+            gauss = gauss[0] + 1j * gauss[1]
+            vs = rng.standard_normal((2, m, dim))
+            vs = vs[0] + 1j * vs[1]
+            for i in range(m):
+                x, y = (_span_projector(gauss[j, i], int(ranks[j, i])) for j in range(2))
+                v = vs[i] / np.linalg.norm(vs[i])
+                xyv = x @ (y @ v)
+                eps = 1.0 - float(np.linalg.norm(xyv) ** 2)
+                worst = max(worst, float(np.linalg.norm(xyv - y @ xyv) ** 2) - eps * (1.0 - eps))
     return worst
+
+
+def _span_projector(gauss: np.ndarray, rank: int) -> np.ndarray:
+    """Projector of rank `rank` from the columns of a (dim, dim // 2) Gaussian."""
+    dim = len(gauss)
+    q, _ = np.linalg.qr(gauss[:, :min(rank, dim - rank)])
+    proj = q @ q.conj().T
+    return np.eye(dim) - proj if rank > dim - rank else proj
 
 
 def sample_feasible_step_distribution(bigD: int, bigK: float, theta: float,

@@ -1,17 +1,19 @@
 """Layered projection operator: bounds, pyramids, trade-off, convergence."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dl_lab import states
+from dl_lab import cli, runner, states
 from dl_lab.dl import (apply_pyramids, converge, dl_bound, dl_operator,
                        measure_shrinkage, norm_energy_check,
                        pyramid_applicable, pyramid_decompose, step_inequality_margin)
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry
 from dl_lab.models import ModelDescriptor, build_model
-from dl_lab.runner import RunConfig, run
+from dl_lab.runner import NORM_ENERGY_STACK, RunConfig, run
 from dl_lab.states import (GroundSpaceData, ground_kernel, product_state, random_state,
                            spectrum)
 
@@ -328,14 +330,62 @@ def test_norm_energy_stack_checks_every_member(member):
 @pytest.mark.parametrize("samples", [1, 15, 16, 17, 1000])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_norm_energy_record_matches_per_pair_oracle(seed, samples, tmp_path):
-    # the run checks stacks of up to 16 samples of one dimension: 15, 16 and 17
-    # samples cross a stack's boundary, 1000 is the default sweep
+    # up to 17 samples leave most of the 31 dimensions without a sample; 1000 is the
+    # default sweep, where some dimension fills more than one stack
+    if samples == 1000:
+        dims = np.random.default_rng(seed).integers(2, 33, samples)
+        assert np.bincount(dims).max() > NORM_ENERGY_STACK
     doc = {"command": "verify", "output": {"dir": str(tmp_path)},
            "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
            "parameters": {"seed": seed, "norm_energy_samples": samples}}
     records = {r.name: r for r in run(RunConfig.from_document(doc)).records}
     assert records["norm-energy"].measured == pytest.approx(
         norm_energy_sweep(seed, samples), rel=0, abs=1e-15)
+
+
+def test_norm_energy_sweep_draws_every_rank_on_both_sides(tmp_path, monkeypatch):
+    # a rank above dim / 2 is drawn as the complement of the narrow side
+    stacks = []
+
+    def capturing(x_proj, y_proj, v):
+        stacks.extend([x_proj, y_proj])
+        return norm_energy_check(x_proj, y_proj, v)
+
+    monkeypatch.setattr(runner, "norm_energy_check", capturing)
+    doc = {"command": "verify", "output": {"dir": str(tmp_path)},
+           "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
+           "parameters": {"seed": 1, "norm_energy_samples": 1000}}
+    run(RunConfig.from_document(doc))
+    seen = set()
+    for stack in stacks:
+        dim = stack.shape[-1]
+        traces = np.trace(stack, axis1=-2, axis2=-1)
+        ranks = np.round(traces.real)
+        assert np.abs(traces - ranks).max() < 1e-10
+        assert ((1 <= ranks) & (ranks <= dim - 1)).all()
+        seen |= {(dim, bool(wide)) for wide in ranks > dim / 2}
+    assert sum(len(stack) for stack in stacks) == 2 * 1000
+    assert {(dim, wide) for dim in range(4, 33) for wide in (False, True)} <= seen
+
+
+def test_norm_energy_record_fails_on_a_wrong_bound(tmp_path, monkeypatch):
+    # a known-wrong rhs, 1 % low: the sweep reaches the edge of the inequality
+    def wrong(x_proj, y_proj, v):
+        lhs, rhs = norm_energy_check(x_proj, y_proj, v)
+        return lhs, rhs * 0.99
+
+    monkeypatch.setattr(runner, "norm_energy_check", wrong)
+    doc = {"schema_version": 1, "command": "verify",
+           "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
+           "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 1
+    with open(tmp_path / "out" / "report.json") as handle:
+        checks = {c["name"]: c for c in json.load(handle)["checks"]}
+    assert checks["norm-energy"]["status"] == "fail"
+    assert checks["norm-energy"]["measured"] > 1e-4
 
 
 # ---------------------------------------------------------------------------
