@@ -346,14 +346,16 @@ class FrustrationCheck:
 
 
 def validate_frustration_free(h: HamiltonianSpec, gs) -> FrustrationCheck:
-    """The residuals ||Q_i v|| of every term i on every column v of the ground basis."""
+    """The residuals ||Q_i v|| of every term i on every column v of the ground basis.
+
+    Each term is applied once, to the whole (dim, deg) basis.
+    """
     from .states import apply_term_array  # local import to avoid a cycle
 
     if gs.basis.shape[0] != h.sites.dim:
         raise ValidationError("ground vector dimension does not match the Hamiltonian")
-    residuals = [0.0] * len(h.terms)
-    for vec in gs.basis.T:
-        for term_idx, term in enumerate(h.terms):
-            applied = apply_term_array(term.matrix, term.support, vec, h.sites.n, h.sites.d)
-            residuals[term_idx] = max(residuals[term_idx], float(np.linalg.norm(applied)))
-    return FrustrationCheck(max(residuals, default=0.0), tuple(residuals))
+    residuals = tuple(
+        float(np.linalg.norm(apply_term_array(term.matrix, term.support, gs.basis, h.sites.n,
+                                              h.sites.d), axis=0).max(initial=0.0))
+        for term in h.terms)
+    return FrustrationCheck(max(residuals, default=0.0), residuals)

@@ -38,7 +38,7 @@ from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_mo
                      check_parameters, descriptor_from_document, site_observable)
 from .states import (GroundSpaceData, SpectrumData, StateVector, check_dim,
                      gaussian_filter_deviation, ground_space, product_state, random_state,
-                     spectrum)
+                     single_blas_pool, spectrum)
 
 COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
             "measurecheck", "verify")
@@ -286,7 +286,7 @@ def _step_gap(ctx: _Context) -> None:
 
 def _step_dl(ctx: _Context) -> None:
     gs, a = ctx.gs, ctx.a
-    fixed = max(float(np.linalg.norm(a.apply_array(v) - v)) for v in gs.basis.T)
+    fixed = float(np.linalg.norm(a.apply_array(gs.basis) - gs.basis, axis=0).max())
     ctx.add(bounded_record("ground-fixed-point", "dl-shrinkage", fixed, 0.0, 1e-12))
     ctx.add(info_record("dl-f-value", "dl-shrinkage", a.f_value or 0.0))
     ctx.add(bounded_record("dl-shrinkage", "dl-shrinkage", measure_shrinkage(a, gs),
@@ -549,7 +549,15 @@ def _cmd_measurecheck(ctx: _Context) -> None:
 
 
 def run(config: RunConfig) -> Report:
-    """Execute the configured pipeline and assemble the report."""
+    """Execute the configured pipeline and assemble the report.
+
+    The whole run keeps numpy's BLAS on the calling thread (states.single_blas_pool).
+    """
+    with single_blas_pool():
+        return _run(config)
+
+
+def _run(config: RunConfig) -> Report:
     ctx = _Context(config)
     steps = {
         "gap": [_step_gap],

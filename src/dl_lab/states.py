@@ -10,11 +10,13 @@ identity pushed through them (hamiltonian_matrix), and splits it into the
 connected components of its exact-nonzero pattern: the S_z sectors of
 Heisenberg and AKLT, the syndrome sectors of the toric code, the diagonal of
 pinning.  Each block gets its own in-place eigh; a connected matrix is one
-block, diagonalized with no copy.  The spectral filter takes the 2-norm of
-filt - proj one block at a time, from one dense eigvalsh of each.  Above
-the cutoff the ground space is the common kernel of the terms, built site by
-site (ground_kernel), and H is solved only above it, one Lanczos solve per
-state, with the kernel and the states found so far shifted out of the way.
+block, diagonalized with no copy, and a one-row block is its own entry and 1,
+with no LAPACK call.  The spectral filter takes the 2-norm of filt - proj
+one block at a time: two rank-k updates write it into one buffer, which one
+eigvalsh overwrites.  Above the cutoff the ground space is the common kernel
+of the terms, built site by site (ground_kernel), and H is solved only above
+it, one Lanczos solve per state, with the kernel and the states found so far
+shifted out of the way.
 zero_threshold is the one energy under which a state counts as ground.
 ground_space only selects from the spectrum, and holds the ground space as
 one (dim, deg) view of its vectors.  Every eigenpair's residual is checked
@@ -25,24 +27,33 @@ restricted operator norm on the ground-space complement is one Lanczos solve
 on the Gram operator.  Every Lanczos solve asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
-ARPACK does its vector work in scipy's.  So no ARPACK matvec calls threaded
-numpy BLAS: a single vector on a run of sites, and any array on any other
-support, is contracted in GEMMs of at most GEMM_BLOCK_WORK multiply-adds,
-which OpenBLAS runs on the calling thread (_blocked_apply); a batch on a run
-of sites is one np.einsum, and the projections onto found states are
-np.einsum calls (_projection), which never call BLAS.  This holds for terms
-with d^(2k) <= GEMM_BLOCK_WORK.
+a woken worker spins for a while after its call, competing with the calling
+thread and with the other pool.  So a run keeps one threaded pool, scipy's
+(single_blas_pool, entered by runner.run): numpy's is set to one thread, and
+every dense call that should be threaded is scipy's.  ARPACK does its vector
+work there, and so do the dense eigh and the spectral filter's rank-k update
+and 2-norm.  For library callers outside a run, no ARPACK matvec calls
+threaded numpy BLAS either: a single vector on a run of sites, and any array
+on any other support, is contracted in GEMMs of at most GEMM_BLOCK_WORK
+multiply-adds, which OpenBLAS runs on the calling thread (_blocked_apply); a
+batch on a run of sites is one np.einsum, and the projections onto found
+states are np.einsum calls (_projection), which never call BLAS.  This holds
+for terms with d^(2k) <= GEMM_BLOCK_WORK.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DimensionCapError, ValidationError
@@ -60,6 +71,8 @@ GROUND_TOL_SCALE = 1e-10
 GRAM_ZERO_TOL = 1e-24
 # Largest width * d whose Gram matrix one ground_kernel step diagonalizes: that eigh
 # took 0.23 s at 1024, 1.5 s at 2048 and 12 s at 4096 (2-vCPU Xeon, 2 BLAS threads).
+# It is numpy's, so inside a run (single_blas_pool) it has one thread: 0.33 s at 1024 and
+# 1.9 s at 2048 on a real Gram.
 KERNEL_WIDTH_CAP = 2048
 # Most multiply-adds in one GEMM of the single-vector contraction.  OpenBLAS runs a GEMM on
 # the calling thread up to m * n * k = 65536 * 4 (SMP_THRESHOLD_MIN times
@@ -88,6 +101,69 @@ def check_dim(dim: int) -> None:
     cap = dimension_cap()
     if dim > cap:
         raise DimensionCapError(f"dimension {dim} exceeds cap {cap} (override with {_CAP_ENV})")
+
+
+# (get, set) names of the thread-count functions of an OpenBLAS: scipy-openblas wheels
+# prefix them, and the 64-bit-integer builds (numpy's) add a suffix
+_OPENBLAS_THREAD_FUNCS = tuple((f"{prefix}get_num_threads{suffix}",
+                                f"{prefix}set_num_threads{suffix}")
+                               for prefix in ("scipy_openblas_", "openblas_")
+                               for suffix in ("64_", ""))
+
+
+def _openblas_threads(module: str) -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that an extension module links.
+
+    A symbol looked up through the module's own handle is searched in the
+    module and the libraries it links, not in the other loaded libraries.
+    None when the module does not load or no OpenBLAS thread setter is found.
+    """
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    except (ImportError, OSError):
+        return None
+    for get, put in _OPENBLAS_THREAD_FUNCS:
+        if hasattr(lib, get) and hasattr(lib, put):
+            getter, setter = getattr(lib, get), getattr(lib, put)
+            getter.restype, setter.argtypes, setter.restype = ctypes.c_int, [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@cache
+def _numpy_blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """numpy's own OpenBLAS thread-count functions; None when it has none or shares scipy's."""
+    core = "numpy._core" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core"
+    ours = _openblas_threads(f"{core}._multiarray_umath")
+    theirs = _openblas_threads("scipy.linalg._fblas")
+    address = lambda func: ctypes.cast(func, ctypes.c_void_p).value
+    if ours is None or (theirs is not None and address(ours[1]) == address(theirs[1])):
+        return None
+    return ours
+
+
+@contextlib.contextmanager
+def single_blas_pool() -> Iterator[None]:
+    """numpy's OpenBLAS on one thread for the block, so that scipy's is the one threaded pool.
+
+    On entry numpy's pool is set to one thread; on exit, also after an
+    exception, it gets back the count read on entry, so nested blocks restore
+    correctly.  scipy's pool is never touched.  Nothing is done when numpy's
+    BLAS is not an OpenBLAS with a thread setter, or is scipy's own library.
+    The count is global to the process: concurrent blocks in threads of one
+    process are not supported.
+    """
+    threads = _numpy_blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass(frozen=True)
@@ -142,7 +218,8 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     arr may carry trailing batch axes after the leading d**n axis.  On a
     forward run of sites a single vector is contracted in GEMMs of at most
     GEMM_BLOCK_WORK multiply-adds each, so that OpenBLAS runs every one on the
-    calling thread (_blocked_apply), and a batch is one np.einsum on the
+    calling thread (_blocked_apply), a complex one by a real term off the last
+    bond on its float view, and a batch is one np.einsum on the
     (left, d^k, rest) fold.  Any other support (the periodic wrap bond, a
     reversed or scattered support, a plaquette) has its axes moved to the end
     in support order, after the batch axes, is contracted there as a last
@@ -152,8 +229,14 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     batch = arr.shape[1:]
     s0 = support[0]
     if tuple(support) == tuple(range(s0, s0 + k)):
+        left, right = d ** s0, d ** (n - s0 - k)
+        if not batch and right > 1 and arr.dtype == complex and matrix.dtype == float:
+            # a real term on a complex vector, in real arithmetic on its float view, each
+            # amplitude two entries of the right axis: numpy's mixed-dtype matmul skips BLAS
+            real = np.ascontiguousarray(arr).view(float)
+            return _blocked_apply(matrix, real, left, 2 * right, d).view(complex)
         if not batch:
-            return _blocked_apply(matrix, arr, d ** s0, d ** (n - s0 - k), d)
+            return _blocked_apply(matrix, arr, left, right, d)
         folded = arr.reshape((d ** s0, d ** k, d ** (n - s0 - k)) + batch)
         return np.einsum("ab,lb...->la...", matrix, folded).reshape((d ** n,) + batch)
     order = [s for s in range(n) if s not in support] + list(range(n, n + len(batch)))
@@ -429,29 +512,43 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     if dim <= DENSE_CUTOFF:
         mat = hamiltonian_matrix(h)
         rows = _components(mat)
-        pairs = [_block_eigh(mat if len(r) == dim else mat[np.ix_(r, r)]) for r in rows]
-        evals = np.concatenate([values for values, _ in pairs])
-        order = np.argsort(evals, kind="stable")
-        evals, position = evals[order], np.empty(dim, np.intp)
-        position[order] = np.arange(dim)  # the column of each block's value, in block order
         sizes = np.array([len(r) for r in rows])
-        cols, width = np.split(position, np.cumsum(sizes[:-1])), sizes.max()
+        starts, width = np.cumsum(sizes) - sizes, sizes.max()
+        lone = np.flatnonzero(sizes == 1)  # a one-row block's eigenpair is its entry and 1
+        multi = np.flatnonzero(sizes > 1)
+        lone_rows = np.concatenate(rows)[starts[lone]]
+        block_evals = np.empty(dim)
+        block_evals[starts[lone]] = mat[lone_rows, lone_rows].real
+        pairs = {b: _block_eigh(mat if sizes[b] == dim else mat[np.ix_(rows[b], rows[b])])
+                 for b in multi}
+        for b, (values, _) in pairs.items():
+            block_evals[starts[b]:starts[b] + sizes[b]] = values
+        order = np.argsort(block_evals, kind="stable")
+        evals, position = block_evals[order], np.empty(dim, np.intp)
+        position[order] = np.arange(dim)  # the column of each block's value, in block order
+        cols = np.split(position, starts[1:])
         if len(rows) == 1:
             vectors = packed = pairs[0][1]
             scale = evals
         else:  # every block is copied out of mat, so its buffer takes the vectors
             vectors, packed, scale = mat, np.zeros((dim, width), mat.dtype), np.zeros((dim, width))
             vectors.fill(0)
-            for r, c, (values, block_vectors) in zip(rows, cols, pairs):
-                vectors[np.ix_(r, c)] = block_vectors
+            vectors[lone_rows, position[starts[lone]]] = packed[lone_rows, 0] = 1
+            scale[lone_rows, 0] = block_evals[starts[lone]]
+            for b, (values, block_vectors) in pairs.items():
+                r = rows[b]
+                vectors[np.ix_(r, cols[b])] = block_vectors
                 packed[r, :len(r)], scale[r, :len(r)] = block_vectors, values
         del mat, pairs
         blocks = tuple(zip(rows, cols))
         # rows of block b in packed column j: its residual for j < size_b, else a leak
         applied = hamiltonian_apply(h, packed)
         applied -= packed * scale
-        norms = np.stack([np.linalg.norm(applied if len(r) == dim else applied[r], axis=0)
-                          for r in rows])
+        norms = np.empty((len(rows), width))
+        lone_applied = applied[lone_rows]  # the one-row norms of np.linalg.norm, bit for bit
+        norms[lone] = np.sqrt((lone_applied.conj() * lone_applied).real)
+        for b in multi:
+            norms[b] = np.linalg.norm(applied if sizes[b] == dim else applied[rows[b]], axis=0)
         _checked(norms.ravel(), "eigenpair")
         residuals = norms[sizes[:, None] > np.arange(width)][order]
     else:
@@ -532,24 +629,40 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     """Operator-norm distance of the filter from the ground projector, given the full spectrum.
 
     filt - proj is materialized one exact block of H at a time, from the
-    block's eigenvectors and the ground basis on its rows.  Every entry
-    between two blocks is an exact zero, so the 2-norm of the whole is the
-    largest over the blocks of the largest |eigenvalue| of one dense eigvalsh.
+    block's eigenvectors and the ground basis on its rows, by two rank-k
+    updates into one buffer that one eigvalsh overwrites, all in scipy's BLAS
+    (see single_blas_pool); the one-row blocks are their entries, taken in one
+    step.  Every entry between two blocks is an exact zero, so the 2-norm of
+    the whole is the largest over the blocks of the largest |eigenvalue| of
+    one block.
     """
     dim = gs.sites.dim
     if len(spectrum_data.values) < dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    weights, vectors = np.exp(-q * spectrum_data.values ** 2 / 2.0), spectrum_data.vectors
-    worst = 0.0
-    for rows, cols in spectrum_data.blocks or ((np.arange(dim), np.arange(dim)),):
-        basis = vectors if len(rows) == dim else vectors[np.ix_(rows, cols)]
-        ground = gs.basis[rows]
-        diff = (basis.conj() * weights[cols]) @ basis.T
-        diff -= ground.conj() @ ground.T
-        # diff is conj(filt - proj) on the block, Hermitian with the same eigenvalues, so
-        # its 2-norm is its largest |eigenvalue|; numpy's eigvalsh shares the BLAS threads
-        # of the product above, where scipy's own thread pool slowed the small models
-        worst = max(worst, float(np.abs(np.linalg.eigvalsh(diff)).max()))
+    roots, vectors = np.exp(-q * spectrum_data.values ** 2 / 4.0), spectrum_data.vectors
+    rank_k = scipy.linalg.blas.get_blas_funcs("herk" if np.iscomplexobj(vectors) else "syrk",
+                                              (vectors,))
+    blocks = spectrum_data.blocks or ((np.arange(dim), np.arange(dim)),)
+    # a one-row block's filt - proj is its one entry, |v|^2 w - |g|^2: all of them at once
+    lone = [(rows[0], cols[0]) for rows, cols in blocks if len(rows) == 1]
+    lone_rows, lone_cols = np.array(lone, np.intp).reshape(-1, 2).T
+    entries = (np.abs(vectors[lone_rows, lone_cols] * roots[lone_cols]) ** 2
+               - (np.abs(gs.basis[lone_rows]) ** 2).sum(axis=1))
+    worst = float(np.abs(entries).max(initial=0.0))
+    for rows, cols in blocks:
+        if len(rows) == 1:
+            continue
+        scaled = vectors.copy() if len(rows) == dim else vectors[np.ix_(rows, cols)]
+        scaled *= roots[cols]
+        # the upper triangle of conj(V) W V^T - conj(G) G^T, V and G the vectors and the
+        # ground basis on the rows: conj(filt - proj), Hermitian with the same eigenvalues,
+        # so its 2-norm is its largest |eigenvalue|.  The transposed C-order arrays are
+        # Fortran-order, so BLAS reads them with no copy
+        diff = rank_k(1.0, scaled.T, trans=2)
+        diff = rank_k(-1.0, gs.basis[rows].T, beta=1.0, c=diff, trans=2, overwrite_c=1)
+        values = scipy.linalg.eigh(diff, lower=False, eigvals_only=True, overwrite_a=True,
+                                   check_finite=False, driver="evd")
+        worst = max(worst, float(np.abs(values).max()))
     return worst
 
 

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dl_lab import states
+from dl_lab import runner, states
 from dl_lab.errors import ConvergenceError, DimensionCapError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
     custom_geometry
 from dl_lab.io import hamiltonian_from_document, hamiltonian_to_document
 from dl_lab.models import BUNDLED_MODELS, ModelDescriptor, build_model, random_mps_state, \
     singlet_projector
+from dl_lab.runner import RunConfig, run
 from dl_lab.states import (SpectrumData, StateVector, apply_term_array,
                            gaussian_filter_deviation, ground_kernel, ground_space,
                            product_state, random_state, restricted_norm, spectrum)
@@ -115,7 +116,9 @@ def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
     # block size and at blocks of d rows or columns, so that row and column blocks are
     # crossed at both sizes.  Last, a batch of width 7, not a power of d, at a work of
     # 4 * size**2: blocks of 4 rows at d = 2, where dividing the 7 * 2**m rows down by d
-    # until they fit would stop at 3, which does not divide them
+    # until they fit would stop at 3, which does not divide them.  A (d**n, 2) shape stands
+    # for its second column, a single vector whose amplitudes are not adjacent: a complex
+    # one through a real term is contracted on a float view of its amplitudes
     support = {"first": (0, 1), "middle": (n // 2, n // 2 + 1), "right-d": (n - 3, n - 2),
                "last": (n - 2, n - 1), "wrap": (n - 1, 0), "site-first": (0,),
                "site-last": (n - 1,), "three-last": (n - 3, n - 2, n - 1),
@@ -124,8 +127,8 @@ def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
     rng = np.random.default_rng(n * d)
     draw = lambda shape, dtype: (rng.standard_normal(shape) if dtype is float else
                                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for block_work, shapes in [(states.GEMM_BLOCK_WORK, [(d ** n,), (d ** n, 3)]),
-                               (d * size * size, [(d ** n,), (d ** n, 3)]),
+    for block_work, shapes in [(states.GEMM_BLOCK_WORK, [(d ** n,), (d ** n, 3), (d ** n, 2)]),
+                               (d * size * size, [(d ** n,), (d ** n, 3), (d ** n, 2)]),
                                (4 * size * size, [(d ** n, 7)])]:
         monkeypatch.setattr(states, "GEMM_BLOCK_WORK", block_work)
         for matrix_dtype, arr_dtype in [(float, float), (float, complex), (complex, float),
@@ -133,9 +136,11 @@ def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
             matrix = draw((size, size), matrix_dtype)
             for shape in shapes:
                 arr = draw(shape, arr_dtype)
+                if shape == (d ** n, 2):
+                    arr = arr[:, 1]
                 fast = apply_term_array(matrix, support, arr, n, d)
                 slow = einsum_apply(matrix, support, arr, n, d)
-                assert fast.shape == shape
+                assert fast.shape == arr.shape
                 assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
@@ -504,6 +509,70 @@ def test_filter_deviation_matches_svd_oracle(corpus):
             measured = gaussian_filter_deviation(q, model.gs, spectrum_data=spec)
             oracle = dense_filter_deviation(model.h, q, model.gs)
             assert abs(measured - oracle) < 1e-12, model.label
+
+
+# ---------------------------------------------------------------------------
+# one threaded BLAS pool per run
+# ---------------------------------------------------------------------------
+
+PINNING_GAP = {"command": "gap", "model": {"name": "pinning", "parameters": {"n": 4}}}
+
+
+def blas_thread_readers():
+    """The thread counts of numpy's and scipy's OpenBLAS, read through the real libraries."""
+    numpy_threads = states._numpy_blas_threads()
+    if numpy_threads is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter of its own")
+    scipy_threads = states._openblas_threads("scipy.linalg._fblas")
+    return numpy_threads[0], (scipy_threads or (lambda: None,))[0]
+
+
+def test_blas_pool_is_one_numpy_thread_inside_run_and_restored_after(monkeypatch):
+    numpy_get, scipy_get = blas_thread_readers()
+    before, scipy_before = numpy_get(), scipy_get()
+    seen = []
+    step_gap = runner._step_gap
+
+    def observed(ctx):
+        seen.append((numpy_get(), scipy_get()))
+        step_gap(ctx)
+
+    monkeypatch.setattr(runner, "_step_gap", observed)
+    run(RunConfig.from_document(PINNING_GAP))
+    assert seen == [(1, scipy_before)]
+    assert (numpy_get(), scipy_get()) == (before, scipy_before)
+
+    def failing(ctx):
+        seen.append((numpy_get(), scipy_get()))
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(runner, "_step_gap", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        run(RunConfig.from_document(PINNING_GAP))
+    assert seen[-1] == (1, scipy_before)
+    assert (numpy_get(), scipy_get()) == (before, scipy_before)
+
+
+def test_blas_pool_nested_restores_the_outer_count():
+    numpy_get, _ = blas_thread_readers()
+    before = numpy_get()
+    with states.single_blas_pool():
+        with states.single_blas_pool():
+            assert numpy_get() == 1
+        assert numpy_get() == 1
+    assert numpy_get() == before
+
+
+def test_blas_pool_does_nothing_without_a_setter(monkeypatch):
+    numpy_get, _ = blas_thread_readers()
+    before = numpy_get()
+    monkeypatch.setattr(states, "_numpy_blas_threads", lambda: None)
+    with states.single_blas_pool():
+        assert numpy_get() == before
+    # the real lookup finds no setter in an extension that links no OpenBLAS, or in a
+    # module that is no shared library
+    assert states._openblas_threads("numpy.random._generator") is None
+    assert states._openblas_threads("json") is None
 
 
 # ---------------------------------------------------------------------------
