@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dl import DLOperator, application_layers
-from .entanglement import CutSpec, density_entropy, reduced_density
+from .entanglement import (CutSpec, cut_matrix, density_entropy, reduced_density,
+                           subset_entropy)
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LayerPartition, LocalTerm, SiteSpace,
                           custom_geometry)
-from .states import (GroundSpaceData, StateVector, apply_term_array, hamiltonian_matrix,
-                     zero_threshold)
+from .states import GroundSpaceData, StateVector, apply_term_array, ground_kernel
 
 
 @dataclass(frozen=True)
@@ -220,41 +220,43 @@ def _window_sites(h: HamiltonianSpec, cut: CutSpec, l: int) -> tuple[int, ...]:
     return tuple(range(c - l, c + l))
 
 
-def window_ground_projector(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
-    """Projector onto the common ground space of the terms inside the window."""
+def window_kernel(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
+    """(d^(2l), w) orthonormal basis B of the common kernel of the terms inside the window:
+    states.ground_kernel of the window's sub-Hamiltonian.  B B^dag is its ground projector."""
     inner = [LocalTerm(tuple(window.index(s) for s in t.support), t.matrix, t.is_projector)
              for t in h.terms if set(t.support) <= set(window)]
     if not inner:
         return np.eye(h.sites.d ** len(window))
-    local = HamiltonianSpec(SiteSpace(len(window), h.sites.d, custom_geometry(())), inner)
-    evals, evecs = np.linalg.eigh(hamiltonian_matrix(local).astype(complex))
-    keep = evals <= zero_threshold(local)
-    basis = evecs[:, keep]
-    return basis @ basis.conj().T
+    return ground_kernel(HamiltonianSpec(SiteSpace(len(window), h.sites.d,
+                                                   custom_geometry(())), inner))
 
 
 def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
-                               a: DLOperator, overlap: float,
-                               rho_win: np.ndarray | None = None) -> MeasurementCheck:
+                               a: DLOperator, overlap: float) -> MeasurementCheck:
     """Build the window measurement and measure its distinguishing probability.
 
-    overlap is the largest product-state overlap of the ground state at the cut;
-    rho_win, if given, its reduced density on the 2l sites around the cut.
+    overlap is the largest product-state overlap of the ground state at the cut.
+    The measurement Pi = B B^dag (window_kernel) and the window's density are never
+    formed: Tr(Pi rho_win) = ||B^dag omega||^2, and S(rho_win) comes from the
+    singular values of omega folded as (window, rest).
     """
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
     window = _window_sites(h, cut, l)
     omega = gs.omega
-    c = cut.position
+    c, d = cut.position, h.sites.d
 
-    proj = window_ground_projector(h, window)
-    rho_win = reduced_density(omega, window) if rho_win is None else rho_win
-    trace_ground = float(np.real(np.trace(proj @ rho_win)))
+    basis = window_kernel(h, window)
+    # B^dag on the window axes of a state folded as (d^(c-l), d^(2l), rest)
+    restrict = lambda arr: basis.conj().T @ arr.reshape(d ** (c - l), d ** (2 * l), -1)
+    trace_ground = float(np.linalg.norm(restrict(omega.amplitudes)) ** 2)
 
-    rho_l = reduced_density(omega, tuple(range(c - l, c)))
-    rho_r = reduced_density(omega, tuple(range(c, c + l)))
-    trace_product = float(np.real(np.trace(proj @ np.kron(rho_l, rho_r))))
-    info = density_entropy(rho_l) + density_entropy(rho_r) - density_entropy(rho_win)
+    rho_l = reduced_density(omega, window[:l])
+    rho_r = reduced_density(omega, window[l:])
+    halves = basis.reshape(d ** l, d ** l, -1)
+    trace_product = float(np.real(np.einsum("abk,ac,bd,cdk->", halves.conj(), rho_l, rho_r,
+                                            halves, optimize=True)))
+    info = density_entropy(rho_l) + density_entropy(rho_r) - subset_entropy(omega, window)
 
     delta = 1.0 - a.shrink_bound(gs.gap)
     hypothesis_met = overlap <= (1.0 - delta) ** (l / 4.0)
@@ -262,35 +264,29 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: Gro
 
     identity_dev = None
     if l % 2 == 0:
-        identity_dev = _measurement_identity_deviation(h, a, omega, proj, window, c, l)
+        identity_dev = _measurement_identity_deviation(a, omega, cut, l, restrict)
     return MeasurementCheck(window, delta, trace_ground, trace_product, overlap,
                             hypothesis_met, bound, identity_dev, info)
 
 
-def _measurement_identity_deviation(h, a, omega, proj, window, c, l) -> float:
-    """| Tr(Pi A^(l/2) rho_L x rho_R) - Tr(Pi rho_L x rho_R) | over full halves."""
-    n, d = h.sites.n, h.sites.d
-    rho_left = reduced_density(omega, tuple(range(c)))
-    rho_right = reduced_density(omega, tuple(range(c, n)))
-    pl, ul = np.linalg.eigh(rho_left)
-    pr, ur = np.linalg.eigh(rho_right)
-    with_proj = 0.0
-    with_both = 0.0
-    for i in range(len(pl)):
-        if pl[i] < 1e-14:
-            continue
-        for j in range(len(pr)):
-            weight = pl[i] * pr[j]
-            if weight < 1e-16:
-                continue
-            phi = np.kron(ul[:, i], ur[:, j])
-            proj_phi = apply_term_array(proj, window, phi, n, d)
+def _measurement_identity_deviation(a, omega, cut, l, restrict) -> float:
+    """| Tr(Pi A^(l/2) rho_L x rho_R) - Tr(Pi rho_L x rho_R) | over full halves.
+
+    rho_L x rho_R sums s_i^2 s_j^2 |phi><phi| over the products phi = u_i (x) v_j
+    of the cut's Schmidt vectors (one thin SVD); Pi enters through B^dag only.
+    """
+    u, svals, vh = np.linalg.svd(cut_matrix(omega, cut), full_matrices=False)
+    weights = svals ** 2
+    deviation = 0.0
+    for i in np.flatnonzero(weights >= 1e-14):
+        for j in np.flatnonzero(weights[i] * weights >= 1e-16):
+            phi = np.kron(u[:, i], vh[j])
             evolved = phi
             for _ in range(l // 2):
                 evolved = a.apply_array(evolved)
-            with_both += weight * np.real(np.vdot(proj_phi, evolved))
-            with_proj += weight * np.real(np.vdot(proj_phi, phi))
-    return float(abs(with_both - with_proj))
+            deviation += weights[i] * weights[j] * np.vdot(restrict(phi),
+                                                           restrict(evolved - phi)).real
+    return float(abs(deviation))
 
 
 @dataclass(frozen=True)

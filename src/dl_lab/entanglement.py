@@ -39,11 +39,18 @@ class CutSpec:
 
 def cut_matrix(psi: StateVector, cut: CutSpec) -> np.ndarray:
     """Amplitudes reshaped into a (left, right) matrix for the cut."""
+    return subset_matrix(psi, cut.sides(psi.sites.n)[0])
+
+
+def subset_matrix(psi: StateVector, sites_subset) -> np.ndarray:
+    """Amplitudes folded as a (subset, rest) matrix, the rest in ascending site order."""
     n, d = psi.sites.n, psi.sites.d
-    left, right = cut.sides(n)
-    tensor = psi.amplitudes.reshape((d,) * n)
-    tensor = np.transpose(tensor, left + right)
-    return tensor.reshape(d ** len(left), d ** len(right))
+    subset = tuple(int(s) for s in sites_subset)
+    if len(set(subset)) != len(subset) or not subset:
+        raise ValidationError("need a non-empty set of distinct sites")
+    rest = tuple(i for i in range(n) if i not in subset)
+    tensor = np.transpose(psi.amplitudes.reshape((d,) * n), subset + rest)
+    return tensor.reshape(d ** len(subset), -1)
 
 
 def entropy_of_weights(lams: np.ndarray) -> float:
@@ -55,18 +62,18 @@ def entropy_of_weights(lams: np.ndarray) -> float:
 
 def reduced_density(psi: StateVector, sites_subset) -> np.ndarray:
     """Density matrix on a site subset by summation over the complement."""
-    n, d = psi.sites.n, psi.sites.d
-    subset = tuple(int(s) for s in sites_subset)
-    if len(set(subset)) != len(subset) or not subset:
-        raise ValidationError("need a non-empty set of distinct sites")
-    rest = tuple(i for i in range(n) if i not in subset)
-    tensor = psi.amplitudes.reshape((d,) * n)
-    tensor = np.transpose(tensor, subset + rest).reshape(d ** len(subset), -1)
-    return tensor @ tensor.conj().T
+    mat = subset_matrix(psi, sites_subset)
+    return mat @ mat.conj().T
 
 
 def density_entropy(rho: np.ndarray) -> float:
     return entropy_of_weights(np.linalg.eigvalsh(rho))
+
+
+def subset_entropy(psi: StateVector, sites_subset) -> float:
+    """Entropy of a site subset from the singular values of the (subset, rest) fold."""
+    return entropy_of_weights(np.linalg.svd(subset_matrix(psi, sites_subset),
+                                            compute_uv=False) ** 2)
 
 
 @dataclass(frozen=True)
@@ -274,11 +281,12 @@ def area_law_certificate(h: HamiltonianSpec, gs: GroundSpaceData, data: SchmidtD
 
 def shifted_cut_check(gs_state: StateVector, cut: CutSpec,
                       l: int) -> tuple[tuple[int, float, float], ...]:
-    """Rows (j, alpha_1(k+j), alpha_1(k) * d^|j|) for every |j| <= l: one overlap per cut."""
+    """Rows (j, alpha_1(k+j), alpha_1(k) * d^|j|) for every |j| <= l, alpha_1 the largest
+    product overlap at a cut: its top Schmidt coefficient, one values-only SVD per cut."""
     n, d = gs_state.sites.n, gs_state.sites.d
     k = cut.position
     if k - l < 1 or k + l > n - 1:
         raise ValidationError(f"shifts of {l} around position {k} leave [1, {n - 1}]")
-    alphas = {j: max_product_overlap(gs_state, CutSpec.contiguous(k + j))[0]
+    alphas = {j: float(schmidt(gs_state, CutSpec.contiguous(k + j)).coefficients[0])
               for j in range(-l, l + 1)}
     return tuple((j, alpha, alphas[0] * d ** abs(j)) for j, alpha in alphas.items())

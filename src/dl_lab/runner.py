@@ -26,9 +26,8 @@ from .correlations import (ObservableSpec, cone_absorption_check,
 from .dl import (DLOperator, apply_pyramids, converge, dl_operator, measure_shrinkage,
                  norm_energy_check, pyramid_applicable, pyramid_decompose,
                  step_inequality_margin)
-from .entanglement import (CutSpec, SchmidtData, area_law_certificate, density_entropy,
-                           max_product_overlap, rank_growth, reduced_density,
-                           schmidt, shifted_cut_check, step_entropy_bound,
+from .entanglement import (CutSpec, SchmidtData, area_law_certificate, rank_growth,
+                           schmidt, shifted_cut_check, step_entropy_bound, subset_entropy,
                            tail_bound_check)
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
@@ -242,18 +241,15 @@ class _Context:
         """Schmidt spectrum of the ground state at the run's cut."""
         return schmidt(self.gs.omega, self.cut)
 
-    @cached_property
+    @property
     def overlap(self) -> float:
-        """Largest product-state overlap of the ground state at the run's cut."""
-        return max_product_overlap(self.gs.omega, self.cut)[0]
+        """Largest product-state overlap of the ground state at the cut: its top Schmidt value."""
+        return float(self.cut_schmidt.coefficients[0])
 
-    @cached_property
-    def window(self) -> tuple[int, np.ndarray]:
-        """Half-width l of the window around the cut ('window', kept on the chain) and
-        the reduced density of the ground state on its 2l sites."""
-        c = self.cut.position
-        l = min(self.p["window"], c, self.h.sites.n - c)
-        return l, reduced_density(self.gs.omega, tuple(range(c - l, c + l)))
+    @property
+    def window(self) -> int:
+        """Half-width l of the window around the cut ('window', kept on the chain)."""
+        return min(self.p["window"], self.cut.position, self.h.sites.n - self.cut.position)
 
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
@@ -454,11 +450,11 @@ def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
     The recursion holds under a for-contradiction overlap hypothesis, so it
     is recorded, never asserted.
     """
-    c, (l, rho_large) = ctx.cut.position, ctx.window
+    c, l = ctx.cut.position, ctx.window
     if l < 2 or l % 2:
         return
-    s_small = density_entropy(reduced_density(ctx.gs.omega, tuple(range(c - l // 2, c + l // 2))))
-    s_large = density_entropy(rho_large)
+    s_small = subset_entropy(ctx.gs.omega, range(c - l // 2, c + l // 2))
+    s_large = subset_entropy(ctx.gs.omega, range(c - l, c + l))
     ctx.add(info_record("window-entropy-small", "overlap-entropy-bound", s_small))
     ctx.add(info_record("window-entropy-large", "overlap-entropy-bound", s_large))
     ctx.add(info_record("window-recursion-margin", "overlap-entropy-bound",
@@ -505,8 +501,7 @@ def _step_correlate(ctx: _Context) -> None:
 def _step_measurecheck(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
         return
-    l, rho_win = ctx.window
-    check = distinguishing_measurement(ctx.h, ctx.cut, l, ctx.gs, ctx.a, ctx.overlap, rho_win)
+    check = distinguishing_measurement(ctx.h, ctx.cut, ctx.window, ctx.gs, ctx.a, ctx.overlap)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
     ctx.add(info_record("measurement-overlap", "distinguishing-measurement", check.overlap))

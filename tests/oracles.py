@@ -89,6 +89,31 @@ def dense_filter_deviation(h, q: float, gs) -> float:
     return float(np.linalg.norm(filt - basis @ basis.conj().T, 2))
 
 
+def dense_window_projector(h, window) -> np.ndarray:
+    """Projector onto the common kernel of the terms inside the window, by a dense eigh."""
+    n, d = len(window), h.sites.d
+    local = np.zeros((d ** n, d ** n), dtype=complex)
+    for term in h.terms:
+        if set(term.support) <= set(window):
+            local += kron_embed(term.matrix, [window.index(s) for s in term.support], n, d)
+    evals, evecs = np.linalg.eigh(local)
+    basis = evecs[:, evals <= 1e-8]
+    return basis @ basis.conj().T
+
+
+def block_density(psi_amplitudes, start: int, count: int, n: int, d: int) -> np.ndarray:
+    """Reduced density of the sites start..start+count-1 by an explicit partial trace."""
+    tensor = np.asarray(psi_amplitudes).reshape(d ** start, d ** count, -1)
+    return np.einsum("awb,avb->wv", tensor, tensor.conj())
+
+
+def eigvalsh_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy in nats from the eigenvalues of a density matrix."""
+    weights = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    weights = weights[weights > 0]
+    return float(-(weights * np.log(weights)).sum())
+
+
 def schmidt_eigenvalues_by_partial_trace(psi_amplitudes, left_count: int, n: int,
                                          d: int) -> np.ndarray:
     """Reduced-density eigenvalues across a prefix cut, descending."""

@@ -1,7 +1,12 @@
 """Causality cones, absorption identities, decay, window measurements."""
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dl_lab.cli as cli
+from dl_lab import correlations
 from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  cone_absorption_check, connected_correlation,
                                  decay_profile, distinguishing_measurement,
@@ -10,9 +15,10 @@ from dl_lab.entanglement import CutSpec, max_product_overlap
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import site_observable
-from dl_lab.states import GroundSpaceData, random_state, spectrum
+from dl_lab.states import DENSE_CUTOFF, GroundSpaceData, random_state, spectrum
 
-from oracles import kron_embed
+from oracles import (block_density, dense_dl_matrix, dense_window_projector, eigvalsh_entropy,
+                     kron_embed)
 
 
 def observable(model, name, site):
@@ -248,6 +254,78 @@ def test_measurement_entangled_chain(parent632):
     assert check.trace_product <= check.bound + 1e-9
     assert check.trace_product < 1.0
     assert check.identity_deviation <= 1e-10
+
+
+def test_window_measurement_matches_the_dense_projector(unique_open):
+    # every window that fits the centre cut, up to the whole chain, against the dense
+    # window projector Pi and the partial traces of omega
+    for model in unique_open:
+        n, d = model.h.sites.n, model.h.sites.d
+        c = n // 2
+        omega = model.gs.omega.amplitudes
+        for l in range(1, min(c, n - c) + 1):
+            check = distinguishing_measurement(model.h, CutSpec.contiguous(c), l, gs=model.gs,
+                                               a=model.a, overlap=1.0)
+            window = tuple(range(c - l, c + l))
+            proj = dense_window_projector(model.h, window)
+            rho_win = block_density(omega, c - l, 2 * l, n, d)
+            rho_l, rho_r = block_density(omega, c - l, l, n, d), block_density(omega, c, l, n, d)
+            label = f"{model.label} l={l}"
+            assert check.trace_ground == pytest.approx(np.trace(proj @ rho_win).real,
+                                                       abs=1e-12), label
+            product = np.trace(proj @ np.kron(rho_l, rho_r)).real
+            assert check.trace_product == pytest.approx(product, abs=1e-12), label
+            info = eigvalsh_entropy(rho_l) + eigvalsh_entropy(rho_r) - eigvalsh_entropy(rho_win)
+            assert check.mutual_information == pytest.approx(info, abs=1e-12), label
+            if l % 2:
+                assert check.identity_deviation is None
+                continue
+            halves = np.kron(block_density(omega, 0, c, n, d), block_density(omega, c, n - c, n, d))
+            pi = kron_embed(proj, window, n, d)
+            evolved = np.linalg.matrix_power(dense_dl_matrix(model.a), l // 2) @ halves
+            deviation = abs(np.trace(pi @ evolved).real - np.trace(pi @ halves).real)
+            assert check.identity_deviation == pytest.approx(deviation, abs=1e-12), label
+
+
+def _measurecheck(tmp_path, model: dict, parameters: dict | None = None) -> tuple[int, dict]:
+    """Exit status of `measurecheck` through cli.main, and the report's checks by name."""
+    doc = {"schema_version": 1, "command": "measurecheck", "model": model,
+           "parameters": parameters or {},
+           "output": {"dir": str(tmp_path / "out"), "format": "structured"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    status = cli.main(["measurecheck", "--config", str(path), "--quiet"])
+    report = tmp_path / "out" / "report.json"
+    checks = json.loads(report.read_text())["checks"] if report.exists() else []
+    return status, {c["name"]: c for c in checks}
+
+
+def test_window_kernel_missing_a_column_fails_the_ground_trace(tmp_path, monkeypatch):
+    # the window kernel of parent-random(6,3,2,2) has 4 columns; one fewer misses the
+    # ground state's weight on it (0.2 to 0.4 for each column here)
+    true_kernel = correlations.window_kernel
+    monkeypatch.setattr(correlations, "window_kernel",
+                        lambda h, window: true_kernel(h, window)[:, :-1])
+    model = {"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}
+    status, checks = _measurecheck(tmp_path, model)
+    assert status == 1
+    assert checks["measurement-ground-trace"]["status"] == "fail"
+
+
+def test_window_above_the_dense_cutoff_is_measured(tmp_path):
+    # window 7 on pinning(14) is the whole chain, dimension 16384 > DENSE_CUTOFF; a
+    # 16384-square projector or window density would take 4 GiB, the kernel is one column
+    assert 2 ** 14 > DENSE_CUTOFF
+    tracemalloc.start()
+    try:
+        status, checks = _measurecheck(tmp_path, {"name": "pinning", "parameters": {"n": 14}},
+                                       {"window": 7})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert checks["measurement-ground-trace"]["status"] == "pass"
+    assert peak < 100 * 2 ** 20
 
 
 def test_measurement_ground_trace_across_open_corpus(unique_open):

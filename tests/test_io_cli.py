@@ -247,18 +247,23 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
         assert len(calls) == 1, parameters
 
 
-@pytest.mark.parametrize("model, at_cut, densities", [
-    # rank_growth decomposes its product start and 3 iterates (4), then the Schmidt
-    # spectrum, the product overlap and the shifted cuts' center row, one each; the
-    # window-recursion diagnostic takes 2 densities and the measurement 5, one of them
-    # the diagnostic's density of the whole window
-    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 6),
-    ({"name": "aklt", "parameters": {"n": 6, "periodic": True}}, 3, 2),  # no open-chain steps
+@pytest.mark.parametrize("model, at_cut, densities, entropies", [
+    # at the cut: rank_growth decomposes its product start and 3 iterates (4), then the
+    # Schmidt spectrum (which also gives the product overlap), the shifted cuts' center
+    # row and the measurement's thin SVD for the identity check, one each (7).  Densities:
+    # the measurement's two d^l-square window halves (2).  Entropies from the (subset, rest)
+    # fold: the window-recursion diagnostic's two windows and the measurement's window (3)
+    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 2, 3),
+    # no open-chain steps: the Schmidt spectrum and the shifted cuts' center row (2), no
+    # density, and the diagnostic's two window entropies (2)
+    ({"name": "aklt", "parameters": {"n": 6, "periodic": True}}, 2, 0, 2),
 ], ids=["parent-random-6", "aklt-6-ring"])
-def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, densities):
+def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, densities,
+                                      entropies):
     cut = CutSpec.contiguous(3)
-    calls = {"cut_matrix": 0, "reduced_density": 0}
-    cut_matrix, reduced_density = entanglement.cut_matrix, entanglement.reduced_density
+    calls = {"cut_matrix": 0, "reduced_density": 0, "subset_entropy": 0}
+    cut_matrix = entanglement.cut_matrix
+    reduced_density, subset_entropy = entanglement.reduced_density, entanglement.subset_entropy
 
     def counting_cut_matrix(psi, where):
         calls["cut_matrix"] += where == cut
@@ -268,12 +273,19 @@ def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, dens
         calls["reduced_density"] += 1
         return reduced_density(psi, sites)
 
-    monkeypatch.setattr(entanglement, "cut_matrix", counting_cut_matrix)
-    monkeypatch.setattr(correlations, "reduced_density", counting_reduced_density)
-    monkeypatch.setattr(runner, "reduced_density", counting_reduced_density)
+    def counting_subset_entropy(psi, sites):
+        calls["subset_entropy"] += 1
+        return subset_entropy(psi, sites)
+
+    for module in (entanglement, correlations):
+        monkeypatch.setattr(module, "cut_matrix", counting_cut_matrix)
+        monkeypatch.setattr(module, "reduced_density", counting_reduced_density)
+    monkeypatch.setattr(correlations, "subset_entropy", counting_subset_entropy)
+    monkeypatch.setattr(runner, "subset_entropy", counting_subset_entropy)
     report = run(_config("verify", tmp_path, model=model))
     assert report.overall_pass
-    assert calls == {"cut_matrix": at_cut, "reduced_density": densities}
+    assert calls == {"cut_matrix": at_cut, "reduced_density": densities,
+                     "subset_entropy": entropies}
 
 
 AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 4
