@@ -301,8 +301,8 @@ def _measurecheck(tmp_path, model: dict, parameters: dict | None = None) -> tupl
 
 
 def test_window_kernel_missing_a_column_fails_the_ground_trace(tmp_path, monkeypatch):
-    # the window kernel of parent-random(6,3,2,2) has 4 columns; one fewer misses the
-    # ground state's weight on it (0.2 to 0.4 for each column here)
+    # the window kernel of parent-random(6,3,2,2) has 4 columns, and the ground state's
+    # window weight spreads over them: one fewer misses part of it
     true_kernel = correlations.window_kernel
     monkeypatch.setattr(correlations, "window_kernel",
                         lambda h, window: true_kernel(h, window)[:, :-1])
