@@ -244,12 +244,19 @@ class _Context:
     @property
     def overlap(self) -> float:
         """Largest product-state overlap of the ground state at the cut: its top Schmidt value."""
-        return float(self.cut_schmidt.coefficients[0])
+        # a normalized state's mu is at most 1; a values-only SVD can round it to 1 + 2.2e-16
+        return min(float(self.cut_schmidt.coefficients[0]), 1.0)
 
     @property
     def window(self) -> int:
         """Half-width l of the window around the cut ('window', kept on the chain)."""
         return min(self.p["window"], self.cut.position, self.h.sites.n - self.cut.position)
+
+    @cached_property
+    def window_entropy(self) -> float:
+        """S of the 2l sites around the cut: the recursion diagnostic's and the measurement's."""
+        return subset_entropy(self.gs.omega, range(self.cut.position - self.window,
+                                                   self.cut.position + self.window))
 
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
@@ -454,11 +461,10 @@ def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
     if l < 2 or l % 2:
         return
     s_small = subset_entropy(ctx.gs.omega, range(c - l // 2, c + l // 2))
-    s_large = subset_entropy(ctx.gs.omega, range(c - l, c + l))
     ctx.add(info_record("window-entropy-small", "overlap-entropy-bound", s_small))
-    ctx.add(info_record("window-entropy-large", "overlap-entropy-bound", s_large))
+    ctx.add(info_record("window-entropy-large", "overlap-entropy-bound", ctx.window_entropy))
     ctx.add(info_record("window-recursion-margin", "overlap-entropy-bound",
-                        2.0 * s_small - (delta / 2.0) * l + 1.0 - s_large))
+                        2.0 * s_small - (delta / 2.0) * l + 1.0 - ctx.window_entropy))
 
 
 def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]]:
@@ -501,7 +507,8 @@ def _step_correlate(ctx: _Context) -> None:
 def _step_measurecheck(ctx: _Context) -> None:
     if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
         return
-    check = distinguishing_measurement(ctx.h, ctx.cut, ctx.window, ctx.gs, ctx.a, ctx.overlap)
+    check = distinguishing_measurement(ctx.h, ctx.cut, ctx.window, ctx.gs, ctx.a, ctx.overlap,
+                                       ctx.window_entropy)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
     ctx.add(info_record("measurement-overlap", "distinguishing-measurement", check.overlap))

@@ -4,27 +4,27 @@ Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  Each decision is made in
 one place.  apply_term_array has two cases: a forward run of sites, and any
 other support, whose axes are moved to the end and contracted there as a
-last bond.  spectrum picks the regime.  Up to DENSE_CUTOFF it assembles
-the dense matrix, each term added in place into a view of it, with no
-identity pushed through them (hamiltonian_matrix), and splits it into the
-connected components of its exact-nonzero pattern: the S_z sectors of
-Heisenberg and AKLT, the syndrome sectors of the toric code, the diagonal of
-pinning.  Each block gets its own in-place eigh; a connected matrix is one
-block, diagonalized with no copy, and a one-row block is its own entry and 1,
-with no LAPACK call.  The spectral filter takes the 2-norm of filt - proj
-one block at a time: two rank-k updates write it into one buffer, which one
-eigvalsh overwrites.  Above the cutoff the ground space is the common kernel
-of the terms, built site by site (ground_kernel), and H is solved only above
-it, one Lanczos solve per state, with the kernel and the states found so far
-shifted out of the way.
+last bond.  spectrum picks the regime.  Up to DENSE_CUTOFF it finds the
+exact blocks of H from the terms (exact_blocks): the S_z sectors of
+Heisenberg and AKLT, the syndrome sectors of the toric code, the rows of
+pinning.  H is assembled on the blocks alone, in one flat array of the sum of
+their squared sizes (block_matrices); each block gets its own in-place eigh
+and keeps its own vectors.  A connected matrix is one block, diagonalized
+with no copy, and a one-row block is its own entry and 1, with no LAPACK
+call.  The spectral filter takes the 2-norm of filt - proj one block at a
+time: two rank-k updates write it into one buffer, which one eigvalsh
+overwrites.  Above the cutoff the ground space is the common kernel of the
+terms, built site by site (ground_kernel), and H is solved only above it, one
+Lanczos solve per state, with the kernel and the states found so far shifted
+out of the way.
 zero_threshold is the one energy under which a state counts as ground.
-ground_space only selects from the spectrum, and holds the ground space as
-one (dim, deg) view of its vectors.  Every eigenpair's residual is checked
-through the contraction path, hamiltonian_apply, in one batch: in the dense
-regime on the packed vectors, column j the j-th vector of every block at
-once, so the product has the width of the largest block, not dim.  The
-restricted operator norm on the ground-space complement is one Lanczos solve
-on the Gram operator.  Every Lanczos solve asserts its residuals.
+ground_space only selects from the spectrum (SpectrumData.columns).  Every
+eigenpair's residual is checked through the contraction path,
+hamiltonian_apply, in one batch: in the dense regime on the packed vectors,
+column j the j-th vector of every block at once, so the product has the
+width of the largest block, not dim.  The restricted operator norm on the
+ground-space complement is one Lanczos solve on the Gram operator.  Every
+Lanczos solve asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 a woken worker spins for a while after its call, competing with the calling
@@ -284,7 +284,7 @@ def _is_complex(h: HamiltonianSpec) -> bool:
 
 
 def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
-    """Materialize the full d^n x d^n matrix (dense regime only).
+    """The full d^n x d^n matrix, up to DENSE_CUTOFF: the test oracle of block_matrices.
 
     Each term is added in place, in term order, to a zeroed matrix through the
     writable np.einsum view of its diagonal on the sites outside the support:
@@ -306,17 +306,24 @@ def hamiltonian_matrix(h: HamiltonianSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumData:
-    """Lowest eigenpairs, ascending; vectors is C-order (dim, count), one per column.
-
-    blocks holds, for each exact block of H, its rows and the columns of vectors
-    that are its eigenvectors: each such column is zero off those rows.  None is
-    one block of every row and column (the iterative regime).
-    """
+    """Lowest eigenpairs, ascending, held per exact block of H: its rows, its columns (the
+    indices of its values) and its C-order (rows, columns) eigenvectors.  The iterative
+    regime is one block, whose rows and columns are ranges."""
 
     values: np.ndarray
-    vectors: np.ndarray
     residuals: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def columns(self, count: int | None = None) -> np.ndarray:
+        """The (dim, count) vectors of the lowest count values (default all); one block's view."""
+        count = len(self.values) if count is None else count
+        if len(self.blocks) == 1:
+            return self.blocks[0][2][:, :count]
+        out = np.zeros((len(self.values), count), self.blocks[0][2].dtype)  # dense: dim values
+        for rows, cols, vectors in self.blocks:
+            if cols[0] < count:  # cols ascend, and most blocks have no value that low
+                out[np.ix_(rows, cols[cols < count])] = vectors[:, :np.count_nonzero(cols < count)]
+        return out
 
 
 def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
@@ -435,36 +442,51 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     return g
 
 
-def _components(mat: np.ndarray) -> list[np.ndarray]:
-    """Rows of each connected component of the exact-nonzero pattern of mat, ascending.
+def _term_entries(term: LocalTerm, n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of one term's exact-nonzero entries in H: a local entry
+    (a, b) at (offsets[a] + r, offsets[b] + r) for each offset r of the other sites."""
+    offsets = d ** (n - 1 - np.array(term.support)) @ np.indices((d,) * term.k).reshape(term.k, -1)
+    rest = np.arange(d ** n).reshape((d,) * n)[
+        tuple(0 if s in term.support else slice(None) for s in range(n))].ravel()
+    a, b = np.nonzero(term.matrix)
+    return ((offsets[a, None] + rest).ravel(), (offsets[b, None] + rest).ravel(),
+            np.repeat(term.matrix[a, b], rest.size))
 
-    Rows i and j are joined when mat[i, j] or mat[j, i] is nonzero, so every
-    entry between two components is an exact zero in both triangles.  Each
-    component is grown breadth first from its lowest row, through the rows and
-    the columns of one boolean (dim, dim) pattern; the components come in the
-    order of their lowest rows.  A row with no off-diagonal nonzero in its row
-    or column, found in one pass, is its own component without a search.
+
+def exact_blocks(h: HamiltonianSpec) -> list[np.ndarray]:
+    """Rows of each exact block of H, ascending; the blocks in the order of their lowest rows.
+
+    The connected components of the union of the terms' exact-nonzero patterns: never
+    finer than the pattern of H, so every entry of H between two blocks is an exact zero.
     """
-    pattern = mat != 0
-    alone = pattern.sum(axis=0) + pattern.sum(axis=1) == 2 * pattern.diagonal()
-    unseen = np.ones(len(mat), bool)
-    components = []
-    for start in range(len(mat)):
-        if not unseen[start]:
-            continue
-        unseen[start] = False
-        frontier = np.array([start])
-        if alone[start]:
-            components.append(frontier)
-            continue
-        found = [frontier]
-        while frontier.size:
-            reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)
-            frontier = np.flatnonzero(reach & unseen)
-            unseen[frontier] = False
-            found.append(frontier)
-        components.append(np.sort(np.concatenate(found)))
-    return components
+    import scipy.sparse.csgraph  # here: its 1.1-1.5 MB and 5 ms (2-vCPU Xeon) are dense-only
+    n, d, dim = h.sites.n, h.sites.d, h.sites.dim
+    rows, cols = (np.concatenate(side) for side in
+                  zip(*(_term_entries(term, n, d)[:2] for term in h.terms)))
+    pattern = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+    labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)[1]
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return sorted(blocks, key=lambda block: block[0])
+
+
+def block_matrices(h: HamiltonianSpec, blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """H on each block: block b of m rows is flat[starts[b]:starts[b] + m * m], C-order.
+
+    Each term is scattered in once, in term order, onto zeros: hamiltonian_matrix on the
+    block, bit for bit.  Entries between blocks are left out."""
+    n, d, dim = h.sites.n, h.sites.d, h.sites.dim
+    sizes = np.array([len(rows) for rows in blocks])
+    starts = np.cumsum(sizes ** 2) - sizes ** 2
+    order, owner, place = np.concatenate(blocks), np.empty(dim, np.intp), np.empty(dim, np.intp)
+    owner[order] = np.repeat(np.arange(len(blocks)), sizes)  # the block of each row
+    place[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its index there
+    flat = np.zeros(starts[-1] + sizes[-1] ** 2, dtype=complex if _is_complex(h) else float)
+    for term in h.terms:
+        rows, cols, values = _term_entries(term, n, d)
+        inside = owner[rows] == owner[cols]
+        rows, cols, block = rows[inside], cols[inside], owner[rows[inside]]
+        flat[starts[block] + place[rows] * sizes[block] + place[cols]] += values[inside]
+    return flat, starts
 
 
 def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,73 +505,66 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     """Lowest eigenpairs of sum_i Q_i; this is where the regime is decided.
 
     Up to DENSE_CUTOFF, all of them (count is not read), one in-place eigh per
-    exact block of the dense matrix, a connected component of its exact-nonzero
-    pattern (_components).  A connected matrix is one block, diagonalized in
-    place with no copy.  Otherwise each block is copied out and diagonalized,
-    and the zeroed buffer of the matrix takes the vectors: each block's on its
-    rows, at the columns its values take in the ascending order (stable, so a
-    tie keeps the blocks in row order).  Above it, the ground space is the
-    common kernel of the terms, built here (ground_kernel): its columns are
-    the first rows, and the lowest max(1, count - deg) states above it
+    exact block of H (exact_blocks, block_matrices); each block keeps its own
+    vectors, and its columns are where its values fall in the ascending order
+    (stable, so a tie keeps the blocks in row order).  Above it, the ground
+    space is the common kernel of the terms, built here (ground_kernel): its
+    columns are the first, and the lowest max(1, count - deg) states above it
     follow, one Lanczos solve each, on H plus norm_bound times the projector
-    onto the kernel and the states found so far.  ValidationError when the
-    kernel is empty (the model is not frustration-free); ConvergenceError
-    when a solved value is under zero_threshold (a ground state the kernel
-    missed), a kernel state is above it, or a residual is too large.
+    onto the kernel and the states found so far, all as one block.
+    ValidationError when the kernel is empty (the model is not
+    frustration-free); ConvergenceError when a solved value is under
+    zero_threshold (a ground state the kernel missed), a kernel state is above
+    it, or a residual is too large.
 
     The residuals come from one hamiltonian_apply.  Above the cutoff it takes
     all the vectors.  Up to it, it takes them packed: column j of a (dim,
     width) array, width the largest block, holds the j-th vector of every
-    block, each on its own rows, filled from the eigh output.  The rows of
-    block b in packed column j are its j-th residual for j < size_b, and for
-    larger j only the leak of the other blocks through H; every one of them
-    must be within RESIDUAL_TOL, so a wrong split fails too.  A connected
-    matrix packs as itself, and its residuals are the column norms, as above.
+    block on its rows; the rows of block b in packed column j are its j-th
+    residual for j < size_b, and for larger j only the leak of the other
+    blocks through H.  Every one of them must be within RESIDUAL_TOL, so a
+    wrong split fails too.  A connected matrix packs as itself.
     """
     dim = h.sites.dim
     check_dim(dim)
-    blocks = None
     if dim <= DENSE_CUTOFF:
-        mat = hamiltonian_matrix(h)
-        rows = _components(mat)
+        rows = exact_blocks(h)
+        flat, at = block_matrices(h, rows)
         sizes = np.array([len(r) for r in rows])
         starts, width = np.cumsum(sizes) - sizes, sizes.max()
-        lone = np.flatnonzero(sizes == 1)  # a one-row block's eigenpair is its entry and 1
-        multi = np.flatnonzero(sizes > 1)
+        lone, multi = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
         lone_rows = np.concatenate(rows)[starts[lone]]
-        block_evals = np.empty(dim)
-        block_evals[starts[lone]] = mat[lone_rows, lone_rows].real
-        pairs = {b: _block_eigh(mat if sizes[b] == dim else mat[np.ix_(rows[b], rows[b])])
-                 for b in multi}
-        for b, (values, _) in pairs.items():
-            block_evals[starts[b]:starts[b] + sizes[b]] = values
-        order = np.argsort(block_evals, kind="stable")
-        evals, position = block_evals[order], np.empty(dim, np.intp)
-        position[order] = np.arange(dim)  # the column of each block's value, in block order
-        cols = np.split(position, starts[1:])
+        evals = np.empty(dim)  # in block order, then sorted
+        evals[starts[lone]] = flat[at[lone]].real  # a one-row block's eigenpair: its entry and 1
+        vectors = [np.ones((1, 1), flat.dtype)] * len(rows)  # one shared, read-only array
+        vectors[0].flags.writeable = False
+        for b in multi:
+            m = sizes[b]
+            evals[starts[b]:starts[b] + m], vectors[b] = _block_eigh(
+                flat[at[b]:at[b] + m * m].reshape(m, m))
+        del flat
         if len(rows) == 1:
-            vectors = packed = pairs[0][1]
-            scale = evals
-        else:  # every block is copied out of mat, so its buffer takes the vectors
-            vectors, packed, scale = mat, np.zeros((dim, width), mat.dtype), np.zeros((dim, width))
-            vectors.fill(0)
-            vectors[lone_rows, position[starts[lone]]] = packed[lone_rows, 0] = 1
-            scale[lone_rows, 0] = block_evals[starts[lone]]
-            for b, (values, block_vectors) in pairs.items():
-                r = rows[b]
-                vectors[np.ix_(r, cols[b])] = block_vectors
-                packed[r, :len(r)], scale[r, :len(r)] = block_vectors, values
-        del mat, pairs
-        blocks = tuple(zip(rows, cols))
+            packed = vectors[0]
+        else:
+            packed = np.zeros((dim, width), vectors[0].dtype)
+            packed[lone_rows, 0] = 1
+            for b in multi:
+                packed[rows[b], :sizes[b]] = vectors[b]
         # rows of block b in packed column j: its residual for j < size_b, else a leak
         applied = hamiltonian_apply(h, packed)
-        applied -= packed * scale
         norms = np.empty((len(rows), width))
         lone_applied = applied[lone_rows]  # the one-row norms of np.linalg.norm, bit for bit
+        lone_applied[:, 0] -= evals[starts[lone]]
         norms[lone] = np.sqrt((lone_applied.conj() * lone_applied).real)
         for b in multi:
-            norms[b] = np.linalg.norm(applied if sizes[b] == dim else applied[rows[b]], axis=0)
+            part = applied if sizes[b] == dim else applied[rows[b]]
+            part[:, :sizes[b]] -= vectors[b] * evals[starts[b]:starts[b] + sizes[b]]
+            norms[b] = np.linalg.norm(part, axis=0)
         _checked(norms.ravel(), "eigenpair")
+        order = np.argsort(evals, kind="stable")
+        evals, position = evals[order], np.empty(dim, np.intp)
+        position[order] = np.arange(dim)  # the column of each block's value, in block order
+        blocks = tuple(zip(rows, np.split(position, starts[1:]), vectors))
         residuals = norms[sizes[:, None] > np.arange(width)][order]
     else:
         kernel = ground_kernel(h)
@@ -579,14 +594,15 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
                 f"lowest solved energy {theta[0]:g}, highest kernel-state energy "
                 f"{rayleigh.max(initial=0.0):g}, zero threshold {zero:g}")
         residuals = _checked_residuals(applied, evals, vectors, "eigenpair")
-    return SpectrumData(np.asarray(evals, dtype=float), vectors, residuals, blocks)
+        blocks = ((range(dim), range(len(evals)), vectors),)
+    return SpectrumData(np.asarray(evals, dtype=float), residuals, blocks)
 
 
 @dataclass(frozen=True)
 class GroundSpaceData:
     """Zero-energy eigenspace of a frustration-free Hamiltonian plus its gap.
 
-    basis is orthonormal, one state per column: a view of the spectrum's vectors.
+    basis is orthonormal, one state per column: the spectrum's first columns.
     """
 
     ground_energy: float
@@ -621,7 +637,7 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
     if n_ground >= len(values):
         raise ValidationError("no eigenvalue found above the ground threshold")
     return GroundSpaceData(float(values[0]), float(values[n_ground]),
-                           spectrum_data.vectors[:, :n_ground], h.sites)
+                           spectrum_data.columns(n_ground), h.sites)
 
 
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
@@ -629,31 +645,26 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     """Operator-norm distance of the filter from the ground projector, given the full spectrum.
 
     filt - proj is materialized one exact block of H at a time, from the
-    block's eigenvectors and the ground basis on its rows, by two rank-k
+    block's own eigenvectors and the ground basis on its rows, by two rank-k
     updates into one buffer that one eigvalsh overwrites, all in scipy's BLAS
     (see single_blas_pool); the one-row blocks are their entries, taken in one
     step.  Every entry between two blocks is an exact zero, so the 2-norm of
-    the whole is the largest over the blocks of the largest |eigenvalue| of
-    one block.
+    the whole is the largest over the blocks.
     """
-    dim = gs.sites.dim
-    if len(spectrum_data.values) < dim:
+    if len(spectrum_data.values) < gs.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
-    roots, vectors = np.exp(-q * spectrum_data.values ** 2 / 4.0), spectrum_data.vectors
-    rank_k = scipy.linalg.blas.get_blas_funcs("herk" if np.iscomplexobj(vectors) else "syrk",
-                                              (vectors,))
-    blocks = spectrum_data.blocks or ((np.arange(dim), np.arange(dim)),)
-    # a one-row block's filt - proj is its one entry, |v|^2 w - |g|^2: all of them at once
-    lone = [(rows[0], cols[0]) for rows, cols in blocks if len(rows) == 1]
+    roots, blocks = np.exp(-q * spectrum_data.values ** 2 / 4.0), spectrum_data.blocks
+    rank_k = scipy.linalg.blas.get_blas_funcs(
+        "herk" if np.iscomplexobj(blocks[0][2]) else "syrk", (blocks[0][2],))
+    # a one-row block's vector is 1 and its filt - proj is its one entry w - |g|^2: all at once
+    lone = [(rows[0], cols[0]) for rows, cols, _ in blocks if len(rows) == 1]
     lone_rows, lone_cols = np.array(lone, np.intp).reshape(-1, 2).T
-    entries = (np.abs(vectors[lone_rows, lone_cols] * roots[lone_cols]) ** 2
-               - (np.abs(gs.basis[lone_rows]) ** 2).sum(axis=1))
+    entries = roots[lone_cols] ** 2 - (np.abs(gs.basis[lone_rows]) ** 2).sum(axis=1)
     worst = float(np.abs(entries).max(initial=0.0))
-    for rows, cols in blocks:
+    for rows, cols, vectors in blocks:
         if len(rows) == 1:
             continue
-        scaled = vectors.copy() if len(rows) == dim else vectors[np.ix_(rows, cols)]
-        scaled *= roots[cols]
+        scaled = vectors * roots[cols]
         # the upper triangle of conj(V) W V^T - conj(G) G^T, V and G the vectors and the
         # ground basis on the rows: conj(filt - proj), Hermitian with the same eigenvalues,
         # so its 2-norm is its largest |eigenvalue|.  The transposed C-order arrays are

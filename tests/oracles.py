@@ -62,6 +62,31 @@ def dense_hamiltonian(h) -> np.ndarray:
     return out
 
 
+def components(mat: np.ndarray) -> list[np.ndarray]:
+    """Rows of each connected component of the exact-nonzero pattern of mat, ascending.
+
+    Rows i and j are joined when mat[i, j] or mat[j, i] is nonzero.  Each
+    component is grown breadth first from its lowest row, through the rows and
+    the columns of one boolean (dim, dim) pattern; the components come in the
+    order of their lowest rows.
+    """
+    pattern = mat != 0
+    unseen = np.ones(len(mat), bool)
+    found = []
+    for start in range(len(mat)):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        frontier, rows = np.array([start]), [np.array([start])]
+        while frontier.size:
+            reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)
+            frontier = np.flatnonzero(reach & unseen)
+            unseen[frontier] = False
+            rows.append(frontier)
+        found.append(np.sort(np.concatenate(rows)))
+    return found
+
+
 def dense_dl_matrix(a) -> np.ndarray:
     """Full matrix of the layered projection operator via the oracle."""
     h = a.h

@@ -114,7 +114,7 @@ def test_every_ground_space_reader_looks_at_every_column(aklt4):
     # only the last of aklt(4)'s 4 ground columns is tilted out of the kernel: a reader
     # of the first column alone would see an untouched ground space
     basis = aklt4.gs.basis.copy()
-    basis[:, -1] += 1e-6 * spectrum(aklt4.h).vectors[:, aklt4.gs.degeneracy]
+    basis[:, -1] += 1e-6 * spectrum(aklt4.h).columns(aklt4.gs.degeneracy + 1)[:, -1]
     tilted = GroundSpaceData(0.0, aklt4.gs.gap, basis, aklt4.h.sites)
     b = observable(aklt4, "sx", 0)  # one round from site 0 leaves the terms on 1-2, 2-3 out
     for gs, low in ((aklt4.gs, True), (tilted, False)):

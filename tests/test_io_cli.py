@@ -1,5 +1,6 @@
 """Serialization schemas, report round-trips, CLI driver behavior."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -252,8 +253,9 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
     # Schmidt spectrum (which also gives the product overlap), the shifted cuts' center
     # row and the measurement's thin SVD for the identity check, one each (7).  Densities:
     # the measurement's two d^l-square window halves (2).  Entropies from the (subset, rest)
-    # fold: the window-recursion diagnostic's two windows and the measurement's window (3)
-    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 2, 3),
+    # fold: the window-recursion diagnostic's two windows, the larger of which is the
+    # measurement's window and is measured once per run (2)
+    ({"name": "parent-random", "parameters": {"n": 6, "d": 3, "bond": 2, "seed": 2}}, 7, 2, 2),
     # no open-chain steps: the Schmidt spectrum and the shifted cuts' center row (2), no
     # density, and the diagnostic's two window entropies (2)
     ({"name": "aklt", "parameters": {"n": 6, "periodic": True}}, 2, 0, 2),
@@ -286,6 +288,23 @@ def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, dens
     assert report.overall_pass
     assert calls == {"cut_matrix": at_cut, "reduced_density": densities,
                      "subset_entropy": entropies}
+
+
+def test_top_schmidt_value_rounded_above_one_is_mu_one(tmp_path, monkeypatch):
+    # parent-random(8,2,1,4) has a product ground state, whose top Schmidt value a
+    # values-only SVD can round to 1 + 2**-52; mu is clamped at 1, so verify passes
+    true_schmidt = runner.schmidt
+
+    def rounded_up(psi, cut):
+        data = true_schmidt(psi, cut)
+        coefficients = data.coefficients.copy()
+        coefficients[0] = 1.0 + 2.0 ** -52
+        return dataclasses.replace(data, coefficients=coefficients)
+
+    monkeypatch.setattr(runner, "schmidt", rounded_up)
+    model = {"name": "parent-random", "parameters": {"n": 8, "d": 2, "bond": 1, "seed": 4}}
+    path = _write_config(tmp_path, command="verify", model=model)
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 0
 
 
 AKLT8 = {"name": "aklt", "parameters": {"n": 8}}  # dim 6561, ground degeneracy 4

@@ -1,4 +1,6 @@
 """State engine: contraction, spectra, ground spaces, filter, restricted norms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from dl_lab.states import (SpectrumData, StateVector, apply_term_array,
                            gaussian_filter_deviation, ground_kernel, ground_space,
                            product_state, random_state, restricted_norm, spectrum)
 
-from oracles import (dense_filter_deviation, dense_hamiltonian, dense_restricted_norm,
-                     einsum_apply, kron_embed)
+from oracles import (components, dense_filter_deviation, dense_hamiltonian,
+                     dense_restricted_norm, einsum_apply, kron_embed)
 
 
 def qubits(n):
@@ -225,18 +227,21 @@ def test_iterative_count_keeps_every_copy_of_a_level(monkeypatch, name, params, 
     monkeypatch.setattr(states, "DENSE_CUTOFF", 16)
     sparse = spectrum(h, count)
     assert np.allclose(dense, sparse.values, atol=1e-8)
-    assert np.abs(sparse.vectors.conj().T @ sparse.vectors - np.eye(count)).max() < 1e-8
+    vectors = sparse.columns()
+    assert np.abs(vectors.conj().T @ vectors - np.eye(count)).max() < 1e-8
 
 
 @pytest.mark.parametrize("count", [None, 3])
 def test_spectrum_vectors_are_one_c_order_array(pinning6, monkeypatch, count):
     # the dense regime returns every column, count or not; a count is read in the
-    # iterative one: the one kernel state and count - 1 above it
+    # iterative one: the one kernel state and count - 1 above it.  Each block's
+    # vectors, and the columns built from them, are C-order
     if count is not None:
         monkeypatch.setattr(states, "DENSE_CUTOFF", 32)
     spec = spectrum(pinning6.h, count)
-    assert spec.vectors.shape == (pinning6.h.sites.dim, count or pinning6.h.sites.dim)
-    assert spec.vectors.flags["C_CONTIGUOUS"]
+    assert spec.columns().shape == (pinning6.h.sites.dim, count or pinning6.h.sites.dim)
+    assert spec.columns().flags["C_CONTIGUOUS"]
+    assert all(vectors.flags["C_CONTIGUOUS"] for _, _, vectors in spec.blocks)
 
 
 def test_dense_spectrum_checks_every_returned_column(monkeypatch):
@@ -275,13 +280,14 @@ def test_dense_spectrum_splits_into_exact_blocks(name, params, count):
     spec, dim = spectrum(h), h.sites.dim
     assert len(spec.blocks) == count
     owner = np.empty(dim, int)
-    for b, (rows, cols) in enumerate(spec.blocks):
+    for b, (rows, cols, block_vectors) in enumerate(spec.blocks):
         owner[rows] = b
-        assert len(rows) == len(cols)
+        assert block_vectors.shape == (len(rows), len(cols))
     # each column is nonzero on the rows of exactly one block
+    vectors = spec.columns()
     for j in range(dim):
-        assert len(set(owner[np.flatnonzero(spec.vectors[:, j])])) == 1
-    assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(dim)).max() < 1e-12
+        assert len(set(owner[np.flatnonzero(vectors[:, j])])) == 1
+    assert np.abs(vectors.conj().T @ vectors - np.eye(dim)).max() < 1e-12
     assert np.abs(spec.values - np.linalg.eigvalsh(dense_hamiltonian(h))).max() < 1e-12
     gs = ground_space(h, spec)
     for q in (1.0, 4.0, 16.0):
@@ -294,7 +300,8 @@ def test_dense_spectrum_residuals_match_full_product(name, params, count):
     # the packed check gives each column the residual of one H product on all of them
     h = build_model(ModelDescriptor.make(name, **params))
     spec = spectrum(h)
-    full = states.hamiltonian_apply(h, spec.vectors) - spec.vectors * spec.values
+    vectors = spec.columns()
+    full = states.hamiltonian_apply(h, vectors) - vectors * spec.values
     assert np.abs(spec.residuals - np.linalg.norm(full, axis=0)).max() <= 1e-15
 
 
@@ -302,7 +309,7 @@ def test_dense_spectrum_checks_the_leak_between_blocks(monkeypatch):
     # 1e-6 at an entry of the packed product that no column owns: a row of a block
     # smaller than the largest, in a packed column at or past that block's size
     h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))  # S_z blocks 1, 4, 6, 4, 1
-    rows = [rows for rows, _ in spectrum(h).blocks]
+    rows = [rows for rows, _, _ in spectrum(h).blocks]
     width = max(map(len, rows))
     small = min(rows, key=len)
     true_apply = states.hamiltonian_apply
@@ -321,15 +328,15 @@ def test_dense_spectrum_catches_a_wrong_block_split(monkeypatch):
     # the 6-row S_z = 0 block of heisenberg-ferro(4) cut into 5 + 1 rows: the split
     # blocks' vectors are not eigenvectors of H
     h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
-    true_components = states._components
+    true_blocks = states.exact_blocks
 
-    def cut(mat):
+    def cut(h):
         parts = []
-        for rows in true_components(mat):
+        for rows in true_blocks(h):
             parts += [rows[:5], rows[5:]] if len(rows) == 6 else [rows]
         return parts
 
-    monkeypatch.setattr(states, "_components", cut)
+    monkeypatch.setattr(states, "exact_blocks", cut)
     with pytest.raises(ConvergenceError, match="eigenpair residuals"):
         spectrum(h)
 
@@ -340,8 +347,9 @@ def test_complex_dense_spectrum_and_filter():
     h = HamiltonianSpec(qubits(5), tuple(LocalTerm((i, i + 1), np.outer(phi, phi.conj()))
                                          for i in range(4)))
     spec = spectrum(h)
-    assert np.iscomplexobj(spec.vectors)
-    assert np.abs(dense_hamiltonian(h) @ spec.vectors - spec.vectors * spec.values).max() < 1e-12
+    vectors = spec.columns()
+    assert np.iscomplexobj(vectors)
+    assert np.abs(dense_hamiltonian(h) @ vectors - vectors * spec.values).max() < 1e-12
     gs = ground_space(h, spec)
     for q in (1.0, 4.0):
         measured = gaussian_filter_deviation(q, gs, spectrum_data=spec)
@@ -363,6 +371,41 @@ def test_hamiltonian_matrix_is_the_oracle_bit_for_bit(descriptor):
     h = build_model(descriptor)
     assert h.sites.dim <= states.DENSE_CUTOFF
     assert np.array_equal(states.hamiltonian_matrix(h), dense_hamiltonian(h))
+
+
+@pytest.mark.parametrize("descriptor", [*BUNDLED_MODELS, *(
+    ModelDescriptor.make(name, **params) for name, params, _ in BLOCK_MODELS)],
+    ids=lambda desc: desc.label())
+def test_term_blocks_are_the_dense_components(descriptor):
+    # the blocks found from the terms are the components of the dense matrix's pattern, in
+    # the same order (which fixes the ground basis), and each assembled block is the dense
+    # matrix on its rows, bit for bit
+    h = build_model(descriptor)
+    mat = states.hamiltonian_matrix(h)
+    blocks = states.exact_blocks(h)
+    assert [rows.tolist() for rows in blocks] == [rows.tolist() for rows in components(mat)]
+    flat, starts = states.block_matrices(h, blocks)
+    for rows, start in zip(blocks, starts):
+        block = flat[start:start + len(rows) ** 2].reshape(len(rows), len(rows))
+        assert block.tobytes() == mat[np.ix_(rows, rows)].tobytes()
+
+
+@pytest.mark.parametrize("name, n, share", [
+    # 4096 one-row blocks: the dense assembly with its (dim, dim) pattern peaked at 1.13 arrays
+    ("pinning", 12, 0.5),
+    ("heisenberg-ferro", 11, 1.0),  # 12 S_z blocks, the largest 462: that assembly peaked at 1.9
+])
+def test_dense_spectrum_forms_no_dim_square_array(name, n, share):
+    # the peak of the dense spectrum stays under a share of one (dim, dim) array of H's dtype
+    h = build_model(ModelDescriptor.make(name, n=n))
+    itemsize = np.dtype(complex if states._is_complex(h) else float).itemsize
+    tracemalloc.start()
+    try:
+        spectrum(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < share * h.sites.dim ** 2 * itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +488,7 @@ def test_ground_kernel_matches_dense_planted_product(data):
     # the random edge sets leave random exact-zero patterns: where they split H, the
     # blocks of the dense spectrum must give the oracle's eigenvalues (a connected H is
     # one in-place eigh, as in the complex and one-block tests, and is skipped for time)
-    if len(states._components(states.hamiltonian_matrix(h))) > 1:
+    if len(states.exact_blocks(h)) > 1:
         assert np.abs(spectrum(h).values - evals).max() <= 1e-12 * (1.0 + h.norm_bound())
 
 
@@ -482,7 +525,8 @@ def test_filter_q_zero_is_identity():
 
 def test_filter_deviation_needs_full_spectrum(heis6):
     spec, deg = spectrum(heis6.h), heis6.gs.degeneracy
-    partial = SpectrumData(spec.values[:deg], spec.vectors[:, :deg], spec.residuals[:deg])
+    partial = SpectrumData(spec.values[:deg], spec.residuals[:deg],
+                           ((np.arange(heis6.h.sites.dim), np.arange(deg), spec.columns(deg)),))
     with pytest.raises(ValidationError, match="full spectrum"):
         gaussian_filter_deviation(1.0, heis6.gs, spectrum_data=partial)
 
