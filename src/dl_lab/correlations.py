@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dl import DLOperator, application_layers
-from .entanglement import (CutSpec, cut_matrix, density_entropy, reduced_density,
-                           subset_entropy)
+from .entanglement import CutSpec, cut_matrix, density_entropy, reduced_density
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LayerPartition, LocalTerm, SiteSpace,
                           custom_geometry)
@@ -233,14 +232,13 @@ def window_kernel(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
 
 def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
                                a: DLOperator, overlap: float,
-                               window_entropy: float | None = None) -> MeasurementCheck:
+                               window_entropy: float) -> MeasurementCheck:
     """Build the window measurement and measure its distinguishing probability.
 
-    overlap is the largest product-state overlap of the ground state at the cut;
-    window_entropy, when given, is S(rho_win), which is then not computed again.
-    The measurement Pi = B B^dag (window_kernel) and the window's density are never
-    formed: Tr(Pi rho_win) = ||B^dag omega||^2, and S(rho_win) comes from the
-    singular values of omega folded as (window, rest).
+    overlap is the largest product-state overlap of the ground state at the cut, and
+    window_entropy is S(rho_win), the entropy of the window's 2l sites.  The measurement
+    Pi = B B^dag (window_kernel) and the window's density are never formed:
+    Tr(Pi rho_win) = ||B^dag omega||^2.
     """
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
@@ -258,8 +256,7 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: Gro
     halves = basis.reshape(d ** l, d ** l, -1)
     trace_product = float(np.real(np.einsum("abk,ac,bd,cdk->", halves.conj(), rho_l, rho_r,
                                             halves, optimize=True)))
-    info = density_entropy(rho_l) + density_entropy(rho_r) - (
-        subset_entropy(omega, window) if window_entropy is None else window_entropy)
+    info = density_entropy(rho_l) + density_entropy(rho_r) - window_entropy
 
     delta = 1.0 - a.shrink_bound(gs.gap)
     hypothesis_met = overlap <= (1.0 - delta) ** (l / 4.0)

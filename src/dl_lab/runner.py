@@ -243,8 +243,8 @@ class _Context:
 
     @property
     def overlap(self) -> float:
-        """Largest product-state overlap of the ground state at the cut: its top Schmidt value."""
-        # a normalized state's mu is at most 1; a values-only SVD can round it to 1 + 2.2e-16
+        """Largest product-state overlap of the ground state at the cut: its top Schmidt value,
+        at most 1 for a normalized state, so clamped there (an SVD can round it to 1 + 2e-16)."""
         return min(float(self.cut_schmidt.coefficients[0]), 1.0)
 
     @property

@@ -4,27 +4,21 @@ Local operators are applied by tensor contraction over their support
 axes only, so the cost is O(d^n * d^k) per term.  Each decision is made in
 one place.  apply_term_array has two cases: a forward run of sites, and any
 other support, whose axes are moved to the end and contracted there as a
-last bond.  spectrum picks the regime.  Up to DENSE_CUTOFF it finds the
-exact blocks of H from the terms (exact_blocks): the S_z sectors of
-Heisenberg and AKLT, the syndrome sectors of the toric code, the rows of
-pinning.  H is assembled on the blocks alone, in one flat array of the sum of
-their squared sizes (block_matrices); each block gets its own in-place eigh
-and keeps its own vectors.  A connected matrix is one block, diagonalized
-with no copy, and a one-row block is its own entry and 1, with no LAPACK
-call.  The spectral filter takes the 2-norm of filt - proj one block at a
-time: two rank-k updates write it into one buffer, which one eigvalsh
-overwrites.  Above the cutoff the ground space is the common kernel of the
-terms, built site by site (ground_kernel), and H is solved only above it, one
-Lanczos solve per state, with the kernel and the states found so far shifted
-out of the way.
+last bond.  spectrum picks the regime.  Up to DENSE_CUTOFF H is assembled
+and diagonalized on its exact blocks alone, found from the terms
+(exact_blocks): the S_z sectors of Heisenberg and AKLT, the syndrome sectors
+of the toric code, the rows of pinning.  A connected matrix is one block,
+diagonalized with no copy, and a one-row block is its own entry and 1.  The
+spectral filter takes the 2-norm of filt - proj one block at a time.  Above
+the cutoff the ground space is the common kernel of the terms, built site by
+site (ground_kernel), and H is solved only above it, one Lanczos solve per
+state, with the kernel and the states found so far shifted out of the way.
 zero_threshold is the one energy under which a state counts as ground.
-ground_space only selects from the spectrum (SpectrumData.columns).  Every
-eigenpair's residual is checked through the contraction path,
-hamiltonian_apply, in one batch: in the dense regime on the packed vectors,
-column j the j-th vector of every block at once, so the product has the
-width of the largest block, not dim.  The restricted operator norm on the
-ground-space complement is one Lanczos solve on the Gram operator.  Every
-Lanczos solve asserts its residuals.
+ground_space only selects from the spectrum.  Every eigenpair's residual is
+checked through the contraction path, hamiltonian_apply, in one batch (see
+spectrum).  The restricted operator norm on the ground-space complement is
+one Lanczos solve on the Gram operator.  Every Lanczos solve asserts its
+residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 a woken worker spins for a while after its call, competing with the calling
@@ -442,47 +436,49 @@ def ground_kernel(h: HamiltonianSpec) -> np.ndarray:
     return g
 
 
-def _term_entries(term: LocalTerm, n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of one term's exact-nonzero entries in H: a local entry
-    (a, b) at (offsets[a] + r, offsets[b] + r) for each offset r of the other sites."""
-    offsets = d ** (n - 1 - np.array(term.support)) @ np.indices((d,) * term.k).reshape(term.k, -1)
-    rest = np.arange(d ** n).reshape((d,) * n)[
-        tuple(0 if s in term.support else slice(None) for s in range(n))].ravel()
-    a, b = np.nonzero(term.matrix)
-    return ((offsets[a, None] + rest).ravel(), (offsets[b, None] + rest).ravel(),
-            np.repeat(term.matrix[a, b], rest.size))
+def term_entries(h: HamiltonianSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows, columns and values of each term's exact-nonzero entries in H, in term order: a
+    local entry (a, b) at (offsets[a] + r, offsets[b] + r) for each offset r of the other sites."""
+    n, d = h.sites.n, h.sites.d
+    index, entries = np.arange(d ** n).reshape((d,) * n), []
+    for term in h.terms:
+        support = np.array(term.support)
+        offsets = d ** (n - 1 - support) @ np.indices((d,) * term.k).reshape(term.k, -1)
+        rest = index[tuple(0 if s in term.support else slice(None) for s in range(n))].ravel()
+        a, b = np.nonzero(term.matrix)
+        entries.append(((offsets[a, None] + rest).ravel(), (offsets[b, None] + rest).ravel(),
+                        np.repeat(term.matrix[a, b], rest.size)))
+    return entries
 
 
-def exact_blocks(h: HamiltonianSpec) -> list[np.ndarray]:
-    """Rows of each exact block of H, ascending; the blocks in the order of their lowest rows.
-
-    The connected components of the union of the terms' exact-nonzero patterns: never
-    finer than the pattern of H, so every entry of H between two blocks is an exact zero.
-    """
+def exact_blocks(entries: Sequence[tuple[np.ndarray, ...]], dim: int) -> list[np.ndarray]:
+    """Rows of each exact block of H, ascending, in the order of their lowest rows: the
+    connected components of the union of the term_entries patterns.  That union is never
+    finer than H's own pattern, so every entry of H between two blocks is an exact zero.
+    Terms that cancel at an entry of H still join its row and column: the blocks are then
+    coarser than H's own components, and a degenerate ground basis can differ from theirs."""
     import scipy.sparse.csgraph  # here: its 1.1-1.5 MB and 5 ms (2-vCPU Xeon) are dense-only
-    n, d, dim = h.sites.n, h.sites.d, h.sites.dim
-    rows, cols = (np.concatenate(side) for side in
-                  zip(*(_term_entries(term, n, d)[:2] for term in h.terms)))
+    rows = np.concatenate([rows for rows, _, _ in entries])
+    cols = np.concatenate([cols for _, cols, _ in entries])
     pattern = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
     labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)[1]
     blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     return sorted(blocks, key=lambda block: block[0])
 
 
-def block_matrices(h: HamiltonianSpec, blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """H on each block: block b of m rows is flat[starts[b]:starts[b] + m * m], C-order.
-
-    Each term is scattered in once, in term order, onto zeros: hamiltonian_matrix on the
-    block, bit for bit.  Entries between blocks are left out."""
-    n, d, dim = h.sites.n, h.sites.d, h.sites.dim
+def block_matrices(entries: Sequence[tuple[np.ndarray, ...]],
+                   blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """H on each block, block b of m rows at flat[starts[b]:starts[b] + m * m] in C order:
+    each term's entries scattered in once, in term order, onto zeros, as hamiltonian_matrix
+    adds them, bit for bit.  Entries between blocks are left out."""
     sizes = np.array([len(rows) for rows in blocks])
-    starts = np.cumsum(sizes ** 2) - sizes ** 2
+    starts, dim = np.cumsum(sizes ** 2) - sizes ** 2, sizes.sum()
     order, owner, place = np.concatenate(blocks), np.empty(dim, np.intp), np.empty(dim, np.intp)
     owner[order] = np.repeat(np.arange(len(blocks)), sizes)  # the block of each row
     place[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its index there
-    flat = np.zeros(starts[-1] + sizes[-1] ** 2, dtype=complex if _is_complex(h) else float)
-    for term in h.terms:
-        rows, cols, values = _term_entries(term, n, d)
+    dtype = complex if any(np.iscomplexobj(values) for _, _, values in entries) else float
+    flat = np.zeros(starts[-1] + sizes[-1] ** 2, dtype)
+    for rows, cols, values in entries:
         inside = owner[rows] == owner[cols]
         rows, cols, block = rows[inside], cols[inside], owner[rows[inside]]
         flat[starts[block] + place[rows] * sizes[block] + place[cols]] += values[inside]
@@ -504,14 +500,14 @@ def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     """Lowest eigenpairs of sum_i Q_i; this is where the regime is decided.
 
-    Up to DENSE_CUTOFF, all of them (count is not read), one in-place eigh per
-    exact block of H (exact_blocks, block_matrices); each block keeps its own
-    vectors, and its columns are where its values fall in the ascending order
-    (stable, so a tie keeps the blocks in row order).  Above it, the ground
-    space is the common kernel of the terms, built here (ground_kernel): its
-    columns are the first, and the lowest max(1, count - deg) states above it
-    follow, one Lanczos solve each, on H plus norm_bound times the projector
-    onto the kernel and the states found so far, all as one block.
+    Up to DENSE_CUTOFF, all of them (count is not read): H on each exact block
+    (term_entries, exact_blocks, block_matrices) gets one in-place eigh and
+    keeps its own vectors, whose columns are where its values fall in the
+    ascending order (stable, so a tie keeps the blocks in row order).  Above
+    it, the ground space is the common kernel of the terms (ground_kernel):
+    its columns are the first, and the lowest max(1, count - deg) states above
+    it follow, one Lanczos solve each, on H plus norm_bound times the
+    projector onto the kernel and the states found so far, all as one block.
     ValidationError when the kernel is empty (the model is not
     frustration-free); ConvergenceError when a solved value is under
     zero_threshold (a ground state the kernel missed), a kernel state is above
@@ -528,8 +524,9 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     dim = h.sites.dim
     check_dim(dim)
     if dim <= DENSE_CUTOFF:
-        rows = exact_blocks(h)
-        flat, at = block_matrices(h, rows)
+        entries = term_entries(h)
+        rows = exact_blocks(entries, dim)
+        flat, at = block_matrices(entries, rows)
         sizes = np.array([len(r) for r in rows])
         starts, width = np.cumsum(sizes) - sizes, sizes.max()
         lone, multi = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
@@ -542,7 +539,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
             m = sizes[b]
             evals[starts[b]:starts[b] + m], vectors[b] = _block_eigh(
                 flat[at[b]:at[b] + m * m].reshape(m, m))
-        del flat
+        del flat, entries
         if len(rows) == 1:
             packed = vectors[0]
         else:

@@ -17,7 +17,7 @@ from dl_lab.dl import (apply_pyramids, converge, dl_operator,
 from dl_lab.entanglement import (CutSpec, area_law_certificate,
                                  max_product_overlap, rank_growth, schmidt,
                                  shifted_cut_check, step_entropy_bound,
-                                 tail_bound_check)
+                                 subset_entropy, tail_bound_check)
 from dl_lab.models import ModelDescriptor, build_model, site_observable
 from dl_lab.states import ground_space, product_state, random_state, spectrum, \
     gaussian_filter_deviation
@@ -38,6 +38,12 @@ def _center_cut(model) -> CutSpec:
 
 def _center_overlap(model) -> float:
     return max_product_overlap(model.gs.omega, _center_cut(model))[0]
+
+
+def _center_window_entropy(model) -> float:
+    """Entropy of the 4 sites around the centre cut: the window of half-width 2."""
+    c = _center_cut(model).position
+    return subset_entropy(model.gs.omega, range(c - 2, c + 2))
 
 
 def _delta(model) -> float:
@@ -249,7 +255,8 @@ def test_c12_distinguishing_measurement(unique_open):
     hypothesis_exercised = False
     for model in unique_open:
         check = distinguishing_measurement(model.h, _center_cut(model), 2, gs=model.gs,
-                                           a=model.a, overlap=_center_overlap(model))
+                                           a=model.a, overlap=_center_overlap(model),
+                                           window_entropy=_center_window_entropy(model))
         ok &= abs(check.trace_ground - 1.0) <= 1e-10
         ok &= check.identity_deviation <= 1e-10
         if check.hypothesis_met:
@@ -267,7 +274,8 @@ def test_c13_entropy_gap(unique_open):
     for model in unique_open:
         cut = _center_cut(model)
         measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a,
-                                                 overlap=_center_overlap(model))
+                                                 overlap=_center_overlap(model),
+                                                 window_entropy=_center_window_entropy(model))
         check = entropy_gap_check(measurement)
         ok &= check.mutual_information >= check.measurement_divergence - 1e-9
         if check.hypothesis_met:

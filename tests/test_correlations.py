@@ -11,7 +11,7 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  cone_absorption_check, connected_correlation,
                                  decay_profile, distinguishing_measurement,
                                  entropy_gap_check, support_distance)
-from dl_lab.entanglement import CutSpec, max_product_overlap
+from dl_lab.entanglement import CutSpec, max_product_overlap, subset_entropy
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import site_observable
@@ -235,7 +235,9 @@ def test_support_distance_on_ring(aklt6p):
 
 def _measure(model, cut):
     overlap = max_product_overlap(model.gs.omega, cut)[0]
-    return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap)
+    entropy = subset_entropy(model.gs.omega, range(cut.position - 2, cut.position + 2))
+    return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap,
+                                      window_entropy=entropy)
 
 
 def test_measurement_product_ground(pinning6):
@@ -264,9 +266,10 @@ def test_window_measurement_matches_the_dense_projector(unique_open):
         c = n // 2
         omega = model.gs.omega.amplitudes
         for l in range(1, min(c, n - c) + 1):
-            check = distinguishing_measurement(model.h, CutSpec.contiguous(c), l, gs=model.gs,
-                                               a=model.a, overlap=1.0)
             window = tuple(range(c - l, c + l))
+            entropy = subset_entropy(model.gs.omega, window)
+            check = distinguishing_measurement(model.h, CutSpec.contiguous(c), l, gs=model.gs,
+                                               a=model.a, overlap=1.0, window_entropy=entropy)
             proj = dense_window_projector(model.h, window)
             rho_win = block_density(omega, c - l, 2 * l, n, d)
             rho_l, rho_r = block_density(omega, c - l, l, n, d), block_density(omega, c, l, n, d)
@@ -337,14 +340,18 @@ def test_measurement_ground_trace_across_open_corpus(unique_open):
             assert check.identity_deviation <= 1e-10, model.label
 
 
+# the window is refused before its entropy is read, so any value stands in for it
+
 def test_measurement_window_must_fit(parent632):
     with pytest.raises(ValidationError):
-        _measure(parent632, CutSpec.contiguous(1))
+        distinguishing_measurement(parent632.h, CutSpec.contiguous(1), 2, gs=parent632.gs,
+                                   a=parent632.a, overlap=1.0, window_entropy=0.0)
 
 
 def test_measurement_rejects_rings(aklt6p):
     with pytest.raises(ValidationError):
-        _measure(aklt6p, CutSpec.contiguous(3))
+        distinguishing_measurement(aklt6p.h, CutSpec.contiguous(3), 2, gs=aklt6p.gs,
+                                   a=aklt6p.a, overlap=1.0, window_entropy=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,6 @@ def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, dens
     for module in (entanglement, correlations):
         monkeypatch.setattr(module, "cut_matrix", counting_cut_matrix)
         monkeypatch.setattr(module, "reduced_density", counting_reduced_density)
-    monkeypatch.setattr(correlations, "subset_entropy", counting_subset_entropy)
     monkeypatch.setattr(runner, "subset_entropy", counting_subset_entropy)
     report = run(_config("verify", tmp_path, model=model))
     assert report.overall_pass

@@ -330,9 +330,9 @@ def test_dense_spectrum_catches_a_wrong_block_split(monkeypatch):
     h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
     true_blocks = states.exact_blocks
 
-    def cut(h):
+    def cut(entries, dim):
         parts = []
-        for rows in true_blocks(h):
+        for rows in true_blocks(entries, dim):
             parts += [rows[:5], rows[5:]] if len(rows) == 6 else [rows]
         return parts
 
@@ -382,12 +382,35 @@ def test_term_blocks_are_the_dense_components(descriptor):
     # matrix on its rows, bit for bit
     h = build_model(descriptor)
     mat = states.hamiltonian_matrix(h)
-    blocks = states.exact_blocks(h)
+    blocks = _assert_blocks_assemble_h(h)
     assert [rows.tolist() for rows in blocks] == [rows.tolist() for rows in components(mat)]
-    flat, starts = states.block_matrices(h, blocks)
+
+
+def _assert_blocks_assemble_h(h):
+    """The blocks found from the terms, once each assembled block is H on its rows, bit for bit."""
+    entries = states.term_entries(h)
+    blocks = states.exact_blocks(entries, h.sites.dim)
+    flat, starts = states.block_matrices(entries, blocks)
+    mat = states.hamiltonian_matrix(h)
     for rows, start in zip(blocks, starts):
         block = flat[start:start + len(rows) ** 2].reshape(len(rows), len(rows))
         assert block.tobytes() == mat[np.ix_(rows, rows)].tobytes()
+    return blocks
+
+
+def test_cancelling_terms_give_a_coarser_exact_block():
+    # the projectors onto (|01> + |10>) / sqrt 2 and (|01> - |10>) / sqrt 2 have opposite
+    # off-diagonal entries, which cancel in H = diag(0, 1, 1, 0): H's own pattern splits
+    # every row, but the union of the terms' patterns joins rows 1 and 2.  The merged block
+    # is still exact, so the spectrum is H's
+    plus, minus = np.array([0, 1, 1, 0]) / np.sqrt(2), np.array([0, 1, -1, 0]) / np.sqrt(2)
+    h = HamiltonianSpec(qubits(2), (LocalTerm((0, 1), np.outer(plus, plus)),
+                                    LocalTerm((0, 1), np.outer(minus, minus))))
+    mat = states.hamiltonian_matrix(h)
+    assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+    assert [rows.tolist() for rows in components(mat)] == [[0], [1], [2], [3]]
+    assert [rows.tolist() for rows in _assert_blocks_assemble_h(h)] == [[0], [1, 2], [3]]
+    assert np.abs(spectrum(h).values - np.linalg.eigvalsh(mat)).max() < 1e-15
 
 
 @pytest.mark.parametrize("name, n, share", [
@@ -488,7 +511,7 @@ def test_ground_kernel_matches_dense_planted_product(data):
     # the random edge sets leave random exact-zero patterns: where they split H, the
     # blocks of the dense spectrum must give the oracle's eigenvalues (a connected H is
     # one in-place eigh, as in the complex and one-block tests, and is skipped for time)
-    if len(states.exact_blocks(h)) > 1:
+    if len(states.exact_blocks(states.term_entries(h), h.sites.dim)) > 1:
         assert np.abs(spectrum(h).values - evals).max() <= 1e-12 * (1.0 + h.norm_bound())
 
 
