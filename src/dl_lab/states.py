@@ -527,6 +527,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
         entries = term_entries(h)
         rows = exact_blocks(entries, dim)
         flat, at = block_matrices(entries, rows)
+        del entries  # before any eigh, which sets the peak of a one-block model
         sizes = np.array([len(r) for r in rows])
         starts, width = np.cumsum(sizes) - sizes, sizes.max()
         lone, multi = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
@@ -539,7 +540,7 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
             m = sizes[b]
             evals[starts[b]:starts[b] + m], vectors[b] = _block_eigh(
                 flat[at[b]:at[b] + m * m].reshape(m, m))
-        del flat, entries
+        del flat
         if len(rows) == 1:
             packed = vectors[0]
         else:
