@@ -15,10 +15,10 @@ site (ground_kernel), and H is solved only above it, one Lanczos solve per
 state, with the kernel and the states found so far shifted out of the way.
 zero_threshold is the one energy under which a state counts as ground.
 ground_space only selects from the spectrum.  Every eigenpair's residual is
-checked through the contraction path, hamiltonian_apply, in one batch (see
-spectrum).  The restricted operator norm on the ground-space complement is
-one Lanczos solve on the Gram operator.  Every Lanczos solve asserts its
-residuals.
+checked through the contraction path, hamiltonian_apply, on batches of
+vectors (see spectrum).  The restricted operator norm on the ground-space
+complement is one Lanczos solve on the Gram operator.  Every Lanczos solve
+asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 a woken worker spins for a while after its call, competing with the calling
@@ -29,10 +29,12 @@ work there, and so do the dense eigh and the spectral filter's rank-k update
 and 2-norm.  For library callers outside a run, no ARPACK matvec calls
 threaded numpy BLAS either: a single vector on a run of sites, and any array
 on any other support, is contracted in GEMMs of at most GEMM_BLOCK_WORK
-multiply-adds, which OpenBLAS runs on the calling thread (_blocked_apply); a
-batch on a run of sites is one np.einsum, and the projections onto found
-states are np.einsum calls (_projection), which never call BLAS.  This holds
-for terms with d^(2k) <= GEMM_BLOCK_WORK.
+multiply-adds, which OpenBLAS runs on the calling thread (_blocked_apply),
+and the projections onto found states are np.einsum calls (_projection),
+which never call BLAS.  This holds for terms with d^(2k) <= GEMM_BLOCK_WORK.
+A batch on a run of sites is one np.matmul of unbounded GEMMs, but batches
+never run inside an ARPACK matvec: they are on one thread inside a run, and
+in numpy's threaded pool outside one.
 """
 from __future__ import annotations
 
@@ -75,10 +77,17 @@ KERNEL_WIDTH_CAP = 2048
 # per matvec slowed ARPACK's own time on the AKLT-12 ring from 1.26 to 4.70 s (2 threads).
 # In blocks, that ring's spectrum went 8.6-9.6 s -> 4.0 s (with the einsum projections),
 # and 2**12 to 2**18 gave the same AKLT-10 spectrum time within noise (2-vCPU Xeon).
-# The batched np.einsum fold never calls BLAS either, but is slower on one vector: at 3^10
-# with a two-site term it took 0.29, 0.66, 3.9 and 0.72 ms on the first, a middle, the
+# An np.einsum fold never calls BLAS either, but is slower on one vector: at 3^10 with a
+# two-site term it took 0.29, 0.66, 3.9 and 0.72 ms on the first, a middle, the
 # right == d and the last bond, where these blocks took 0.045, 0.076, 0.27 and 0.12 ms.
+# Batches are not blocked (no ARPACK matvec takes one): one np.matmul on the fold.
 GEMM_BLOCK_WORK = 2 ** 18
+# Fewest entries of one column chunk of the dense residual check, which otherwise holds
+# width^2 entries (the largest block's matrix, whose eigh already needed that memory).
+# Without it toric-code(2,3) (dim 4096, width 32) ran 32 one-column chunks: its spectrum
+# took 0.095-0.098 s against 0.046-0.049 s at 2**16 (2 chunks of 16) and 0.053-0.059 s
+# at 2**18 (one chunk); medians of 15, 2-vCPU Xeon.
+RESIDUAL_CHUNK_FLOOR = 2 ** 16
 _CAP_ENV = "DL_LAB_MAX_DIM"
 
 
@@ -212,9 +221,10 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     arr may carry trailing batch axes after the leading d**n axis.  On a
     forward run of sites a single vector is contracted in GEMMs of at most
     GEMM_BLOCK_WORK multiply-adds each, so that OpenBLAS runs every one on the
-    calling thread (_blocked_apply), a complex one by a real term off the last
-    bond on its float view, and a batch is one np.einsum on the
-    (left, d^k, rest) fold.  Any other support (the periodic wrap bond, a
+    calling thread (_blocked_apply), and a batch is one np.matmul on the
+    (left, d^k, rest) fold, a GEMM per left index.  A complex array through a
+    real term goes on its float view (a single vector off the last bond
+    only).  Any other support (the periodic wrap bond, a
     reversed or scattered support, a plaquette) has its axes moved to the end
     in support order, after the batch axes, is contracted there as a last
     bond by the same row blocks, and is moved back.
@@ -224,15 +234,14 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     s0 = support[0]
     if tuple(support) == tuple(range(s0, s0 + k)):
         left, right = d ** s0, d ** (n - s0 - k)
-        if not batch and right > 1 and arr.dtype == complex and matrix.dtype == float:
-            # a real term on a complex vector, in real arithmetic on its float view, each
-            # amplitude two entries of the right axis: numpy's mixed-dtype matmul skips BLAS
-            real = np.ascontiguousarray(arr).view(float)
-            return _blocked_apply(matrix, real, left, 2 * right, d).view(complex)
-        if not batch:
-            return _blocked_apply(matrix, arr, left, right, d)
-        folded = arr.reshape((d ** s0, d ** k, d ** (n - s0 - k)) + batch)
-        return np.einsum("ab,lb...->la...", matrix, folded).reshape((d ** n,) + batch)
+        viewed = arr.dtype == complex and matrix.dtype == float and (batch or right > 1)
+        # a real term on a complex array, in real arithmetic on its float view, each
+        # amplitude two entries of the trailing axis: numpy's mixed-dtype matmul skips BLAS
+        flat = np.ascontiguousarray(arr).view(float) if viewed else arr
+        rest = flat.size // (left * d ** k)  # the size, not -1, so that an empty batch folds
+        out = (np.matmul(matrix, flat.reshape(left, d ** k, rest)) if batch
+               else _blocked_apply(matrix, flat, left, rest, d))
+        return out.reshape(flat.shape).view(complex) if viewed else out.reshape(arr.shape)
     order = [s for s in range(n) if s not in support] + list(range(n, n + len(batch)))
     order += support
     moved = np.ascontiguousarray(arr.reshape((d,) * n + batch).transpose(order))
@@ -513,13 +522,16 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
     zero_threshold (a ground state the kernel missed), a kernel state is above
     it, or a residual is too large.
 
-    The residuals come from one hamiltonian_apply.  Above the cutoff it takes
-    all the vectors.  Up to it, it takes them packed: column j of a (dim,
-    width) array, width the largest block, holds the j-th vector of every
-    block on its rows; the rows of block b in packed column j are its j-th
-    residual for j < size_b, and for larger j only the leak of the other
-    blocks through H.  Every one of them must be within RESIDUAL_TOL, so a
-    wrong split fails too.  A connected matrix packs as itself.
+    The residuals come from hamiltonian_apply.  Above the cutoff one call takes
+    all the vectors.  Up to it, they are packed: column j of the packed
+    vectors, width columns for width the largest block, holds the j-th vector
+    of every block on its rows; the rows of block b in packed column j are its
+    j-th residual for j < size_b, and for larger j only the leak of the other
+    blocks through H.  They are packed and applied one chunk of
+    max(width^2, RESIDUAL_CHUNK_FLOOR) // dim columns (at least 1) at a time,
+    so that no chunk holds more entries than the largest block's matrix or
+    the floor.  Every (block, column) norm must be within RESIDUAL_TOL, so a
+    wrong split fails too.  A connected matrix is one chunk, its own vectors.
     """
     dim = h.sites.dim
     check_dim(dim)
@@ -541,23 +553,30 @@ def spectrum(h: HamiltonianSpec, count: int | None = None) -> SpectrumData:
             evals[starts[b]:starts[b] + m], vectors[b] = _block_eigh(
                 flat[at[b]:at[b] + m * m].reshape(m, m))
         del flat
-        if len(rows) == 1:
-            packed = vectors[0]
-        else:
-            packed = np.zeros((dim, width), vectors[0].dtype)
-            packed[lone_rows, 0] = 1
-            for b in multi:
-                packed[rows[b], :sizes[b]] = vectors[b]
-        # rows of block b in packed column j: its residual for j < size_b, else a leak
-        applied = hamiltonian_apply(h, packed)
         norms = np.empty((len(rows), width))
-        lone_applied = applied[lone_rows]  # the one-row norms of np.linalg.norm, bit for bit
-        lone_applied[:, 0] -= evals[starts[lone]]
-        norms[lone] = np.sqrt((lone_applied.conj() * lone_applied).real)
-        for b in multi:
-            part = applied if sizes[b] == dim else applied[rows[b]]
-            part[:, :sizes[b]] -= vectors[b] * evals[starts[b]:starts[b] + sizes[b]]
-            norms[b] = np.linalg.norm(part, axis=0)
+        step = max(1, max(width ** 2, RESIDUAL_CHUNK_FLOOR) // dim)  # packed columns per chunk
+        for j in range(0, width, step):
+            if len(rows) == 1:
+                packed = vectors[0]  # step >= width == dim: one chunk, the vectors themselves
+            else:
+                packed = np.zeros((dim, min(step, width - j)), vectors[0].dtype)
+                if j == 0:
+                    packed[lone_rows, 0] = 1
+                for b in multi[sizes[multi] > j]:
+                    own = vectors[b][:, j:j + step]
+                    packed[rows[b], :own.shape[1]] = own
+            # rows of block b in packed column j: its residual for j < size_b, else a leak
+            applied = hamiltonian_apply(h, packed)
+            lone_applied = applied[lone_rows]  # the one-row norms of np.linalg.norm, bit for bit
+            if j == 0:
+                lone_applied[:, 0] -= evals[starts[lone]]
+            norms[lone, j:j + step] = np.sqrt((lone_applied.conj() * lone_applied).real)
+            for b in multi:
+                part = applied if sizes[b] == dim else applied[rows[b]]
+                own = vectors[b][:, j:j + step]
+                part[:, :own.shape[1]] -= own * evals[starts[b] + j:starts[b] + j + own.shape[1]]
+                norms[b, j:j + step] = np.linalg.norm(part, axis=0)
+            del packed, applied  # freed before the next chunk is packed and applied
         _checked(norms.ravel(), "eigenpair")
         order = np.argsort(evals, kind="stable")
         evals, position = evals[order], np.empty(dim, np.intp)

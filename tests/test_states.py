@@ -341,6 +341,25 @@ def test_dense_spectrum_catches_a_wrong_block_split(monkeypatch):
         spectrum(h)
 
 
+def test_dense_spectrum_checks_the_last_column_chunk(monkeypatch):
+    # heisenberg-ferro(11): the two largest blocks, 462 rows each, span several column chunks
+    # of the residual check; only their last vectors, in the last chunk, are tilted
+    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=11))
+    width = 462
+    assert max(width ** 2, states.RESIDUAL_CHUNK_FLOOR) // h.sites.dim < width
+    true_eigh = states._block_eigh
+
+    def tilted(block):
+        values, vectors = true_eigh(block)
+        if len(values) == width:
+            vectors[:, -1] += 1e-6 * vectors[:, 0]
+        return values, vectors
+
+    monkeypatch.setattr(states, "_block_eigh", tilted)
+    with pytest.raises(ConvergenceError, match="eigenpair residuals"):
+        spectrum(h)
+
+
 def test_complex_dense_spectrum_and_filter():
     # eigh diagonalizes conj(H) in place; the vectors must come back conjugated
     phi = np.array([0.0, 1j, -1.0, 0.0]) / np.sqrt(2)
@@ -416,7 +435,10 @@ def test_cancelling_terms_give_a_coarser_exact_block():
 @pytest.mark.parametrize("name, n, share", [
     # 4096 one-row blocks: the dense assembly with its (dim, dim) pattern peaked at 1.13 arrays
     ("pinning", 12, 0.5),
-    ("heisenberg-ferro", 11, 1.0),  # 12 S_z blocks, the largest 462: that assembly peaked at 1.9
+    # 12 and 13 S_z blocks, the largest 462 and 924: that assembly peaked at 1.9, and a residual
+    # check on all the packed columns at once at 0.81 and 0.80
+    ("heisenberg-ferro", 11, 0.5),
+    ("heisenberg-ferro", 12, 0.5),
 ])
 def test_dense_spectrum_forms_no_dim_square_array(name, n, share):
     # the peak of the dense spectrum stays under a share of one (dim, dim) array of H's dtype
