@@ -80,12 +80,16 @@ def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> Ca
     inside: list[frozenset[int]] = []
     clusters: list[frozenset[int]] = []
     for depth_terms in layers:
-        members = {idx for idx in depth_terms if cluster & set(h.terms[idx].support)}
-        for idx in members:
-            cluster |= set(h.terms[idx].support)
-        inside.append(frozenset(members))
+        inside.append(_grow_cone(h, depth_terms, cluster))
         clusters.append(frozenset(cluster))
     return CausalityCone(seed, l, layers, tuple(inside), tuple(clusters))
+
+
+def _grow_cone(h: HamiltonianSpec, depth_terms, cluster: set[int]) -> frozenset[int]:
+    """The terms of one depth inside the cone; cluster grows by their supports in place."""
+    members = frozenset(idx for idx in depth_terms if cluster & set(h.terms[idx].support))
+    cluster.update(*(h.terms[idx].support for idx in members))
+    return members
 
 
 def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData,
@@ -175,14 +179,17 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
 
 def _max_excluding_rounds(h: HamiltonianSpec, part: LayerPartition, seed, avoid,
                           cap: int = 64) -> int:
-    """Largest round count whose cone around `seed` stays clear of `avoid`."""
+    """Largest round count whose cone around `seed` stays clear of `avoid`, from one cone
+    grown a round at a time: its cluster after r rounds is causality_cone's for l = r."""
+    order, cluster, avoid = application_layers(h, part), set(seed), set(avoid)
     best = 0
     for rounds in range(1, cap + 1):
-        cone = causality_cone(h, part, seed, rounds)
-        if cone.touches(avoid):
+        for depth_terms in order:
+            _grow_cone(h, depth_terms, cluster)
+        if cluster & avoid:
             break
         best = rounds
-        if len(cone.clusters[-1]) == h.sites.n:
+        if len(cluster) == h.sites.n:
             break
     return best
 

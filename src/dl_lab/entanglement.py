@@ -19,6 +19,7 @@ from .states import GroundSpaceData, StateVector
 
 RANK_TOL = 1e-10
 NORM_TOL = 1e-10
+MAX_STEP_BLOCKS = 100000
 
 
 @dataclass(frozen=True)
@@ -183,29 +184,28 @@ def step_entropy_bound(bigD: int, bigK: float, theta: float) -> StepBoundResult:
     The oracle builds the saturating distribution explicitly: the head block
     holds indices 1..D, block l holds indices D^l+1..D^(l+1) with equal
     weights, and every tail constraint sum_{j > D^l} lambda_j <= K theta^l
-    is met with equality until the total mass is exhausted.
+    is met with equality down to K theta^l <= 1e-25; ValidationError when that
+    takes more than MAX_STEP_BLOCKS blocks, as a cut tail would lower the entropy.
     """
     if bigD < 2 or bigK < 1 or not (0 < theta < 1):
         raise ValidationError("need D >= 2, K >= 1 and theta in (0, 1)")
     log_d = math.log(bigD)
     bound = 3.0 * ((math.log(bigK / (1.0 - theta)) + 1.0) / math.log(1.0 / theta) + 2.0) * log_d
 
-    blocks = []
-    tail = min(1.0, bigK * theta)  # tail mass after the head block
-    head_mass = 1.0 - tail
+    head_mass = 1.0 - min(1.0, bigK * theta)  # the tail after the head block is min(1, K theta)
     entropy = head_mass * (log_d - math.log(head_mass)) if head_mass > 0 else 0.0
-    blocks.append((0, head_mass, log_d))
-    l = 1
-    while tail > 1e-25 and l < 100000:
-        next_tail = min(1.0, bigK * theta ** (l + 1))
-        next_tail = min(next_tail, tail)
-        mass = tail - next_tail
-        ln_size = l * log_d + math.log(bigD - 1)  # block size D^l (D-1)
-        if mass > 0:
-            entropy += mass * (ln_size - math.log(mass))
-        blocks.append((l, mass, ln_size))
-        tail = next_tail
-        l += 1
+    # the tails min(1, K theta^l) for l = 1..span: down to 1e-25, or past the block cap
+    span = min(int(math.log(1e-25 / bigK) / math.log(theta)) + 2, MAX_STEP_BLOCKS + 1)
+    tails = np.minimum(1.0, bigK * theta ** np.arange(1, span + 1))
+    count = int(np.count_nonzero(tails > 1e-25))  # blocks l = 1..count
+    if count > MAX_STEP_BLOCKS:
+        raise ValidationError(f"K theta^l stays above 1e-25 past {MAX_STEP_BLOCKS} blocks")
+    masses = tails[:count] - tails[1:count + 1]
+    ln_sizes = np.arange(1, count + 1) * log_d + math.log(bigD - 1)  # block size D^l (D-1)
+    held = masses > 0
+    entropy += float((masses[held] * (ln_sizes[held] - np.log(masses[held]))).sum())
+    blocks = [(0, head_mass, log_d)] + list(zip(range(1, count + 1), masses.tolist(),
+                                                ln_sizes.tolist()))
 
     threshold = 1
     while bigK * theta ** threshold > (1.0 - theta) * theta / math.e:

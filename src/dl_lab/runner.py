@@ -363,11 +363,14 @@ def _norm_energy_margin(rng: np.random.Generator, dim: int, m: int) -> float:
     # the Gaussian's unused columns are zeroed before the QR, and the columns of Q
     # they give (orthogonal to the used ones) after it
     used = (np.arange(dim // 2) < np.minimum(ranks, dim - ranks)[..., None])[..., None, :]
-    q = np.linalg.qr((re + 1j * im) * used)[0] * used
+    q = np.linalg.qr((re + 1j * im) * used)[0]
+    q *= used
     proj = q @ np.swapaxes(q, -1, -2).conj()
-    x_proj, y_proj = np.where((2 * ranks > dim)[..., None, None], np.eye(dim) - proj, proj)
+    # I - Q Q^H, in place, on the members drawn on their narrow complement only
+    np.subtract(np.eye(dim), proj, out=proj, where=(2 * ranks > dim)[..., None, None])
     v = v_re + 1j * v_im
-    lhs, rhs = norm_energy_check(x_proj, y_proj, v / np.linalg.norm(v, axis=1, keepdims=True))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    lhs, rhs = norm_energy_check(*proj, v)
     return float((lhs - rhs).max())
 
 

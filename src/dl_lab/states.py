@@ -501,6 +501,10 @@ def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors are conjugated back, into C order (the batched contractions are slow
     on Fortran order).
     """
+    # Divide and conquer ("evd") for every block.  MRRR ("evr") is faster on large complex
+    # blocks (1024 rows: 672 against 936 ms, medians of 7, 2-vCPU Xeon, 2 BLAS threads), but
+    # its vectors are orthonormal to about 1e-12 only, where evd's are to 3e-15: 3.6e-12 on
+    # the 729 rows of parent-random(6,3,2,2), 6e-13 and 1.2e-12 on random 512 and 1024 rows.
     values, vectors = scipy.linalg.eigh(block.T, overwrite_a=True, check_finite=False,
                                         driver="evd")
     return values, np.conjugate(vectors, order="C")

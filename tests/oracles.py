@@ -6,10 +6,13 @@ analyzed with plain numpy calls.
 """
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
 
 import numpy as np
 
+from dl_lab.correlations import causality_cone
+from dl_lab.entanglement import StepBoundResult
 from dl_lab.runner import NORM_ENERGY_STACK
 
 
@@ -220,3 +223,50 @@ def sample_feasible_step_distribution(bigD: int, bigK: float, theta: float,
         weights.extend([mass / size] * size)
     arr = np.sort(np.asarray(weights))[::-1]
     return arr / arr.sum()
+
+
+def max_excluding_rounds(h, part, seed, avoid, cap: int = 64) -> int:
+    """Largest round count whose cone around `seed` stays clear of `avoid`.
+
+    A fresh causality_cone is grown for every round count from 1 up, so the
+    work is quadratic in the rounds; it stops at the first cone that touches
+    `avoid`, or after the first that covers every site.
+    """
+    best = 0
+    for rounds in range(1, cap + 1):
+        cone = causality_cone(h, part, seed, rounds)
+        if cone.touches(avoid):
+            break
+        best = rounds
+        if len(cone.clusters[-1]) == h.sites.n:
+            break
+    return best
+
+
+def step_entropy_bound_per_block(bigD: int, bigK: float, theta: float) -> StepBoundResult:
+    """step_entropy_bound with its saturating distribution built one block at a time.
+
+    The head block holds 1 - min(1, K theta), and block l the drop of the tail
+    min(1, K theta^l) to the next one, while that tail is above 1e-25.  The loop
+    has no cap, so call it only where the tail gets there in a few blocks.
+    """
+    log_d = math.log(bigD)
+    bound = 3.0 * ((math.log(bigK / (1.0 - theta)) + 1.0) / math.log(1.0 / theta) + 2.0) * log_d
+    tail = min(1.0, bigK * theta)
+    head_mass = 1.0 - tail
+    entropy = head_mass * (log_d - math.log(head_mass)) if head_mass > 0 else 0.0
+    blocks = [(0, head_mass, log_d)]
+    l = 1
+    while tail > 1e-25:
+        next_tail = min(1.0, bigK * theta ** (l + 1), tail)
+        mass = tail - next_tail
+        ln_size = l * log_d + math.log(bigD - 1)  # block size D^l (D-1)
+        if mass > 0:
+            entropy += mass * (ln_size - math.log(mass))
+        blocks.append((l, mass, ln_size))
+        tail = next_tail
+        l += 1
+    threshold = 1
+    while bigK * theta ** threshold > (1.0 - theta) * theta / math.e:
+        threshold += 1
+    return StepBoundResult(bound, entropy, threshold, tuple(blocks))

@@ -13,12 +13,12 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  entropy_gap_check, support_distance)
 from dl_lab.entanglement import CutSpec, max_product_overlap, subset_entropy
 from dl_lab.errors import ValidationError
-from dl_lab.hamiltonian import validate_frustration_free
-from dl_lab.models import site_observable
+from dl_lab.hamiltonian import partition_layers, validate_frustration_free
+from dl_lab.models import BUNDLED_MODELS, build_model, site_observable
 from dl_lab.states import DENSE_CUTOFF, GroundSpaceData, random_state, spectrum
 
 from oracles import (block_density, dense_dl_matrix, dense_window_projector, eigvalsh_entropy,
-                     kron_embed)
+                     kron_embed, max_excluding_rounds)
 
 
 def observable(model, name, site):
@@ -89,6 +89,20 @@ def test_cone_outside_occurrences_commute_with_seed(heis6):
 def test_cone_rejects_empty_seed(heis6):
     with pytest.raises(ValidationError):
         causality_cone(heis6.h, heis6.a.partition, (), 1)
+
+
+@pytest.mark.parametrize("descriptor", [desc for desc in BUNDLED_MODELS
+                                        if build_model(desc).sites.is_chain()],
+                         ids=lambda desc: desc.label())
+def test_cone_search_matches_a_fresh_cone_per_round_count(descriptor):
+    # decay_profile's round counts come from one cone grown a round at a time; the oracle
+    # grows a fresh cone for each count, and both stop at the same conditions
+    h = build_model(descriptor)
+    part = partition_layers(h)
+    for seed in range(h.sites.n):
+        for avoid in range(h.sites.n):
+            assert (correlations._max_excluding_rounds(h, part, (seed,), (avoid,))
+                    == max_excluding_rounds(h, part, (seed,), (avoid,)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import SiteSpace, chain_geometry
 from dl_lab.states import StateVector, product_state, random_state
 
-from oracles import sample_feasible_step_distribution, schmidt_eigenvalues_by_partial_trace
+from oracles import (sample_feasible_step_distribution, schmidt_eigenvalues_by_partial_trace,
+                     step_entropy_bound_per_block)
 
 
 def qubits(n):
@@ -264,6 +265,34 @@ def test_random_feasible_distributions_below_bound():
                 boundary = big_d ** l
                 assert lams[boundary:].sum() <= big_k * theta ** l + 1e-12
             assert entropy_of_weights(lams) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("big_d", [2, 3, 4, 5])
+def test_step_bound_matches_per_block_oracle(big_d):
+    for big_k in (1.0, 2.0, 4.0, 10.0, 50.0):
+        for theta in np.round(np.arange(0.05, 0.951, 0.05), 2).tolist():
+            result = step_entropy_bound(big_d, big_k, theta)
+            oracle = step_entropy_bound_per_block(big_d, big_k, theta)
+            assert result.bound == oracle.bound
+            assert result.threshold_block == oracle.threshold_block
+            assert len(result.blocks) == len(oracle.blocks)
+            got, want = np.array(result.blocks), np.array(oracle.blocks)
+            assert (got[:, 0] == want[:, 0]).all() and (got[:, 2] == want[:, 2]).all()
+            assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-15
+            assert result.oracle_entropy == pytest.approx(oracle.oracle_entropy, rel=1e-12)
+
+
+def test_step_bound_distribution_has_all_its_mass():
+    # 1e-25 is reached after about 57500 blocks at theta = 0.999; none is dropped
+    masses = np.array(step_entropy_bound(2, 1.0, 0.999).blocks)[:, 1]
+    assert abs(masses.sum() - 1.0) <= 1e-12
+
+
+def test_step_bound_refuses_a_tail_it_would_have_to_cut():
+    # about 575600 blocks before K theta^l <= 1e-25; a distribution cut at the block
+    # cap would miss mass 5e-5 and understate its entropy
+    with pytest.raises(ValidationError, match="past 100000 blocks"):
+        step_entropy_bound(2, 1.0, 0.9999)
 
 
 def test_step_bound_rejects_bad_parameters():

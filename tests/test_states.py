@@ -271,6 +271,8 @@ BLOCK_MODELS = [
     ("aklt", {"n": 4}, 9),  # S_z sectors
     ("toric-code", {"lx": 2, "ly": 2}, 32),  # syndrome sectors
     ("parent-random", {"n": 4, "d": 3, "bond": 2, "seed": 2}, 1),  # complex, one block
+    # complex, one block of 729 rows: its vectors are orthonormal to 1e-12 under "evd" only
+    ("parent-random", {"n": 6, "d": 3, "bond": 2, "seed": 2}, 1),
 ]
 
 
@@ -358,6 +360,28 @@ def test_dense_spectrum_checks_the_last_column_chunk(monkeypatch):
     monkeypatch.setattr(states, "_block_eigh", tilted)
     with pytest.raises(ConvergenceError, match="eigenpair residuals"):
         spectrum(h)
+
+
+def test_eigh_driver_is_divide_and_conquer_for_every_block(monkeypatch):
+    # MRRR ("evr") would be faster on large complex blocks, but leaves their vectors
+    # orthonormal to about 1e-12 only (3.6e-12 on the 729 rows of parent-random(6,3,2,2)):
+    # the real S_z sectors and the complex blocks of 81, 256 and 729 rows all use "evd"
+    true_eigh = states.scipy.linalg.eigh
+    seen = []
+
+    def recording(a, *args, driver=None, **kwargs):
+        seen.append((np.iscomplexobj(a), len(a), driver))
+        return true_eigh(a, *args, driver=driver, **kwargs)
+
+    monkeypatch.setattr(states.scipy.linalg, "eigh", recording)
+    for name, params in [("heisenberg-ferro", {"n": 8}),
+                         ("parent-random", {"n": 4, "d": 3, "bond": 2, "seed": 2}),
+                         ("parent-random", {"n": 8, "d": 2, "bond": 1, "seed": 4}),
+                         ("parent-random", {"n": 6, "d": 3, "bond": 2, "seed": 2})]:
+        spectrum(build_model(ModelDescriptor.make(name, **params)))
+    assert {driver for _, _, driver in seen} == {"evd"}
+    assert any(not is_complex for is_complex, _, _ in seen)
+    assert [size for is_complex, size, _ in seen if is_complex] == [81, 256, 729]
 
 
 def test_complex_dense_spectrum_and_filter():
