@@ -304,10 +304,6 @@ class ProjectorizationReport:
 
     max_term_norm: float  # K, the largest shifted term norm
 
-    def gap_lower_bound(self, tau: float) -> float:
-        """Guaranteed gap of the projectorized system given the original gap tau."""
-        return tau / self.max_term_norm
-
 
 def projectorize(h: HamiltonianSpec, tol: float = 1e-12) -> tuple[HamiltonianSpec, ProjectorizationReport]:
     """Replace each term by the projector onto its positive-energy eigenspace.

@@ -321,8 +321,6 @@ def _step_pyramids(ctx: _Context) -> None:
 
 
 def _step_filter(ctx: _Context) -> None:
-    if len(ctx.spectrum_data.values) < ctx.h.sites.dim:
-        return
     worst = -np.inf
     for q in (1.0, 4.0, 16.0):
         measured = gaussian_filter_deviation(q, ctx.gs, ctx.spectrum_data)
@@ -390,11 +388,7 @@ def _step_entropy_grid(ctx: _Context) -> None:
 
 
 def _step_rank_growth(ctx: _Context) -> None:
-    if ctx.h.sites.geometry.kind != "chain-open":
-        return
-    cut = ctx.cut
-    psi0 = _product_start(ctx)
-    trace = rank_growth(ctx.a, psi0, cut, ctx.p["rank_steps"])
+    trace = rank_growth(ctx.a, _product_start(ctx), ctx.cut, ctx.p["rank_steps"])
     worst = max((r - c for r, c in zip(trace.ranks, trace.caps)), default=0)
     ctx.add(bounded_record("rank-growth", "rank-growth", float(worst), 0.0, 0.0))
 
@@ -488,9 +482,6 @@ def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]
 
 
 def _step_correlate(ctx: _Context) -> None:
-    if not ctx.unique:
-        ctx.add(CheckRecord("correlation-decay", "correlation-decay", GATED))
-        return
     x, family = _default_family(ctx)
     profile = decay_profile(ctx.h, ctx.gs, x, family, ctx.a)
     ctx.add(bounded_record("correlation-identity", "correlation-identity",
@@ -508,8 +499,6 @@ def _step_correlate(ctx: _Context) -> None:
 
 
 def _step_measurecheck(ctx: _Context) -> None:
-    if ctx.h.sites.geometry.kind != "chain-open" or not ctx.unique:
-        return
     check = distinguishing_measurement(ctx.h, ctx.cut, ctx.window, ctx.gs, ctx.a, ctx.overlap,
                                        ctx.window_entropy)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
@@ -539,18 +528,13 @@ def _step_cone(ctx: _Context) -> None:
 # command dispatch
 # ---------------------------------------------------------------------------
 
-def _cmd_correlate(ctx: _Context) -> None:
-    if not ctx.unique:
-        raise ValidationError("the correlate pipeline needs a unique ground state")
-    _step_correlate(ctx)
-
-
-def _cmd_measurecheck(ctx: _Context) -> None:
-    if ctx.h.sites.geometry.kind != "chain-open":
-        raise ValidationError("the measurecheck pipeline needs an open chain")
-    if not ctx.unique:
-        raise ValidationError("the measurecheck pipeline needs a unique ground state")
-    _step_measurecheck(ctx)
+# The hypotheses a step may need, as (phrase, predicate on the run's context) pairs
+_UNIQUE = ("a unique ground state", lambda ctx: ctx.unique)
+_CHAIN = ("a 1D chain", lambda ctx: ctx.h.sites.is_chain())
+_OPEN_CHAIN = ("an open chain", lambda ctx: ctx.h.sites.geometry.kind == "chain-open")
+_FULL_SPECTRUM = ("the full spectrum",
+                  lambda ctx: len(ctx.spectrum_data.values) == ctx.h.sites.dim)
+_TWO_LAYERS = ("a two-layer open chain", lambda ctx: pyramid_applicable(ctx.a))
 
 
 def run(config: RunConfig) -> Report:
@@ -563,32 +547,43 @@ def run(config: RunConfig) -> Report:
 
 
 def _run(config: RunConfig) -> Report:
+    """Run the command's steps in order.  A step runs when each of its needs is met; else
+    verify skips it, leaving its gated records, and any other command exits 2."""
     ctx = _Context(config)
+    # step -> (its needs, the records it leaves gated when verify skips it); none if absent
+    table = {
+        _step_filter: ((_FULL_SPECTRUM,), ()),
+        _step_rank_growth: ((_OPEN_CHAIN,), ()),
+        _step_pyramids: ((_TWO_LAYERS,), ()),
+        _step_arealaw: ((_CHAIN, _UNIQUE), ()),
+        _step_correlate: ((_UNIQUE,), ("correlation-decay",)),
+        _step_measurecheck: ((_OPEN_CHAIN, _UNIQUE), ()),
+    }
     steps = {
         "gap": [_step_gap],
         "dl": [_step_dl],
         "converge": [_step_converge],
         "entropy": [_step_gap, _step_entropy],
         "arealaw": [_step_gap, _step_arealaw],
-        "correlate": [_step_gap, _cmd_correlate],
-        "measurecheck": [_step_gap, _cmd_measurecheck],
+        "correlate": [_step_gap, _step_correlate],
+        "measurecheck": [_step_gap, _step_measurecheck],
         "verify": [_step_gap, _step_dl, _step_converge, _step_filter,
                    _step_norm_energy, _step_scalar_inequality, _step_entropy_grid,
-                   _step_entropy, _step_cone, _step_rank_growth, _step_verify_1d,
-                   _step_correlate, _step_measurecheck],
+                   _step_entropy, _step_cone, _step_rank_growth, _step_pyramids,
+                   _step_arealaw, _step_correlate, _step_measurecheck],
     }[config.command]
     for step in steps:
-        step(ctx)
+        needs, gated = table.get(step, ((), ()))
+        unmet = next((phrase for phrase, met in needs if not met(ctx)), None)
+        if unmet is None:
+            step(ctx)
+        elif config.command == "verify":
+            ctx.records.extend(CheckRecord(name, name, GATED) for name in gated)
+        else:
+            raise ValidationError(f"the {config.command} pipeline needs {unmet}")
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return Report(config.command, ctx.label, config.sha256, __version__, created,
                   tuple(ctx.records), (), tuple(ctx.tables))
-
-
-def _step_verify_1d(ctx: _Context) -> None:
-    if pyramid_applicable(ctx.a):
-        _step_pyramids(ctx)
-    if ctx.unique and ctx.h.sites.is_chain():
-        _step_arealaw(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -645,7 +645,8 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
     """Orthonormal basis of the eigenvalue-0 space and the gap above it.
 
     Selects from spectrum_data, the lowest eigenpairs of h; it never
-    diagonalizes.
+    diagonalizes.  ConvergenceError when the basis is not orthonormal to 1e-10:
+    the residuals pass a ground vector returned twice, its Gram matrix does not.
     """
     threshold = zero_threshold(h)
     values = spectrum_data.values
@@ -657,8 +658,11 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
         )
     if n_ground >= len(values):
         raise ValidationError("no eigenvalue found above the ground threshold")
-    return GroundSpaceData(float(values[0]), float(values[n_ground]),
-                           spectrum_data.columns(n_ground), h.sites)
+    basis = spectrum_data.columns(n_ground)
+    skew = float(np.abs(basis.conj().T @ basis - np.eye(n_ground)).max())
+    if skew > 1e-10:
+        raise ConvergenceError(f"the ground basis is not orthonormal: max|B^H B - I| = {skew:g}")
+    return GroundSpaceData(float(values[0]), float(values[n_ground]), basis, h.sites)
 
 
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,

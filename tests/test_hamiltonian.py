@@ -96,7 +96,7 @@ def test_projectorize_rescales_bounded_term():
     out, report = projectorize(h, 1e-12)
     assert np.allclose(out.terms[0].matrix, EXCITED, atol=1e-14)
     assert report.max_term_norm == pytest.approx(2.0)
-    assert report.gap_lower_bound(1.0) == pytest.approx(0.5)
+    assert 1.0 / report.max_term_norm == pytest.approx(0.5)
 
 
 def test_projectorize_heisenberg_exchange_gives_singlet_projector():
@@ -137,7 +137,7 @@ def test_gap_rescaling_bound_scaled_projectors():
     proj, report = projectorize(h, 1e-12)
     assert report.max_term_norm == pytest.approx(3.0)
     eps = _first_gap(dense_hamiltonian(proj))
-    assert eps >= report.gap_lower_bound(tau) - 1e-9
+    assert eps >= tau / report.max_term_norm - 1e-9
 
 
 def test_gap_rescaling_bound_spread_spectra():
@@ -155,7 +155,7 @@ def test_gap_rescaling_bound_spread_spectra():
     tau = _first_gap(dense_hamiltonian(h))
     proj, report = projectorize(h, 1e-12)
     eps = _first_gap(dense_hamiltonian(proj))
-    assert eps >= report.gap_lower_bound(tau) - 1e-9
+    assert eps >= tau / report.max_term_norm - 1e-9
     for orig, redo in zip(base.terms, proj.terms):
         assert np.abs(orig.matrix - redo.matrix).max() < 1e-10
 

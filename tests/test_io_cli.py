@@ -416,6 +416,52 @@ def test_measurecheck_rejects_rings(tmp_path):
         run(config)
 
 
+GAP_RECORDS = ["ground-energy", "spectral-gap", "ground-degeneracy", "frustration-free",
+               "eigenpair-residuals"]
+PINNING4 = {"name": "pinning", "parameters": {"n": 4}}  # a unique open chain
+HEIS4 = {"name": "heisenberg-ferro", "parameters": {"n": 4}}  # a 5-fold ground space
+
+
+@pytest.mark.parametrize("command, model, names", [
+    ("gap", PINNING4, GAP_RECORDS),
+    ("dl", PINNING4, ["ground-fixed-point", "dl-f-value", "dl-shrinkage"]),
+    ("converge", PINNING4, ["dl-convergence", "convergence-monotone"]),
+    ("entropy", PINNING4, [*GAP_RECORDS, "schmidt-normalization", "entropy-range",
+                           "schmidt-tail"]),
+    ("arealaw", PINNING4, [*GAP_RECORDS, "max-product-overlap", "shrink-delta", "cut-entropy",
+                           "gap-entropy-bound", "window-scale-log10",
+                           "worst-case-overlap-log10", "overlap-entropy-bound",
+                           "gap-entropy-bound-log10", "window-entropy-small",
+                           "window-entropy-large", "window-recursion-margin", "shifted-cut"]),
+    ("correlate", PINNING4, [*GAP_RECORDS, "correlation-identity", "correlation-decay"]),
+    ("measurecheck", PINNING4, [*GAP_RECORDS, "measurement-ground-trace", "measurement-overlap",
+                                "measurement-bound", "measurement-identity", "entropy-gap",
+                                "entropy-threshold"]),
+    # the Schmidt tail needs a unique ground state; the rest of the entropy pipeline does not
+    ("entropy", {"name": "aklt", "parameters": {"n": 4}},
+     [*GAP_RECORDS, "schmidt-normalization", "entropy-range"]),
+    ("arealaw", HEIS4, None),
+    ("arealaw", {"name": "toric-code", "parameters": {"lx": 2, "ly": 2}}, None),
+    ("correlate", HEIS4, None),
+    ("measurecheck", {"name": "aklt", "parameters": {"n": 6, "periodic": True}}, None),
+], ids=["gap", "dl", "converge", "entropy", "arealaw", "correlate", "measurecheck",
+        "entropy-degenerate", "arealaw-degenerate", "arealaw-torus", "correlate-degenerate",
+        "measurecheck-ring"])
+def test_cli_command_records_and_unmet_needs(tmp_path, capsys, command, model, names):
+    # names None: a need of the command fails on the model, exit status 2 and no report
+    path = _write_config(tmp_path, command=command, model=model)
+    code = cli.main([command, "--config", path, "--quiet"])
+    report_path = str(tmp_path / "out" / "report.json")
+    if names is None:
+        assert code == 2
+        assert "pipeline needs" in capsys.readouterr().err
+        assert not os.path.exists(report_path)
+    else:
+        assert code == 0
+        with open(report_path) as handle:
+            assert [c["name"] for c in json.load(handle)["checks"]] == names
+
+
 def test_config_rejects_unknown_command():
     with pytest.raises(ValidationError, match="command"):
         RunConfig.from_document({"command": "explode", "model": {"name": "pinning"}})

@@ -362,6 +362,23 @@ def test_dense_spectrum_checks_the_last_column_chunk(monkeypatch):
         spectrum(h)
 
 
+def test_ground_space_refuses_a_ground_vector_returned_twice(monkeypatch):
+    # heisenberg-ferro(4): each 4-row S_z block returns its ground pair in place of its second
+    # one, an exact eigenpair, so every residual passes and only the ground basis is wrong
+    h = build_model(ModelDescriptor.make("heisenberg-ferro", n=4))
+    true_eigh = states._block_eigh
+
+    def doubled(block):
+        values, vectors = true_eigh(block)
+        if len(values) == 4:
+            values[1], vectors[:, 1] = values[0], vectors[:, 0]
+        return values, vectors
+
+    monkeypatch.setattr(states, "_block_eigh", doubled)
+    with pytest.raises(ConvergenceError, match="not orthonormal"):
+        ground_space(h, spectrum(h))
+
+
 def test_eigh_driver_is_divide_and_conquer_for_every_block(monkeypatch):
     # MRRR ("evr") would be faster on large complex blocks, but leaves their vectors
     # orthonormal to about 1e-12 only (3.6e-12 on the 729 rows of parent-random(6,3,2,2)):
@@ -416,8 +433,9 @@ def test_hamiltonian_matrix_is_the_oracle_bit_for_bit(descriptor):
     assert np.array_equal(states.hamiltonian_matrix(h), dense_hamiltonian(h))
 
 
-@pytest.mark.parametrize("descriptor", [*BUNDLED_MODELS, *(
-    ModelDescriptor.make(name, **params) for name, params, _ in BLOCK_MODELS)],
+# the bundled models and those of BLOCK_MODELS, each once (three are in both)
+@pytest.mark.parametrize("descriptor", {desc.label(): desc for desc in [*BUNDLED_MODELS, *(
+    ModelDescriptor.make(name, **params) for name, params, _ in BLOCK_MODELS)]}.values(),
     ids=lambda desc: desc.label())
 def test_term_blocks_are_the_dense_components(descriptor):
     # the blocks found from the terms are the components of the dense matrix's pattern, in
