@@ -433,9 +433,8 @@ def test_hamiltonian_matrix_is_the_oracle_bit_for_bit(descriptor):
     assert np.array_equal(states.hamiltonian_matrix(h), dense_hamiltonian(h))
 
 
-# the bundled models and those of BLOCK_MODELS, each once (three are in both)
-@pytest.mark.parametrize("descriptor", {desc.label(): desc for desc in [*BUNDLED_MODELS, *(
-    ModelDescriptor.make(name, **params) for name, params, _ in BLOCK_MODELS)]}.values(),
+@pytest.mark.parametrize("descriptor", [*BUNDLED_MODELS, *(
+    ModelDescriptor.make(name, **params) for name, params, _ in BLOCK_MODELS)],
     ids=lambda desc: desc.label())
 def test_term_blocks_are_the_dense_components(descriptor):
     # the blocks found from the terms are the components of the dense matrix's pattern, in
