@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
                           chain_geometry, torus_geometry)
-from .states import StateVector
+from .states import StateVector, check_dim
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -106,11 +106,12 @@ _TYPE_NAMES = {int: "an integer", bool: "a boolean", list: "a non-empty list of 
 def check_parameters(values: dict, schema: dict, field: str, n: int | None = None) -> dict:
     """`values` checked against `schema`, with the defaults of absent keys filled in.
 
-    A row is (type,) for a required key, else (type, default, low, high), the
-    bounds optional; a str row takes its choices as low.  A default or bound
-    given as a function takes n, the number of sites; None leaves it unset or
-    open.  Types are exact (a bool is no integer, nor is 5.7), a list holds
-    integers within the bounds, and unknown keys are refused.
+    A row is (type,) or (type, ..., low, high) for a required key, else
+    (type, default, low, high), the bounds optional; a str row takes its
+    choices as low.  A default or bound given as a function takes n, the
+    number of sites; None leaves it unset or open.  Types are exact (a bool
+    is no integer, nor is 5.7), a list holds integers within the bounds, and
+    unknown keys are refused.
     """
     unknown = sorted(set(values) - set(schema))
     if unknown:
@@ -118,8 +119,8 @@ def check_parameters(values: dict, schema: dict, field: str, n: int | None = Non
                               f"expected one of {sorted(schema)}")
     resolved = {}
     for key, (kind, *rest) in schema.items():
-        default, low, high = [*(r(n) if callable(r) else r for r in rest), None, None, None][:3]
-        if key not in values and not rest:
+        default, low, high = [*(r(n) if callable(r) else r for r in rest or [...]), None, None][:3]
+        if key not in values and default is ...:
             raise ValidationError(f"field '{field}.{key}': missing required parameter")
         value = resolved[key] = values.get(key, default)
         if key in values and not _admits(kind, low, high, value):
@@ -196,6 +197,7 @@ def build_parent_random(n: int, d: int, bond: int, seed: int,
     """
     if d < 2 or not (1 <= bond <= d) or n < 3:
         raise ValidationError("need d >= 2, 1 <= bond <= d and n >= 3")
+    check_dim(d ** n)  # before the d^n amplitudes of the state are contracted
     target = random_mps_state(n, d, bond, seed)
     terms = []
     for i in range(n - 1):
@@ -215,8 +217,8 @@ def build_parent_random(n: int, d: int, bond: int, seed: int,
     return HamiltonianSpec(SiteSpace(n, d, chain_geometry()), tuple(terms))
 
 
-# name -> (builder, {parameter: (type,) or (type, default)}), checked by
-# check_parameters; a parameter without a default is required
+# name -> (builder, {parameter: row}), each row checked by check_parameters; a
+# parameter with no default, or the default ..., is required
 MODELS = {
     "pinning": (_pinning, {"n": (int,)}),
     "heisenberg-ferro": (lambda n, periodic: _chain_pair_model(n, 2, singlet_projector(), periodic),
@@ -225,7 +227,7 @@ MODELS = {
              {"n": (int,), "periodic": (bool, False)}),
     "toric-code": (_toric, {"lx": (int,), "ly": (int,)}),
     "parent-random": (build_parent_random,
-                      {"n": (int,), "d": (int,), "bond": (int,), "seed": (int,)}),
+                      {"n": (int,), "d": (int,), "bond": (int,), "seed": (int, ..., 0)}),
 }
 
 
@@ -245,6 +247,8 @@ BUNDLED_MODELS: tuple[ModelDescriptor, ...] = (
 
 
 def descriptor_from_document(doc: dict) -> ModelDescriptor:
+    if not isinstance(doc["name"], str):
+        raise ValidationError(f"field 'model.name': expected a string, got {doc['name']!r}")
     params, expected = doc.get("parameters", {}), doc.get("expected", {})
     for key, value in (("parameters", params), ("expected", expected)):
         if not isinstance(value, dict):

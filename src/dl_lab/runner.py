@@ -548,7 +548,8 @@ def run(config: RunConfig) -> Report:
 
 def _run(config: RunConfig) -> Report:
     """Run the command's steps in order.  A step runs when each of its needs is met; else
-    verify skips it, leaving its gated records, and any other command exits 2."""
+    verify skips it, leaving its gated records, and any other command exits 2 before its
+    first step runs."""
     ctx = _Context(config)
     # step -> (its needs, the records it leaves gated when verify skips it); none if absent
     table = {
@@ -572,15 +573,17 @@ def _run(config: RunConfig) -> Report:
                    _step_entropy, _step_cone, _step_rank_growth, _step_pyramids,
                    _step_arealaw, _step_correlate, _step_measurecheck],
     }[config.command]
+    unmet = lambda step: next((phrase for phrase, met in table.get(step, ((), ()))[0]
+                               if not met(ctx)), None)
+    if config.command != "verify":
+        for step in steps:
+            if (need := unmet(step)) is not None:
+                raise ValidationError(f"the {config.command} pipeline needs {need}")
     for step in steps:
-        needs, gated = table.get(step, ((), ()))
-        unmet = next((phrase for phrase, met in needs if not met(ctx)), None)
-        if unmet is None:
+        if unmet(step) is None:
             step(ctx)
-        elif config.command == "verify":
-            ctx.records.extend(CheckRecord(name, name, GATED) for name in gated)
         else:
-            raise ValidationError(f"the {config.command} pipeline needs {unmet}")
+            ctx.records.extend(CheckRecord(name, name, GATED) for name in table[step][1])
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return Report(config.command, ctx.label, config.sha256, __version__, created,
                   tuple(ctx.records), (), tuple(ctx.tables))

@@ -22,26 +22,19 @@ asserts its residuals.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool, and
 a woken worker spins for a while after its call, competing with the calling
-thread and with the other pool.  So a run keeps one threaded pool, scipy's
-(single_blas_pool, entered by runner.run): numpy's is set to one thread, and
-every dense call that should be threaded is scipy's.  ARPACK does its vector
-work there, and so do the dense eigh and the spectral filter's rank-k update
-and 2-norm.  For library callers outside a run, no ARPACK matvec calls
-threaded numpy BLAS either: a single vector on a run of sites, and any array
-on any other support, is contracted in GEMMs of at most GEMM_BLOCK_WORK
-multiply-adds, which OpenBLAS runs on the calling thread (_blocked_apply),
-and the projections onto found states are np.einsum calls (_projection),
-which never call BLAS.  This holds for terms with d^(2k) <= GEMM_BLOCK_WORK.
-A batch on a run of sites is one np.matmul of unbounded GEMMs, but batches
-never run inside an ARPACK matvec: they are on one thread inside a run, and
-in numpy's threaded pool outside one.
+thread and with the other pool.  So one mechanism keeps one threaded pool,
+scipy's: single_blas_pool sets numpy's to one thread, and every dense call
+that should be threaded is scipy's.  runner.run enters it for the whole run,
+and _lanczos for each ARPACK solve and its residual check, so that no matvec
+of a library caller outside a run wakes numpy's pool either.  ARPACK does its
+vector work in scipy's pool, and so do the dense eigh and the spectral
+filter's rank-k update and 2-norm.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import importlib
-import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -70,18 +63,6 @@ GRAM_ZERO_TOL = 1e-24
 # It is numpy's, so inside a run (single_blas_pool) it has one thread: 0.33 s at 1024 and
 # 1.9 s at 2048 on a real Gram.
 KERNEL_WIDTH_CAP = 2048
-# Most multiply-adds in one GEMM of the single-vector contraction.  OpenBLAS runs a GEMM on
-# the calling thread up to m * n * k = 65536 * 4 (SMP_THRESHOLD_MIN times
-# GEMM_MULTITHREAD_THRESHOLD) and wakes its pool above that.  numpy and scipy each load
-# their own OpenBLAS, and ARPACK runs its vector work in scipy's pool: one threaded 2-D GEMM
-# per matvec slowed ARPACK's own time on the AKLT-12 ring from 1.26 to 4.70 s (2 threads).
-# In blocks, that ring's spectrum went 8.6-9.6 s -> 4.0 s (with the einsum projections),
-# and 2**12 to 2**18 gave the same AKLT-10 spectrum time within noise (2-vCPU Xeon).
-# An np.einsum fold never calls BLAS either, but is slower on one vector: at 3^10 with a
-# two-site term it took 0.29, 0.66, 3.9 and 0.72 ms on the first, a middle, the
-# right == d and the last bond, where these blocks took 0.045, 0.076, 0.27 and 0.12 ms.
-# Batches are not blocked (no ARPACK matvec takes one): one np.matmul on the fold.
-GEMM_BLOCK_WORK = 2 ** 18
 # Fewest entries of one column chunk of the dense residual check, which otherwise holds
 # width^2 entries (the largest block's matrix, whose eigh already needed that memory).
 # Without it toric-code(2,3) (dim 4096, width 32) ran 32 one-column chunks: its spectrum
@@ -154,7 +135,9 @@ def single_blas_pool() -> Iterator[None]:
     correctly.  scipy's pool is never touched.  Nothing is done when numpy's
     BLAS is not an OpenBLAS with a thread setter, or is scipy's own library.
     The count is global to the process: concurrent blocks in threads of one
-    process are not supported.
+    process are not supported.  runner.run enters it, and so do the iterative
+    spectrum and restricted_norm (through _lanczos), so none of them may be
+    called from concurrent threads of one process.
     """
     threads = _numpy_blas_threads()
     if threads is None:
@@ -219,59 +202,33 @@ def apply_term_array(matrix: np.ndarray, support: Sequence[int], arr: np.ndarray
     """Contract (M x 1_rest) with arr over the support site axes.
 
     arr may carry trailing batch axes after the leading d**n axis.  On a
-    forward run of sites a single vector is contracted in GEMMs of at most
-    GEMM_BLOCK_WORK multiply-adds each, so that OpenBLAS runs every one on the
-    calling thread (_blocked_apply), and a batch is one np.matmul on the
-    (left, d^k, rest) fold, a GEMM per left index.  A complex array through a
-    real term goes on its float view (a single vector off the last bond
-    only).  Any other support (the periodic wrap bond, a
-    reversed or scattered support, a plaquette) has its axes moved to the end
-    in support order, after the batch axes, is contracted there as a last
-    bond by the same row blocks, and is moved back.
+    forward run of sites a single vector on the last bond is one GEMM of its
+    (left, d^k) rows times M^T, and any other array, batch or not, is one
+    np.matmul on the (left, d^k, rest) fold, a GEMM per left index; there a
+    complex array through a real term goes on its float view.  Any other
+    support (the periodic wrap bond, a reversed or scattered support, a
+    plaquette) has its axes moved to the end in support order, after the batch
+    axes, is contracted there as rows times M^T, and is moved back.
     """
     k = len(support)
     batch = arr.shape[1:]
     s0 = support[0]
     if tuple(support) == tuple(range(s0, s0 + k)):
         left, right = d ** s0, d ** (n - s0 - k)
-        viewed = arr.dtype == complex and matrix.dtype == float and (batch or right > 1)
+        if not batch and right == 1:
+            return (arr.reshape(left, d ** k) @ matrix.T).reshape(-1)
+        viewed = arr.dtype == complex and matrix.dtype == float
         # a real term on a complex array, in real arithmetic on its float view, each
         # amplitude two entries of the trailing axis: numpy's mixed-dtype matmul skips BLAS
         flat = np.ascontiguousarray(arr).view(float) if viewed else arr
         rest = flat.size // (left * d ** k)  # the size, not -1, so that an empty batch folds
-        out = (np.matmul(matrix, flat.reshape(left, d ** k, rest)) if batch
-               else _blocked_apply(matrix, flat, left, rest, d))
+        out = np.matmul(matrix, flat.reshape(left, d ** k, rest))
         return out.reshape(flat.shape).view(complex) if viewed else out.reshape(arr.shape)
     order = [s for s in range(n) if s not in support] + list(range(n, n + len(batch)))
     order += support
     moved = np.ascontiguousarray(arr.reshape((d,) * n + batch).transpose(order))
-    out = _blocked_apply(matrix, moved.reshape(-1), moved.size // d ** k, 1, d)
-    out = out.reshape(moved.shape).transpose(np.argsort(order))
+    out = (moved.reshape(-1, d ** k) @ matrix.T).reshape(moved.shape).transpose(np.argsort(order))
     return np.ascontiguousarray(out).reshape((d ** n,) + batch)
-
-
-def _blocked_apply(matrix: np.ndarray, arr: np.ndarray, left: int, right: int,
-                   d: int) -> np.ndarray:
-    """matrix on the middle axis of the vector arr folded as (left, size, right).
-
-    Each GEMM takes at most GEMM_BLOCK_WORK multiply-adds: on the last bond
-    (right 1) row blocks of the (left, size) fold times matrix.T, elsewhere
-    matrix times column blocks of each (size, right) slice, written through a
-    transposed view of the output.  A block is the largest common divisor of
-    the extent and the largest power of d within that work, so it divides the
-    rows whatever batch axes they hold.
-    """
-    size = matrix.shape[0]
-    most = 1
-    while most * d * size * size <= GEMM_BLOCK_WORK:
-        most *= d
-    if right == 1:
-        return np.matmul(arr.reshape(-1, math.gcd(left, most), size), matrix.T).reshape(-1)
-    cols = math.gcd(right, most)
-    out = np.empty(arr.shape, np.result_type(matrix, arr))
-    blocks = lambda a: a.reshape(left, size, right // cols, cols).transpose(0, 2, 1, 3)
-    np.matmul(matrix, blocks(arr), out=blocks(out))
-    return out
 
 
 def hamiltonian_apply(h: HamiltonianSpec, arr: np.ndarray) -> np.ndarray:
@@ -335,26 +292,29 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, k: int,
 
     One ARPACK solve (tol 1e-10) started from v0, whose dtype sets the
     arithmetic.  Every Ritz pair's residual ||G v - theta v|| must not
-    exceed RESIDUAL_TOL, else ConvergenceError.
+    exceed RESIDUAL_TOL, else ConvergenceError.  The solve and the check
+    run in single_blas_pool, so no matvec wakes numpy's thread pool.
     """
     dim = v0.shape[0]
     op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=v0.dtype)
-    try:
-        theta, vecs = spla.eigsh(op, k=k, which=which, tol=1e-10, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"{what} Lanczos did not converge: {exc}") from exc
-    order = np.argsort(theta)
-    theta, vecs = theta[order], vecs[:, order]
-    return theta, vecs, _checked_residuals(matvec(vecs), theta, vecs, what)
+    with single_blas_pool():
+        try:
+            theta, vecs = spla.eigsh(op, k=k, which=which, tol=1e-10, v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(f"{what} Lanczos did not converge: {exc}") from exc
+        order = np.argsort(theta)
+        theta, vecs = theta[order], vecs[:, order]
+        return theta, vecs, _checked_residuals(matvec(vecs), theta, vecs, what)
 
 
 def _projection(basis: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """v -> basis basis^dag v, for a vector or a (dim, b) block, in two np.einsum calls.
 
-    np.einsum never calls BLAS, so a projection inside a Lanczos matvec keeps off
-    numpy's thread pool (see GEMM_BLOCK_WORK), where basis @ (basis^dag v) made two
-    threaded gemv calls.  The basis is held once as C-contiguous conjugated rows,
-    and basis c = conj(rows^T conj(c)).
+    np.einsum, not basis @ (basis^dag v): the BLAS products round differently, and
+    moved aklt(10)'s spectral gap from 0.36984447242378005 to 0.36984447242378088
+    (2 BLAS threads).
+    The basis is held once as C-contiguous conjugated rows, and
+    basis c = conj(rows^T conj(c)).
     """
     rows = np.conjugate(basis.T, order="C")
     return lambda v: np.einsum("md,m...->d...", rows,

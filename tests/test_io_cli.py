@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dl_lab.cli as cli
-from dl_lab import correlations, entanglement, runner, states
+from dl_lab import correlations, entanglement, models, runner, states
 from dl_lab.entanglement import CutSpec
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
@@ -462,6 +462,16 @@ def test_cli_command_records_and_unmet_needs(tmp_path, capsys, command, model, n
             assert [c["name"] for c in json.load(handle)["checks"]] == names
 
 
+def test_cli_unmet_need_exits_before_the_first_step(tmp_path, monkeypatch, capsys):
+    # the open-chain need of measurecheck fails on a ring: refused before the gap step solves
+    calls = _count_spectrum_calls(monkeypatch)
+    path = _write_config(tmp_path, command="measurecheck",
+                         model={"name": "aklt", "parameters": {"n": 6, "periodic": True}})
+    assert cli.main(["measurecheck", "--config", path, "--quiet"]) == 2
+    assert "the measurecheck pipeline needs an open chain" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_config_rejects_unknown_command():
     with pytest.raises(ValidationError, match="command"):
         RunConfig.from_document({"command": "explode", "model": {"name": "pinning"}})
@@ -709,6 +719,18 @@ def test_dimension_cap_checked_before_any_solve(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_dimension_cap_checked_before_the_parent_state_is_built(tmp_path, monkeypatch, capsys):
+    # parent-random(8,2,1,4) has dimension 256: refused before its MPS state is contracted
+    monkeypatch.setenv("DL_LAB_MAX_DIM", "100")
+    calls = []
+    monkeypatch.setattr(models, "random_mps_state", lambda *args: calls.append(args))
+    path = _write_gap_config(tmp_path, {"name": "parent-random",
+                                        "parameters": {"n": 8, "d": 2, "bond": 1, "seed": 4}}, {})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert "exceeds cap 100" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     # used to escape from a bare int() as ValueError, exit 1
     monkeypatch.setenv("DL_LAB_MAX_DIM", "abc")
@@ -742,10 +764,15 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     ({"parameters": {"seed": True}}, "parameters.seed"),
     ({"parameters": {"seed": 5.7}}, "parameters.seed"),
     ({"parameters": {"lmax": 5}}, "parameters.lmax"),
+    # these two escaped as TypeError and numpy's ValueError
+    ({"model": {"name": ["pinning"], "parameters": {"n": 4}}}, "model.name"),
+    ({"model": {"name": "parent-random",
+                "parameters": {"n": 6, "d": 2, "bond": 2, "seed": -1}}}, "model.parameters.seed"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
         "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
         "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
-        "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key"])
+        "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key",
+        "model-name-list", "model-seed"])
 def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
     # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
     doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},

@@ -112,15 +112,13 @@ def test_apply_term_array_batched_matches_kron(support):
 @pytest.mark.parametrize("n,d", [(10, 3), (14, 2)])
 @pytest.mark.parametrize("bond", ["first", "middle", "right-d", "last", "wrap", "site-first",
                                   "site-last", "three-last", "reversed", "scattered"])
-def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
-    # the GEMM blocks of the single-vector path, the batched path and the general path of
-    # the supports that are no forward run, against labelled-axis np.einsum: at the default
-    # block size and at blocks of d rows or columns, so that row and column blocks are
-    # crossed at both sizes.  Last, a batch of width 7, not a power of d, at a work of
-    # 4 * size**2: blocks of 4 rows at d = 2, where dividing the 7 * 2**m rows down by d
-    # until they fit would stop at 3, which does not divide them.  A (d**n, 2) shape stands
-    # for its second column, a single vector whose amplitudes are not adjacent: a complex
-    # one through a real term is contracted on a float view of its amplitudes
+def test_blocked_kernel_matches_einsum_oracle(n, d, bond):
+    # the single-vector GEMM on the last bond, the np.matmul fold of every other array on
+    # a forward run and the rows of the supports that are no forward run, against
+    # labelled-axis np.einsum, on single vectors and on batches of widths 3 and 7.  A
+    # (d**n, 2) shape stands for its second column, a single vector whose amplitudes are
+    # not adjacent: a complex one through a real term is contracted on a float view of
+    # its amplitudes
     support = {"first": (0, 1), "middle": (n // 2, n // 2 + 1), "right-d": (n - 3, n - 2),
                "last": (n - 2, n - 1), "wrap": (n - 1, 0), "site-first": (0,),
                "site-last": (n - 1,), "three-last": (n - 3, n - 2, n - 1),
@@ -129,21 +127,17 @@ def test_blocked_kernel_matches_einsum_oracle(monkeypatch, n, d, bond):
     rng = np.random.default_rng(n * d)
     draw = lambda shape, dtype: (rng.standard_normal(shape) if dtype is float else
                                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for block_work, shapes in [(states.GEMM_BLOCK_WORK, [(d ** n,), (d ** n, 3), (d ** n, 2)]),
-                               (d * size * size, [(d ** n,), (d ** n, 3), (d ** n, 2)]),
-                               (4 * size * size, [(d ** n, 7)])]:
-        monkeypatch.setattr(states, "GEMM_BLOCK_WORK", block_work)
-        for matrix_dtype, arr_dtype in [(float, float), (float, complex), (complex, float),
-                                        (complex, complex)]:
-            matrix = draw((size, size), matrix_dtype)
-            for shape in shapes:
-                arr = draw(shape, arr_dtype)
-                if shape == (d ** n, 2):
-                    arr = arr[:, 1]
-                fast = apply_term_array(matrix, support, arr, n, d)
-                slow = einsum_apply(matrix, support, arr, n, d)
-                assert fast.shape == arr.shape
-                assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+    for matrix_dtype, arr_dtype in [(float, float), (float, complex), (complex, float),
+                                    (complex, complex)]:
+        matrix = draw((size, size), matrix_dtype)
+        for shape in [(d ** n,), (d ** n, 3), (d ** n, 2), (d ** n, 7)]:
+            arr = draw(shape, arr_dtype)
+            if shape == (d ** n, 2):
+                arr = arr[:, 1]
+            fast = apply_term_array(matrix, support, arr, n, d)
+            slow = einsum_apply(matrix, support, arr, n, d)
+            assert fast.shape == arr.shape
+            assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +675,23 @@ def test_blas_pool_is_one_numpy_thread_inside_run_and_restored_after(monkeypatch
         run(RunConfig.from_document(PINNING_GAP))
     assert seen[-1] == (1, scipy_before)
     assert (numpy_get(), scipy_get()) == (before, scipy_before)
+
+
+def test_blas_pool_is_one_numpy_thread_in_an_iterative_solve_outside_a_run(monkeypatch):
+    # a library caller's ARPACK solve enters the pool itself, and gives the count back
+    numpy_get, _ = blas_thread_readers()
+    before, seen = numpy_get(), []
+    eigsh = states.spla.eigsh
+
+    def observed(*args, **kwargs):
+        seen.append(numpy_get())
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(states.spla, "eigsh", observed)
+    monkeypatch.setattr(states, "DENSE_CUTOFF", 32)
+    spectrum(build_model(ModelDescriptor.make("aklt", n=6)))  # dim 729: the iterative regime
+    assert seen == [1]
+    assert numpy_get() == before
 
 
 def test_blas_pool_nested_restores_the_outer_count():
