@@ -17,7 +17,7 @@ from .dl import (ConvergenceTrace, DLOperator, PyramidDecomposition,
                  apply_pyramids, converge, dl_bound, dl_operator,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,
                  pyramid_decompose, step_inequality_margin)
-from .entanglement import (AreaLawCertificate, CutSpec, SchmidtData,
+from .entanglement import (AreaLawCertificate, SchmidtData,
                            area_law_certificate, max_product_overlap,
                            rank_growth, reduced_density, schmidt,
                            shifted_cut_check, step_entropy_bound,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dl import DLOperator, application_layers
-from .entanglement import CutSpec, cut_matrix, density_entropy, reduced_density
+from .entanglement import cut_matrix, density_entropy, reduced_density
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LayerPartition, LocalTerm, SiteSpace,
                           custom_geometry)
@@ -57,14 +57,10 @@ class CausalityCone:
     and by deeper inside occurrences.
     """
 
-    seed_support: tuple[int, ...]
     rounds: int
     layers: tuple[tuple[int, ...], ...]  # term order per depth, first-applied first
     inside: tuple[frozenset[int], ...]  # inside term indices per depth
     clusters: tuple[frozenset[int], ...]  # site cluster after each depth
-
-    def touches(self, sites) -> bool:
-        return bool(self.clusters[-1] & set(sites))
 
 
 def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> CausalityCone:
@@ -82,7 +78,7 @@ def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> Ca
     for depth_terms in layers:
         inside.append(_grow_cone(h, depth_terms, cluster))
         clusters.append(frozenset(cluster))
-    return CausalityCone(seed, l, layers, tuple(inside), tuple(clusters))
+    return CausalityCone(l, layers, tuple(inside), tuple(clusters))
 
 
 def _grow_cone(h: HamiltonianSpec, depth_terms, cluster: set[int]) -> frozenset[int]:
@@ -106,15 +102,8 @@ def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData
     return float(np.linalg.norm(full - pruned, axis=0).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class CorrelationValue:
-    value: complex
-    magnitude: float
-    real: float
-
-
 def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
-                          y: ObservableSpec) -> CorrelationValue:
+                          y: ObservableSpec) -> complex:
     """<XY> - <X><Y> in the unique ground state."""
     if gs.degeneracy != 1:
         raise ValidationError("connected correlations need a unique ground state")
@@ -129,7 +118,7 @@ def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
             raise ValidationError(
                 f"expected a real correlation for disjoint supports, got {value:g}"
             )
-    return CorrelationValue(value, abs(value), value.real)
+    return value
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,7 @@ class DecayProfile:
 
 
 def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
-                  y_family, a: DLOperator, noise_floor: float = 1e-13) -> DecayProfile:
+                  y_family, a: DLOperator) -> DecayProfile:
     """Correlation decay table plus the exact cone rewriting of <X A^l Y>."""
     omega = gs.omega
     distances = [support_distance(h, x.support, y.support) for y in y_family]
@@ -154,8 +143,8 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
     identity_rounds = []
     identity_dev = 0.0
     for y, dist in zip(y_family, distances):
-        corr = connected_correlation(gs, x, y)
-        rows.append((dist, corr.magnitude, corr.magnitude / (x.norm * y.norm)))
+        corr = abs(connected_correlation(gs, x, y))
+        rows.append((dist, corr, corr / (x.norm * y.norm)))
         rounds = _max_excluding_rounds(h, a.partition, y.support, x.support)
         if rounds >= 1:
             identity_rounds.append(rounds)
@@ -167,7 +156,7 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
             identity_dev = max(identity_dev, abs(lhs - xy))
         else:
             identity_rounds.append(0)
-    usable = [(m, norm) for m, _, norm in rows if norm > noise_floor]
+    usable = [(m, norm) for m, _, norm in rows if norm > 1e-13]  # above the noise floor
     if len(usable) >= 2:
         ms = np.array([m for m, _ in usable], dtype=float)
         logs = np.log(np.array([c for _, c in usable]))
@@ -177,13 +166,12 @@ def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
     return DecayProfile(tuple(rows), None, True, tuple(identity_rounds), float(identity_dev))
 
 
-def _max_excluding_rounds(h: HamiltonianSpec, part: LayerPartition, seed, avoid,
-                          cap: int = 64) -> int:
-    """Largest round count whose cone around `seed` stays clear of `avoid`, from one cone
-    grown a round at a time: its cluster after r rounds is causality_cone's for l = r."""
+def _max_excluding_rounds(h: HamiltonianSpec, part: LayerPartition, seed, avoid) -> int:
+    """Largest round count, at most 64, whose cone around `seed` stays clear of `avoid`, from
+    one cone grown a round at a time: its cluster after r rounds is causality_cone's for l = r."""
     order, cluster, avoid = application_layers(h, part), set(seed), set(avoid)
     best = 0
-    for rounds in range(1, cap + 1):
+    for rounds in range(1, 65):
         for depth_terms in order:
             _grow_cone(h, depth_terms, cluster)
         if cluster & avoid:
@@ -213,14 +201,12 @@ class MeasurementCheck:
     mutual_information: float  # S(rho_L) + S(rho_R) - S(rho) on the window halves
 
 
-def _window_sites(h: HamiltonianSpec, cut: CutSpec, l: int) -> tuple[int, ...]:
+def _window_sites(h: HamiltonianSpec, cut: int, l: int) -> tuple[int, ...]:
     if h.sites.geometry.kind != "chain-open":
         raise ValidationError("window measurements are defined on open chains")
-    n = h.sites.n
-    c = cut.position
-    if c - l < 0 or c + l > n:
-        raise ValidationError(f"window of half-width {l} at position {c} exceeds the chain")
-    return tuple(range(c - l, c + l))
+    if cut - l < 0 or cut + l > h.sites.n:
+        raise ValidationError(f"window of half-width {l} at position {cut} exceeds the chain")
+    return tuple(range(cut - l, cut + l))
 
 
 def window_kernel(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
@@ -234,7 +220,7 @@ def window_kernel(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
                                                    custom_geometry(())), inner))
 
 
-def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: GroundSpaceData,
+def distinguishing_measurement(h: HamiltonianSpec, cut: int, l: int, gs: GroundSpaceData,
                                a: DLOperator, overlap: float,
                                window_entropy: float) -> MeasurementCheck:
     """Build the window measurement and measure its distinguishing probability.
@@ -248,11 +234,11 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: CutSpec, l: int, gs: Gro
         raise ValidationError("the measurement pipeline needs a unique ground state")
     window = _window_sites(h, cut, l)
     omega = gs.omega
-    c, d = cut.position, h.sites.d
+    d = h.sites.d
 
     basis = window_kernel(h, window)
-    # B^dag on the window axes of a state folded as (d^(c-l), d^(2l), rest)
-    restrict = lambda arr: basis.conj().T @ arr.reshape(d ** (c - l), d ** (2 * l), -1)
+    # B^dag on the window axes of a state folded as (d^(cut-l), d^(2l), rest)
+    restrict = lambda arr: basis.conj().T @ arr.reshape(d ** (cut - l), d ** (2 * l), -1)
     trace_ground = float(np.linalg.norm(restrict(omega.amplitudes)) ** 2)
 
     rho_l = reduced_density(omega, window[:l])

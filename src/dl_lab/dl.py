@@ -75,11 +75,10 @@ class DLOperator:
         return StateVector(self.apply_array(psi.amplitudes), psi.sites)
 
 
-def dl_operator(h: HamiltonianSpec, partition: LayerPartition | None = None) -> DLOperator:
+def dl_operator(h: HamiltonianSpec) -> DLOperator:
     if not h.all_projectors():
         raise ValidationError("the DL operator needs projector terms; run projectorize first")
-    part = partition if partition is not None else partition_layers(h)
-    part.validate(h)
+    part = partition_layers(h)
     complements = tuple(np.eye(t.matrix.shape[0]) - t.matrix for t in h.terms)
     if part.g == 1:
         f_value = None
@@ -213,11 +212,11 @@ def apply_pyramids(a: DLOperator, decomposition: PyramidDecomposition,
 # norm-energy trade-off and convergence
 # ---------------------------------------------------------------------------
 
-def _check_projector(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def _check_projector(mat: np.ndarray, name: str) -> None:
     """ValidationError unless mat, or every member of a stack of them, is a projector."""
     for what, excess in (("Hermitian", mat - np.swapaxes(mat, -1, -2).conj()),
                          ("a projector", mat @ mat - mat)):
-        bad = np.abs(excess).max(axis=(-2, -1), initial=0.0) > tol
+        bad = np.abs(excess).max(axis=(-2, -1), initial=0.0) > 1e-10
         if bad.any():
             where = f"{name}[{int(np.argmax(bad))}]" if bad.ndim else name
             raise ValidationError(f"{where} is not {what}")

@@ -22,25 +22,13 @@ NORM_TOL = 1e-10
 MAX_STEP_BLOCKS = 100000
 
 
-@dataclass(frozen=True)
-class CutSpec:
-    """Contiguous bipartition of the sites: [0, position) form the left side."""
-
-    position: int
-
-    @staticmethod
-    def contiguous(position: int) -> "CutSpec":
-        return CutSpec(position)
-
-    def sides(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if not (1 <= self.position <= n - 1):
-            raise ValidationError(f"cut position must lie in [1, {n - 1}]")
-        return tuple(range(self.position)), tuple(range(self.position, n))
-
-
-def cut_matrix(psi: StateVector, cut: CutSpec) -> np.ndarray:
-    """Amplitudes reshaped into a (left, right) matrix for the cut."""
-    return subset_matrix(psi, cut.sides(psi.sites.n)[0])
+def cut_matrix(psi: StateVector, cut: int) -> np.ndarray:
+    """Amplitudes reshaped into a (left, right) matrix for the contiguous cut whose left
+    side is the sites [0, cut)."""
+    n = psi.sites.n
+    if not (1 <= cut <= n - 1):
+        raise ValidationError(f"cut position must lie in [1, {n - 1}]")
+    return subset_matrix(psi, range(cut))
 
 
 def subset_matrix(psi: StateVector, sites_subset) -> np.ndarray:
@@ -94,16 +82,16 @@ class SchmidtData:
         return float(self.eigenvalues[first_excluded:].sum())
 
 
-def schmidt(psi: StateVector, cut: CutSpec, tol: float = RANK_TOL) -> SchmidtData:
+def schmidt(psi: StateVector, cut: int) -> SchmidtData:
     """Schmidt spectrum of a normalized state across the cut."""
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise ValidationError(f"state norm {psi.norm():.12g} is not 1 within {NORM_TOL:g}")
     svals = np.linalg.svd(cut_matrix(psi, cut), compute_uv=False)
-    rank = int((svals > tol * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
+    rank = int((svals > RANK_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return SchmidtData(svals, rank, entropy_of_weights(svals ** 2))
 
 
-def max_product_overlap(psi: StateVector, cut: CutSpec) -> tuple[float, np.ndarray, np.ndarray]:
+def max_product_overlap(psi: StateVector, cut: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest overlap alpha with any product state across the cut, and a maximizer.
 
     |<left (x) right|psi>| = alpha.  The SVD is thin, so memory stays O(dim): no
@@ -124,14 +112,13 @@ class RankGrowthTrace:
     crossing_terms: int
 
 
-def rank_growth(a: DLOperator, psi0: StateVector, cut: CutSpec, l: int) -> RankGrowthTrace:
+def rank_growth(a: DLOperator, psi0: StateVector, cut: int, l: int) -> RankGrowthTrace:
     """Track the Schmidt rank of repeated applications of A to a product state."""
     start = schmidt(psi0.normalized(), cut)
     if start.rank != 1:
         raise ValidationError("psi0 must be a product state across the cut")
     h = a.h
-    left, _ = cut.sides(h.sites.n)
-    left_set = set(left)
+    left_set = set(range(cut))
     crossings = sum(
         1 for t in h.terms if set(t.support) & left_set and set(t.support) - left_set
     )
@@ -279,14 +266,12 @@ def area_law_certificate(h: HamiltonianSpec, gs: GroundSpaceData, data: SchmidtD
     )
 
 
-def shifted_cut_check(gs_state: StateVector, cut: CutSpec,
+def shifted_cut_check(gs_state: StateVector, k: int,
                       l: int) -> tuple[tuple[int, float, float], ...]:
     """Rows (j, alpha_1(k+j), alpha_1(k) * d^|j|) for every |j| <= l, alpha_1 the largest
     product overlap at a cut: its top Schmidt coefficient, one values-only SVD per cut."""
     n, d = gs_state.sites.n, gs_state.sites.d
-    k = cut.position
     if k - l < 1 or k + l > n - 1:
         raise ValidationError(f"shifts of {l} around position {k} leave [1, {n - 1}]")
-    alphas = {j: float(schmidt(gs_state, CutSpec.contiguous(k + j)).coefficients[0])
-              for j in range(-l, l + 1)}
+    alphas = {j: float(schmidt(gs_state, k + j).coefficients[0]) for j in range(-l, l + 1)}
     return tuple((j, alpha, alphas[0] * d ** abs(j)) for j, alpha in alphas.items())

@@ -298,21 +298,13 @@ def partition_layers(h: HamiltonianSpec) -> LayerPartition:
     return part
 
 
-@dataclass(frozen=True)
-class ProjectorizationReport:
-    """Bookkeeping from converting bounded terms to projectors."""
-
-    max_term_norm: float  # K, the largest shifted term norm
-
-
-def projectorize(h: HamiltonianSpec, tol: float = 1e-12) -> tuple[HamiltonianSpec, ProjectorizationReport]:
-    """Replace each term by the projector onto its positive-energy eigenspace.
+def projectorize(h: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
+    """Replace each term by the projector onto its positive-energy eigenspace, and return
+    K, the largest shifted term norm, with the projector Hamiltonian.
 
     Each term is first shifted so its smallest eigenvalue is 0; eigenvalues
-    at most tol times the largest shifted eigenvalue count as ground.
+    at most 1e-12 times the largest shifted eigenvalue count as ground.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     new_terms = []
     max_norm = 0.0
     for idx, term in enumerate(h.terms):
@@ -321,16 +313,15 @@ def projectorize(h: HamiltonianSpec, tol: float = 1e-12) -> tuple[HamiltonianSpe
         evals, evecs = np.linalg.eigh(mat)
         evals = evals - evals[0]
         top = float(evals[-1])
-        if top <= tol * scale:
+        if top <= 1e-12 * scale:
             raise ValidationError(f"term {idx} is indistinguishable from zero after shifting")
-        keep = evals > tol * top
+        keep = evals > 1e-12 * top
         v = evecs[:, keep]
         q = v @ v.conj().T
         q = (q + q.conj().T) / 2.0
         new_terms.append(LocalTerm(term.support, q, is_projector=True))
         max_norm = max(max_norm, top)
-    report = ProjectorizationReport(max_norm)
-    return HamiltonianSpec(h.sites, tuple(new_terms)), report
+    return HamiltonianSpec(h.sites, tuple(new_terms)), max_norm
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,6 @@ class ModelDescriptor:
     def params(self) -> dict:
         return dict(self.parameters)
 
-    @property
-    def expected_facts(self) -> dict:
-        return dict(self.expected)
-
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.parameters)
         return f"{self.name}({inner})"
@@ -113,10 +109,7 @@ def check_parameters(values: dict, schema: dict, field: str, n: int | None = Non
     is no integer, nor is 5.7), a list holds integers within the bounds, and
     unknown keys are refused.
     """
-    unknown = sorted(set(values) - set(schema))
-    if unknown:
-        raise ValidationError(f"field '{field}.{unknown[0]}': unknown parameter; "
-                              f"expected one of {sorted(schema)}")
+    refuse_unknown_keys(values, schema, f"{field}.")
     resolved = {}
     for key, (kind, *rest) in schema.items():
         default, low, high = [*(r(n) if callable(r) else r for r in rest or [...]), None, None][:3]
@@ -128,6 +121,14 @@ def check_parameters(values: dict, schema: dict, field: str, n: int | None = Non
             expected = f"one of {list(low)}" if kind is str else _TYPE_NAMES[kind] + bounds
             raise ValidationError(f"field '{field}.{key}': expected {expected}, got {value!r}")
     return resolved
+
+
+def refuse_unknown_keys(doc: dict, known, prefix: str) -> None:
+    """ValidationError naming prefix + the first key of doc that known does not hold."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError(f"field '{prefix}{unknown[0]}': unknown key; "
+                              f"expected one of {sorted(known)}")
 
 
 def _admits(kind: type, low, high, value) -> bool:
@@ -185,8 +186,7 @@ def random_mps_state(n: int, d: int, bond: int, seed: int) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps), sites)
 
 
-def build_parent_random(n: int, d: int, bond: int, seed: int,
-                        range_tol: float = 1e-10) -> HamiltonianSpec:
+def build_parent_random(n: int, d: int, bond: int, seed: int) -> HamiltonianSpec:
     """Parent Hamiltonian of a seeded random matrix-product state.
 
     Each pair term projects onto the orthogonal complement of the range of
@@ -204,7 +204,7 @@ def build_parent_random(n: int, d: int, bond: int, seed: int,
         folded = target.amplitudes.reshape(d ** i, d * d, d ** (n - i - 2))
         rho = np.einsum("lxr,lyr->xy", folded, folded.conj())
         evals, evecs = np.linalg.eigh(rho)
-        keep = evals > range_tol * evals.max()
+        keep = evals > 1e-10 * evals.max()
         if keep.all():
             warnings.warn(f"pair ({i},{i + 1}): reduced state has full range, term dropped")
             continue

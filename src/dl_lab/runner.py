@@ -26,15 +26,16 @@ from .correlations import (ObservableSpec, cone_absorption_check,
 from .dl import (DLOperator, apply_pyramids, converge, dl_operator, measure_shrinkage,
                  norm_energy_check, pyramid_applicable, pyramid_decompose,
                  step_inequality_margin)
-from .entanglement import (CutSpec, SchmidtData, area_law_certificate, rank_growth,
-                           schmidt, shifted_cut_check, step_entropy_bound, subset_entropy,
+from .entanglement import (SchmidtData, area_law_certificate, rank_growth, schmidt,
+                           shifted_cut_check, step_entropy_bound, subset_entropy,
                            tail_bound_check)
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
-from .io import (atomic_write_text, dumps_document, loads_document,
+from .io import (SCHEMA_VERSION, atomic_write_text, dumps_document, loads_document,
                  load_hamiltonian, read_text, write_csv)
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
-                     check_parameters, descriptor_from_document, site_observable)
+                     check_parameters, descriptor_from_document, refuse_unknown_keys,
+                     site_observable)
 from .states import (GroundSpaceData, SpectrumData, StateVector, check_dim,
                      gaussian_filter_deviation, ground_space, product_state, random_state,
                      single_blas_pool, spectrum)
@@ -145,6 +146,12 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise ValidationError("config document: expected an object at the top level, "
                                   f"got {type(doc).__name__}")
+        refuse_unknown_keys(doc, ("schema_version", "model", "command", "parameters", "output"),
+                            "")
+        version = doc.get("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValidationError(f"field 'schema_version': expected {SCHEMA_VERSION}, "
+                                  f"got {version!r}")
         command = doc.get("command")
         if command not in COMMANDS:
             raise ValidationError(f"field 'command': unknown command {command!r}; "
@@ -152,6 +159,8 @@ class RunConfig:
         model_doc = doc.get("model")
         if not isinstance(model_doc, dict):
             raise ValidationError("field 'model': expected an object")
+        refuse_unknown_keys(model_doc, ("path",) if "path" in model_doc
+                            else ("name", "parameters", "expected"), "model.")
         descriptor = None
         model_path = None
         if "path" in model_doc:
@@ -168,6 +177,7 @@ class RunConfig:
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ValidationError("field 'output': expected an object")
+        refuse_unknown_keys(output, ("dir", "format"), "output.")
         directory = out_dir or output.get("dir", "out")
         if not isinstance(directory, str):
             raise ValidationError(f"field 'output.dir': expected a string, got {directory!r}")
@@ -207,9 +217,9 @@ class _Context:
             raise ValidationError(f"field 'parameters.count': expected an integer in [1, {dim}] "
                                   f"(the dimension), got {self.p['count']!r}")
         if not self.h.all_projectors():
-            self.h, proj_report = projectorize(self.h)
+            self.h, max_term_norm = projectorize(self.h)
             self.records.append(info_record("projectorized-max-term-norm", "gap-rescale",
-                                            proj_report.max_term_norm))
+                                            max_term_norm))
 
     @cached_property
     def a(self) -> DLOperator:
@@ -233,13 +243,9 @@ class _Context:
         return self.gs.degeneracy == 1
 
     @cached_property
-    def cut(self) -> CutSpec:
-        return CutSpec.contiguous(self.p["cut"])
-
-    @cached_property
     def cut_schmidt(self) -> SchmidtData:
         """Schmidt spectrum of the ground state at the run's cut."""
-        return schmidt(self.gs.omega, self.cut)
+        return schmidt(self.gs.omega, self.p["cut"])
 
     @property
     def overlap(self) -> float:
@@ -250,13 +256,13 @@ class _Context:
     @property
     def window(self) -> int:
         """Half-width l of the window around the cut ('window', kept on the chain)."""
-        return min(self.p["window"], self.cut.position, self.h.sites.n - self.cut.position)
+        return min(self.p["window"], self.p["cut"], self.h.sites.n - self.p["cut"])
 
     @cached_property
     def window_entropy(self) -> float:
         """S of the 2l sites around the cut: the recursion diagnostic's and the measurement's."""
-        return subset_entropy(self.gs.omega, range(self.cut.position - self.window,
-                                                   self.cut.position + self.window))
+        c = self.p["cut"]
+        return subset_entropy(self.gs.omega, range(c - self.window, c + self.window))
 
     def observable(self, site: int) -> ObservableSpec:
         return ObservableSpec((site,), site_observable(self.p["observable"], self.h.sites.d))
@@ -388,7 +394,7 @@ def _step_entropy_grid(ctx: _Context) -> None:
 
 
 def _step_rank_growth(ctx: _Context) -> None:
-    trace = rank_growth(ctx.a, _product_start(ctx), ctx.cut, ctx.p["rank_steps"])
+    trace = rank_growth(ctx.a, _product_start(ctx), ctx.p["cut"], ctx.p["rank_steps"])
     worst = max((r - c for r, c in zip(trace.ranks, trace.caps)), default=0)
     ctx.add(bounded_record("rank-growth", "rank-growth", float(worst), 0.0, 0.0))
 
@@ -407,8 +413,8 @@ def _step_entropy(ctx: _Context) -> None:
     data = ctx.cut_schmidt
     ctx.add(bounded_record("schmidt-normalization", "plumbing",
                            abs(float(data.eigenvalues.sum()) - 1.0), 0.0, 1e-10))
-    left, right = ctx.cut.sides(ctx.h.sites.n)
-    max_entropy = min(len(left), len(right)) * np.log(ctx.h.sites.d)
+    c = ctx.p["cut"]
+    max_entropy = min(c, ctx.h.sites.n - c) * np.log(ctx.h.sites.d)
     ctx.add(bounded_record("entropy-range", "plumbing", data.entropy, float(max_entropy), 1e-9))
     ctx.add_table("schmidt", ("j", "lambda_j"),
                   [(j + 1, float(l)) for j, l in enumerate(data.eigenvalues)])
@@ -423,7 +429,7 @@ def _step_entropy(ctx: _Context) -> None:
 
 
 def _step_arealaw(ctx: _Context) -> None:
-    cut = ctx.cut
+    cut = ctx.p["cut"]
     cert = area_law_certificate(ctx.h, ctx.gs, ctx.cut_schmidt, ctx.overlap)
     ctx.add(info_record("max-product-overlap", "overlap-entropy-bound", cert.mu_measured))
     ctx.add(info_record("shrink-delta", "overlap-entropy-bound", cert.delta))
@@ -441,7 +447,7 @@ def _step_arealaw(ctx: _Context) -> None:
                            log_s, cert.gap_entropy_bound_log10, 1e-9))
     _window_recursion_diagnostic(ctx, cert.delta)
     n = ctx.h.sites.n
-    shift = min(ctx.p["cut_shift"], cut.position - 1, n - 1 - cut.position)
+    shift = min(ctx.p["cut_shift"], cut - 1, n - 1 - cut)
     if shift >= 1:
         rows = shifted_cut_check(ctx.gs.omega, cut, shift)
         worst = max(a - cap for _, a, cap in rows)
@@ -454,7 +460,7 @@ def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
     The recursion holds under a for-contradiction overlap hypothesis, so it
     is recorded, never asserted.
     """
-    c, l = ctx.cut.position, ctx.window
+    c, l = ctx.p["cut"], ctx.window
     if l < 2 or l % 2:
         return
     s_small = subset_entropy(ctx.gs.omega, range(c - l // 2, c + l // 2))
@@ -499,7 +505,7 @@ def _step_correlate(ctx: _Context) -> None:
 
 
 def _step_measurecheck(ctx: _Context) -> None:
-    check = distinguishing_measurement(ctx.h, ctx.cut, ctx.window, ctx.gs, ctx.a, ctx.overlap,
+    check = distinguishing_measurement(ctx.h, ctx.p["cut"], ctx.window, ctx.gs, ctx.a, ctx.overlap,
                                        ctx.window_entropy)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))

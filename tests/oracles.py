@@ -235,7 +235,7 @@ def max_excluding_rounds(h, part, seed, avoid, cap: int = 64) -> int:
     best = 0
     for rounds in range(1, cap + 1):
         cone = causality_cone(h, part, seed, rounds)
-        if cone.touches(avoid):
+        if cone.clusters[-1] & set(avoid):
             break
         best = rounds
         if len(cone.clusters[-1]) == h.sites.n:

@@ -11,7 +11,7 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  cone_absorption_check, connected_correlation,
                                  decay_profile, distinguishing_measurement,
                                  entropy_gap_check, support_distance)
-from dl_lab.entanglement import CutSpec, max_product_overlap, subset_entropy
+from dl_lab.entanglement import max_product_overlap, subset_entropy
 from dl_lab.errors import ValidationError
 from dl_lab.hamiltonian import partition_layers, validate_frustration_free
 from dl_lab.models import BUNDLED_MODELS, build_model, site_observable
@@ -180,14 +180,14 @@ def test_product_ground_correlations_vanish(pinning6):
     x = observable(pinning6, "sz", 0)
     y = observable(pinning6, "sz", 3)
     corr = connected_correlation(pinning6.gs, x, y)
-    assert corr.magnitude <= 1e-12
+    assert abs(corr) <= 1e-12
 
 
 def test_identity_observables_uncorrelated(parent632):
     x = ObservableSpec((0,), np.eye(3))
     y = ObservableSpec((4,), np.eye(3))
     corr = connected_correlation(parent632.gs, x, y)
-    assert corr.magnitude <= 1e-12
+    assert abs(corr) <= 1e-12
 
 
 def test_correlation_matches_dense_oracle(aklt6p):
@@ -199,7 +199,7 @@ def test_correlation_matches_dense_oracle(aklt6p):
     y_mat = kron_embed(y.matrix, y.support, 6, 3)
     oracle = (omega.conj() @ x_mat @ y_mat @ omega
               - (omega.conj() @ x_mat @ omega) * (omega.conj() @ y_mat @ omega))
-    assert abs(corr.value - oracle) < 1e-12
+    assert abs(corr - oracle) < 1e-12
 
 
 def test_correlation_needs_unique_ground(heis8):
@@ -249,13 +249,13 @@ def test_support_distance_on_ring(aklt6p):
 
 def _measure(model, cut):
     overlap = max_product_overlap(model.gs.omega, cut)[0]
-    entropy = subset_entropy(model.gs.omega, range(cut.position - 2, cut.position + 2))
+    entropy = subset_entropy(model.gs.omega, range(cut - 2, cut + 2))
     return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap,
                                       window_entropy=entropy)
 
 
 def test_measurement_product_ground(pinning6):
-    check = _measure(pinning6, CutSpec.contiguous(3))
+    check = _measure(pinning6, 3)
     assert check.trace_ground == pytest.approx(1.0, abs=1e-10)
     assert check.trace_product == pytest.approx(1.0, abs=1e-10)
     assert check.overlap == pytest.approx(1.0, abs=1e-10)
@@ -264,7 +264,7 @@ def test_measurement_product_ground(pinning6):
 
 
 def test_measurement_entangled_chain(parent632):
-    check = _measure(parent632, CutSpec.contiguous(3))
+    check = _measure(parent632, 3)
     assert check.trace_ground == pytest.approx(1.0, abs=1e-10)
     assert check.hypothesis_met
     assert check.trace_product <= check.bound + 1e-9
@@ -282,7 +282,7 @@ def test_window_measurement_matches_the_dense_projector(unique_open):
         for l in range(1, min(c, n - c) + 1):
             window = tuple(range(c - l, c + l))
             entropy = subset_entropy(model.gs.omega, window)
-            check = distinguishing_measurement(model.h, CutSpec.contiguous(c), l, gs=model.gs,
+            check = distinguishing_measurement(model.h, c, l, gs=model.gs,
                                                a=model.a, overlap=1.0, window_entropy=entropy)
             proj = dense_window_projector(model.h, window)
             rho_win = block_density(omega, c - l, 2 * l, n, d)
@@ -347,7 +347,7 @@ def test_window_above_the_dense_cutoff_is_measured(tmp_path):
 
 def test_measurement_ground_trace_across_open_corpus(unique_open):
     for model in unique_open:
-        cut = CutSpec.contiguous(model.h.sites.n // 2)
+        cut = model.h.sites.n // 2
         check = _measure(model, cut)
         assert abs(check.trace_ground - 1.0) <= 1e-10, model.label
         if check.identity_deviation is not None:
@@ -358,13 +358,13 @@ def test_measurement_ground_trace_across_open_corpus(unique_open):
 
 def test_measurement_window_must_fit(parent632):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(parent632.h, CutSpec.contiguous(1), 2, gs=parent632.gs,
+        distinguishing_measurement(parent632.h, 1, 2, gs=parent632.gs,
                                    a=parent632.a, overlap=1.0, window_entropy=0.0)
 
 
 def test_measurement_rejects_rings(aklt6p):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(aklt6p.h, CutSpec.contiguous(3), 2, gs=aklt6p.gs,
+        distinguishing_measurement(aklt6p.h, 3, 2, gs=aklt6p.gs,
                                    a=aklt6p.a, overlap=1.0, window_entropy=0.0)
 
 
@@ -377,7 +377,7 @@ def _entropy_gap(model, cut):
 
 
 def test_entropy_gap_product_ground(pinning6):
-    check = _entropy_gap(pinning6, CutSpec.contiguous(3))
+    check = _entropy_gap(pinning6, 3)
     assert check.mutual_information == pytest.approx(0.0, abs=1e-10)
     assert check.measurement_divergence == pytest.approx(0.0, abs=1e-10)
     assert check.mutual_information >= check.measurement_divergence - 1e-9
@@ -386,13 +386,13 @@ def test_entropy_gap_product_ground(pinning6):
 
 def test_entropy_gap_monotone_across_corpus(unique_open):
     for model in unique_open:
-        cut = CutSpec.contiguous(model.h.sites.n // 2)
+        cut = model.h.sites.n // 2
         check = _entropy_gap(model, cut)
         assert check.mutual_information >= check.measurement_divergence - 1e-9, model.label
 
 
 def test_entropy_gap_threshold_when_hypothesis_met(parent632):
-    check = _entropy_gap(parent632, CutSpec.contiguous(3))
+    check = _entropy_gap(parent632, 3)
     assert check.hypothesis_met
     assert check.mutual_information >= check.threshold - 1e-9
     assert check.mutual_information >= 0.0

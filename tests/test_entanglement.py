@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dl_lab.dl import dl_bound
-from dl_lab.entanglement import (CutSpec, area_law_certificate, density_entropy,
+from dl_lab.entanglement import (area_law_certificate, density_entropy,
                                  max_product_overlap, overlap_entropy_bound_value,
                                  rank_growth, reduced_density, schmidt,
                                  shifted_cut_check, step_entropy_bound,
@@ -34,7 +34,7 @@ def bell_state():
 # ---------------------------------------------------------------------------
 
 def test_schmidt_bell_state():
-    data = schmidt(bell_state(), CutSpec.contiguous(1))
+    data = schmidt(bell_state(), 1)
     assert np.allclose(data.eigenvalues[:2], [0.5, 0.5], atol=1e-12)
     assert data.rank == 2
     assert data.entropy == pytest.approx(math.log(2), abs=1e-12)
@@ -44,7 +44,7 @@ def test_schmidt_product_state():
     rng = np.random.default_rng(4)
     locals_ = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 2))]
     psi = product_state(qubits(3), locals_)
-    data = schmidt(psi, CutSpec.contiguous(1))
+    data = schmidt(psi, 1)
     assert data.rank == 1
     assert data.entropy == pytest.approx(0.0, abs=1e-12)
     # the largest overlap with a product state is the top Schmidt coefficient
@@ -54,20 +54,20 @@ def test_schmidt_product_state():
 def test_schmidt_rejects_unnormalized():
     psi = StateVector(np.ones(4), qubits(2))
     with pytest.raises(ValidationError):
-        schmidt(psi, CutSpec.contiguous(1))
+        schmidt(psi, 1)
 
 
 def test_schmidt_aklt_ring_spectrum(aklt6p):
     omega = aklt6p.gs.omega
     for position in (1, 2, 3):
-        data = schmidt(omega, CutSpec.contiguous(position))
+        data = schmidt(omega, position)
         assert data.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
         # oracle: eigenvalues of the reduced density matrix by partial trace
         oracle = schmidt_eigenvalues_by_partial_trace(omega.amplitudes, position, 6, 3)
         assert np.abs(data.eigenvalues - oracle[:len(data.eigenvalues)]).max() < 1e-10
         # entropy cannot exceed the log of the support size
         assert data.entropy <= math.log(data.rank) + 1e-9
-    center = schmidt(omega, CutSpec.contiguous(3))
+    center = schmidt(omega, 3)
     assert center.rank == 4
     assert center.entropy == pytest.approx(1.3783153025316839, abs=1e-9)
 
@@ -76,7 +76,7 @@ def test_cut_validation():
     psi = random_state(qubits(3), 0)
     for position in (0, 3):
         with pytest.raises(ValidationError):
-            schmidt(psi, CutSpec.contiguous(position))
+            schmidt(psi, position)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +87,12 @@ def test_overlap_product_state_is_one():
     rng = np.random.default_rng(5)
     locals_ = [v / np.linalg.norm(v) for v in rng.standard_normal((4, 2))]
     psi = product_state(qubits(4), locals_)
-    alpha, _, _ = max_product_overlap(psi, CutSpec.contiguous(2))
+    alpha, _, _ = max_product_overlap(psi, 2)
     assert alpha == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_bell_state():
-    alpha, left, right = max_product_overlap(bell_state(), CutSpec.contiguous(1))
+    alpha, left, right = max_product_overlap(bell_state(), 1)
     assert alpha == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     trial = np.kron(left, right)
     assert abs(np.vdot(trial, bell_state().amplitudes)) == pytest.approx(alpha, abs=1e-12)
@@ -100,14 +100,14 @@ def test_overlap_bell_state():
 
 def test_overlap_matches_dense_svd(heis6):
     vec = heis6.gs.omega
-    alpha, _, _ = max_product_overlap(vec, CutSpec.contiguous(3))
+    alpha, _, _ = max_product_overlap(vec, 3)
     oracle = np.linalg.svd(vec.amplitudes.reshape(8, 8), compute_uv=False)[0]
     assert alpha == pytest.approx(oracle, abs=1e-12)
 
 
 def test_overlap_unbalanced_cut_returns_thin_pair():
     psi = random_state(qubits(10), np.random.default_rng(11))
-    alpha, left, right = max_product_overlap(psi, CutSpec.contiguous(2))
+    alpha, left, right = max_product_overlap(psi, 2)
     assert left.shape == (4,) and right.shape == (256,)
     assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
@@ -121,7 +121,7 @@ def test_overlap_memory_is_linear_in_dim():
     psi = random_state(qubits(12), np.random.default_rng(12))
     tracemalloc.start()
     try:
-        max_product_overlap(psi, CutSpec.contiguous(1))
+        max_product_overlap(psi, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -131,7 +131,7 @@ def test_overlap_memory_is_linear_in_dim():
 def test_fact1_no_trial_beats_best_rank_overlap():
     rng = np.random.default_rng(9)
     psi = random_state(qubits(6), rng)
-    cut = CutSpec.contiguous(3)
+    cut = 3
     data = schmidt(psi, cut)
     for r in (1, 2, 4):
         best = np.sqrt(data.eigenvalues[:r].sum())  # the best rank-r overlap
@@ -148,7 +148,7 @@ def test_fact1_no_trial_beats_best_rank_overlap():
 
 def test_rank_growth_pinning_stays_product(pinning6):
     psi0 = _random_product(pinning6.h.sites, 3)
-    trace = rank_growth(pinning6.a, psi0, CutSpec.contiguous(3), 3)
+    trace = rank_growth(pinning6.a, psi0, 3, 3)
     assert trace.crossing_terms == 0
     assert trace.ranks == (1, 1, 1)
     assert all(r <= c for r, c in zip(trace.ranks, trace.caps))
@@ -156,7 +156,7 @@ def test_rank_growth_pinning_stays_product(pinning6):
 
 def test_rank_growth_qubit_chain(heis8):
     psi0 = _random_product(heis8.h.sites, 7)
-    trace = rank_growth(heis8.a, psi0, CutSpec.contiguous(4), 2)
+    trace = rank_growth(heis8.a, psi0, 4, 2)
     assert trace.crossing_terms == 1
     assert trace.caps == (4, 16)
     assert all(r <= c for r, c in zip(trace.ranks, trace.caps))
@@ -164,21 +164,21 @@ def test_rank_growth_qubit_chain(heis8):
 
 def test_rank_growth_aklt_open(aklt4):
     psi0 = _random_product(aklt4.h.sites, 11)
-    trace = rank_growth(aklt4.a, psi0, CutSpec.contiguous(2), 1)
+    trace = rank_growth(aklt4.a, psi0, 2, 1)
     assert trace.caps == (9,)
     assert trace.ranks[0] <= 9
 
 
 def test_rank_growth_ring_counts_two_crossings(aklt6p):
     psi0 = _random_product(aklt6p.h.sites, 13)
-    trace = rank_growth(aklt6p.a, psi0, CutSpec.contiguous(3), 1)
+    trace = rank_growth(aklt6p.a, psi0, 3, 1)
     assert trace.crossing_terms == 2
     assert all(r <= c for r, c in zip(trace.ranks, trace.caps))
 
 
 def test_rank_growth_needs_product_start(heis8):
     with pytest.raises(ValidationError):
-        rank_growth(heis8.a, random_state(heis8.h.sites, 0), CutSpec.contiguous(4), 2)
+        rank_growth(heis8.a, random_state(heis8.h.sites, 0), 4, 2)
 
 
 def _random_product(sites, seed):
@@ -196,7 +196,7 @@ def _random_product(sites, seed):
 
 def test_tail_rank_one_ground(pinning6):
     omega = pinning6.gs.omega
-    rows = tail_bound_check(schmidt(omega, CutSpec.contiguous(3)), 2, mu=1.0, delta=0.12,
+    rows = tail_bound_check(schmidt(omega, 3), 2, mu=1.0, delta=0.12,
                             l_max=4)
     assert all(tail == 0.0 for _, tail, _ in rows)
     assert all(tail <= bound + 1e-9 for _, tail, bound in rows)
@@ -205,7 +205,7 @@ def test_tail_rank_one_ground(pinning6):
 def test_tail_bound_unique_models(unique_1d):
     for model in unique_1d:
         omega = model.gs.omega
-        cut = CutSpec.contiguous(model.h.sites.n // 2)
+        cut = model.h.sites.n // 2
         mu, _, _ = max_product_overlap(omega, cut)
         delta = 1.0 - dl_bound(model.gs.gap, 2.0)
         if model.a.g == 1:
@@ -216,7 +216,7 @@ def test_tail_bound_unique_models(unique_1d):
 
 def test_tail_exhaustion_is_zero(parent632):
     omega = parent632.gs.omega
-    data = schmidt(omega, CutSpec.contiguous(3))
+    data = schmidt(omega, 3)
     # d^(2l) for l=2 is 81 >= every possible rank of a 27x27 cut matrix
     assert data.tail_mass(81) == 0.0
 
@@ -316,8 +316,7 @@ def test_overlap_bound_arithmetic_regression():
 def _at_cut(model, position):
     """Schmidt data and largest product overlap of the first ground vector at a cut."""
     omega = model.gs.omega
-    cut = CutSpec.contiguous(position)
-    return schmidt(omega, cut), max_product_overlap(omega, cut)[0]
+    return schmidt(omega, position), max_product_overlap(omega, position)[0]
 
 
 def test_certificate_product_ground(pinning6):
@@ -357,28 +356,28 @@ def test_certificate_requires_chain(toric22):
 
 def test_shifted_cut_zero_shift_is_equality(parent632):
     omega = parent632.gs.omega
-    (j, alpha, cap), = shifted_cut_check(omega, CutSpec.contiguous(3), 0)
+    (j, alpha, cap), = shifted_cut_check(omega, 3, 0)
     assert j == 0
     assert alpha == pytest.approx(cap, abs=1e-12)
 
 
 def test_shifted_cut_product_ground(pinning6):
     omega = pinning6.gs.omega
-    rows = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
+    rows = shifted_cut_check(omega, 3, 2)
     assert all(alpha <= cap + 1e-10 for _, alpha, cap in rows)
 
 
 def test_shifted_cut_entangled_models(aklt6p, parent632):
     for model in (aklt6p, parent632):
         omega = model.gs.omega
-        rows = shifted_cut_check(omega, CutSpec.contiguous(3), 2)
+        rows = shifted_cut_check(omega, 3, 2)
         assert all(alpha <= cap + 1e-10 for _, alpha, cap in rows), model.label
 
 
 def test_shifted_cut_out_of_range(parent632):
     omega = parent632.gs.omega
     with pytest.raises(ValidationError):
-        shifted_cut_check(omega, CutSpec.contiguous(1), 2)
+        shifted_cut_check(omega, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,7 @@ def test_tail_chain_inequality(unique_1d):
         if model.a.g != 2:
             continue
         omega = model.gs.omega
-        cut = CutSpec.contiguous(model.h.sites.n // 2)
+        cut = model.h.sites.n // 2
         data = schmidt(omega, cut)
         mu, _, _ = max_product_overlap(omega, cut)
         delta = 1.0 - dl_bound(model.gs.gap, 2.0)

@@ -85,18 +85,18 @@ def test_local_term_validation():
 
 def test_projectorize_keeps_existing_projector():
     h = chain_spec(2, 2, (LocalTerm((0,), EXCITED),))
-    out, report = projectorize(h, 1e-12)
+    out, max_term_norm = projectorize(h)
     assert out.terms[0].is_projector
     assert np.allclose(out.terms[0].matrix, EXCITED, atol=1e-14)
-    assert report.max_term_norm == pytest.approx(1.0)
+    assert max_term_norm == pytest.approx(1.0)
 
 
 def test_projectorize_rescales_bounded_term():
     h = chain_spec(2, 2, (LocalTerm((0,), 2 * EXCITED),))
-    out, report = projectorize(h, 1e-12)
+    out, max_term_norm = projectorize(h)
     assert np.allclose(out.terms[0].matrix, EXCITED, atol=1e-14)
-    assert report.max_term_norm == pytest.approx(2.0)
-    assert 1.0 / report.max_term_norm == pytest.approx(0.5)
+    assert max_term_norm == pytest.approx(2.0)
+    assert 1.0 / max_term_norm == pytest.approx(0.5)
 
 
 def test_projectorize_heisenberg_exchange_gives_singlet_projector():
@@ -105,7 +105,7 @@ def test_projectorize_heisenberg_exchange_gives_singlet_projector():
     sz = np.diag([1.0, -1.0]) / 2
     exchange = 0.25 * np.eye(4) - (np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz))
     h = chain_spec(2, 2, (LocalTerm((0, 1), exchange),))
-    out, _ = projectorize(h, 1e-12)
+    out, _ = projectorize(h)
     # oracle: eigendecomposition of the 4x4 exchange term
     evals, evecs = np.linalg.eigh(exchange)
     expected = evecs[:, evals > 1e-12] @ evecs[:, evals > 1e-12].conj().T
@@ -117,12 +117,12 @@ def test_projectorize_heisenberg_exchange_gives_singlet_projector():
 def test_projectorize_rejects_zero_term():
     h = chain_spec(2, 2, (LocalTerm((0,), np.zeros((2, 2))),))
     with pytest.raises(ValidationError, match="term 0"):
-        projectorize(h, 1e-12)
+        projectorize(h)
 
 
 def test_projectorize_idempotent(corpus):
     for model in corpus:
-        again, _ = projectorize(model.h, 1e-12)
+        again, _ = projectorize(model.h)
         for orig, redo in zip(model.h.terms, again.terms):
             assert np.abs(orig.matrix - redo.matrix).max() < 1e-12
 
@@ -134,10 +134,10 @@ def test_gap_rescaling_bound_scaled_projectors():
                   for t, c in zip(base.terms, coeffs))
     h = HamiltonianSpec(base.sites, terms)
     tau = _first_gap(dense_hamiltonian(h))
-    proj, report = projectorize(h, 1e-12)
-    assert report.max_term_norm == pytest.approx(3.0)
+    proj, max_term_norm = projectorize(h)
+    assert max_term_norm == pytest.approx(3.0)
     eps = _first_gap(dense_hamiltonian(proj))
-    assert eps >= tau / report.max_term_norm - 1e-9
+    assert eps >= tau / max_term_norm - 1e-9
 
 
 def test_gap_rescaling_bound_spread_spectra():
@@ -153,9 +153,9 @@ def test_gap_rescaling_bound_spread_spectra():
         terms.append(LocalTerm(t.support, (mat + mat.conj().T) / 2))
     h = HamiltonianSpec(base.sites, tuple(terms))
     tau = _first_gap(dense_hamiltonian(h))
-    proj, report = projectorize(h, 1e-12)
+    proj, max_term_norm = projectorize(h)
     eps = _first_gap(dense_hamiltonian(proj))
-    assert eps >= tau / report.max_term_norm - 1e-9
+    assert eps >= tau / max_term_norm - 1e-9
     for orig, redo in zip(base.terms, proj.terms):
         assert np.abs(orig.matrix - redo.matrix).max() < 1e-10
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import dl_lab.cli as cli
 from dl_lab import correlations, entanglement, models, runner, states
-from dl_lab.entanglement import CutSpec
 from dl_lab.errors import ConvergenceError, ValidationError
 from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry, \
     custom_geometry, torus_geometry
@@ -262,7 +262,7 @@ def test_dense_verify_diagonalizes_once(tmp_path, monkeypatch):
 ], ids=["parent-random-6", "aklt-6-ring"])
 def test_verify_measures_the_cut_once(tmp_path, monkeypatch, model, at_cut, densities,
                                       entropies):
-    cut = CutSpec.contiguous(3)
+    cut = 3
     calls = {"cut_matrix": 0, "reduced_density": 0, "subset_entropy": 0}
     cut_matrix = entanglement.cut_matrix
     reduced_density, subset_entropy = entanglement.reduced_density, entanglement.subset_entropy
@@ -813,6 +813,105 @@ def test_cli_gap_fuzzed_parameters_exit_zero_or_two(parameters):
         assert code == 2, parameters
     if code == 2:
         assert any(f"'parameters.{key}'" in err.getvalue() for key in parameters), err.getvalue()
+
+
+@pytest.mark.parametrize("update, field", [
+    ({"paramters": {"count": 3}}, "paramters"),
+    ({"outptu": {"format": "csv"}}, "outptu"),
+    ({"output": {"format": "structured", "fromat": "csv"}}, "output.fromat"),
+    ({"schema_version": 7}, "schema_version"),
+    ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
+    # the path used to win, and aklt(4) was dropped without a word; a None path is set to a
+    # pinning(4) model file
+    ({"model": {"name": "aklt", "parameters": {"n": 4}, "path": None}}, "model.name"),
+    ({"model": {"path": None, "parameters": {"n": 4}}}, "model.parameters"),
+    ({"model": {"name": "pinning", "parameters": {"n": 4}, "expect": {"gap": 1.0}}},
+     "model.expect"),
+], ids=["top-level", "output-section", "output-key", "schema-version", "schema-version-bool",
+        "schema-version-float", "name-and-path", "path-with-parameters", "model-key"])
+def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys, update, field):
+    # each used to be ignored: the run went on with defaults and exited 0
+    model_path = str(tmp_path / "pinning4.json")
+    save_hamiltonian(model_path, build_model(ModelDescriptor.make("pinning", n=4)))
+    doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
+           "command": "gap", **update}
+    if "path" in doc["model"]:
+        doc["model"] = {**doc["model"], "path": model_path}
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["gap", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out" / "report.json"))
+
+
+# Small models for the run-parameter fuzz.  parent-random(3,3,2,0) is a valid chain on which
+# correlation-decay fails its slope test, so verify exits 1 there with a failing record
+_FUZZ_SMALL_MODELS = (
+    {"name": "pinning", "parameters": {"n": 3}},
+    {"name": "heisenberg-ferro", "parameters": {"n": 3}},
+    {"name": "heisenberg-ferro", "parameters": {"n": 4, "periodic": True}},
+    {"name": "aklt", "parameters": {"n": 3}},
+    {"name": "aklt", "parameters": {"n": 4, "periodic": True}},
+    {"name": "toric-code", "parameters": {"lx": 2, "ly": 2}},
+    {"name": "parent-random", "parameters": {"n": 4, "d": 2, "bond": 1, "seed": 0}},
+    {"name": "parent-random", "parameters": {"n": 3, "d": 3, "bond": 2, "seed": 0}},
+)
+_MISSPELT_KEYS = ("paramters", "outptu", "schema", "model.paramters", "model.expect",
+                  "output.fromat", "output.directory")
+
+
+@st.composite
+def _fuzzed_run_config(draw):
+    """A run config with either a fuzzed model section (every bundled family, each size in
+    [-2, 3], through gap or verify) or a fuzzed run-parameter set (a small model, any
+    command), and in one case of four a misspelt key, returned as (doc, the key or None)."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(models.MODELS)))
+        schema = models.MODELS[name][1]
+        optional = {key: st.booleans() if kind is bool else st.integers(-2, 3)
+                    for key, (kind, *_) in schema.items()}
+        model = {"name": name, "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
+        command, parameters = draw(st.sampled_from(["gap", "verify"])), {}
+    else:
+        model = draw(st.sampled_from(_FUZZ_SMALL_MODELS))
+        command = draw(st.sampled_from(runner.COMMANDS))
+        values = st.one_of(st.integers(-1, 6), st.sampled_from(["sz", "sx", "number", "s"]),
+                           st.lists(st.integers(0, 4), max_size=3), st.booleans())
+        parameters = draw(st.dictionaries(st.sampled_from(sorted(RUN_PARAMETERS)), values,
+                                          max_size=3))
+    doc = {"schema_version": 1, "model": json.loads(json.dumps(model)), "command": command,
+           "parameters": parameters, "output": {"format": draw(st.sampled_from(runner.FORMATS))}}
+    misspelt = draw(st.sampled_from(_MISSPELT_KEYS)) if draw(st.integers(0, 3)) == 0 else None
+    if misspelt is not None:
+        *section, key = misspelt.split(".")
+        (doc[section[0]] if section else doc)[key] = 1
+    return doc, misspelt
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_fuzzed_run_config())
+def test_cli_fuzzed_run_config_exit_status(case):
+    # exit 0, 1 or 2 and never an uncaught exception; exit 1 only with a failing record in
+    # report.json, and a misspelt key always refused by name
+    doc, misspelt = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"DL_LAB_MAX_DIM": "256"}):
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([doc["command"], "--config", path, "--out",
+                             os.path.join(tmp, "out"), "--quiet"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            with open(os.path.join(tmp, "out", "report.json")) as handle:
+                statuses = [check["status"] for check in json.load(handle)["checks"]]
+            assert "fail" in statuses, doc
+    if misspelt is not None:
+        assert code == 2 and f"'{misspelt}'" in err.getvalue(), (doc, err.getvalue())
 
 
 def _schemas_run_parameter_rows() -> dict:

@@ -83,7 +83,7 @@ def test_expected_facts_hold(corpus):
             gs = ground_space(h, spectrum(h))
         else:
             gs = model.gs
-        facts = descriptor.expected_facts
+        facts = dict(descriptor.expected)
         if "degeneracy" in facts:
             assert gs.degeneracy == facts["degeneracy"], descriptor.label()
         if "gap" in facts:
