@@ -6,7 +6,7 @@ import sys
 
 from .errors import DLLabError, ValidationError
 from .io import save_hamiltonian
-from .models import ModelDescriptor, build_model
+from .models import build_model, descriptor_from_document
 from .runner import COMMANDS, FORMATS, emit_report, list_models, load_config, run
 
 
@@ -58,7 +58,9 @@ def _model_main(args) -> int:
             return 2
         key, _, raw = item.partition("=")
         params[key] = _parse_value(raw)
-    save_hamiltonian(args.out, build_model(ModelDescriptor.make(args.name, **params)))
+    # as a config's model section, so that --set name=... is refused as a model parameter
+    descriptor = descriptor_from_document({"name": args.name, "parameters": params})
+    save_hamiltonian(args.out, build_model(descriptor))
     print(f"wrote {args.out}")
     return 0
 

@@ -6,6 +6,9 @@ state, so repeated layer applications act locally.  That gives exact
 absorption identities, an exact rewriting of two-point functions, a window
 measurement distinguishing the ground state from its disentangled version,
 and the entropy gap that distinguishability forces.
+
+Each function that reads A takes the DLOperator alone: its Hamiltonian is a.h
+and its term order a.layer_order, the one order in which A is applied.
 """
 from __future__ import annotations
 
@@ -14,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dl import DLOperator, application_layers
+from .dl import DLOperator
 from .entanglement import cut_matrix, density_entropy, reduced_density
 from .errors import ValidationError
-from .hamiltonian import (HamiltonianSpec, LayerPartition, LocalTerm, SiteSpace,
-                          custom_geometry)
+from .hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, custom_geometry
 from .states import GroundSpaceData, StateVector, apply_term_array, ground_kernel
 
 
@@ -63,20 +65,19 @@ class CausalityCone:
     clusters: tuple[frozenset[int], ...]  # site cluster after each depth
 
 
-def causality_cone(h: HamiltonianSpec, part: LayerPartition, seed, l: int) -> CausalityCone:
-    """Grow the cone of a seed support through l rounds of layer applications."""
+def causality_cone(a: DLOperator, seed, l: int) -> CausalityCone:
+    """Grow the cone of a seed support through l rounds of A's layer applications."""
     seed = tuple(int(s) for s in seed)
     if not seed:
         raise ValidationError("the seed support must be non-empty")
     if l < 1:
         raise ValidationError("need at least one round")
-    order = application_layers(h, part)
-    layers = order * l
+    layers = a.layer_order * l
     cluster: set[int] = set(seed)
     inside: list[frozenset[int]] = []
     clusters: list[frozenset[int]] = []
     for depth_terms in layers:
-        inside.append(_grow_cone(h, depth_terms, cluster))
+        inside.append(_grow_cone(a.h, depth_terms, cluster))
         clusters.append(frozenset(cluster))
     return CausalityCone(l, layers, tuple(inside), tuple(clusters))
 
@@ -88,13 +89,13 @@ def _grow_cone(h: HamiltonianSpec, depth_terms, cluster: set[int]) -> frozenset[
     return members
 
 
-def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData,
-                          b: ObservableSpec, l: int) -> float:
+def cone_absorption_check(a: DLOperator, gs: GroundSpaceData, b: ObservableSpec,
+                          l: int) -> float:
     """Max over ground vectors of || A^l B w - Cone_l(B) B w ||, all of them as one batch."""
-    cone = causality_cone(h, a.partition, b.support, l)
+    cone = causality_cone(a, b.support, l)
     inside = [idx for depth, depth_terms in enumerate(cone.layers)
               for idx in depth_terms if idx in cone.inside[depth]]
-    seeded = apply_term_array(b.matrix, b.support, gs.basis, h.sites.n, h.sites.d)
+    seeded = apply_term_array(b.matrix, b.support, gs.basis, a.h.sites.n, a.h.sites.d)
     full = seeded
     for _ in range(l):
         full = a.apply_array(full)
@@ -105,6 +106,12 @@ def cone_absorption_check(h: HamiltonianSpec, a: DLOperator, gs: GroundSpaceData
 def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
                           y: ObservableSpec) -> complex:
     """<XY> - <X><Y> in the unique ground state."""
+    return _correlation_parts(gs, x, y)[0]
+
+
+def _correlation_parts(gs: GroundSpaceData, x: ObservableSpec,
+                       y: ObservableSpec) -> tuple[complex, StateVector, complex]:
+    """<XY> - <X><Y>, with the Y|omega> and <XY> it is built from."""
     if gs.degeneracy != 1:
         raise ValidationError("connected correlations need a unique ground state")
     omega = gs.omega
@@ -118,7 +125,7 @@ def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
             raise ValidationError(
                 f"expected a real correlation for disjoint supports, got {value:g}"
             )
-    return value
+    return value, y_omega, xy
 
 
 @dataclass(frozen=True)
@@ -132,52 +139,49 @@ class DecayProfile:
     identity_deviation: float
 
 
-def decay_profile(h: HamiltonianSpec, gs: GroundSpaceData, x: ObservableSpec,
-                  y_family, a: DLOperator) -> DecayProfile:
+def decay_profile(a: DLOperator, gs: GroundSpaceData, x: ObservableSpec,
+                  y_family) -> DecayProfile:
     """Correlation decay table plus the exact cone rewriting of <X A^l Y>."""
     omega = gs.omega
-    distances = [support_distance(h, x.support, y.support) for y in y_family]
+    distances = [support_distance(a.h, x.support, y.support) for y in y_family]
     if any(m2 <= m1 for m1, m2 in zip(distances, distances[1:])):
         raise ValidationError("observable distances must be strictly increasing")
     rows = []
     identity_rounds = []
     identity_dev = 0.0
     for y, dist in zip(y_family, distances):
-        corr = abs(connected_correlation(gs, x, y))
+        value, y_omega, xy = _correlation_parts(gs, x, y)
+        corr = abs(value)
         rows.append((dist, corr, corr / (x.norm * y.norm)))
-        rounds = _max_excluding_rounds(h, a.partition, y.support, x.support)
+        rounds = _max_excluding_rounds(a, y.support, x.support)
+        identity_rounds.append(rounds)
         if rounds >= 1:
-            identity_rounds.append(rounds)
-            y_omega = y.apply(omega).amplitudes
+            evolved = y_omega.amplitudes
             for _ in range(rounds):
-                y_omega = a.apply_array(y_omega)
-            lhs = np.vdot(omega.amplitudes, x.apply(StateVector(y_omega, omega.sites)).amplitudes)
-            xy = omega.inner(x.apply(y.apply(omega)))
+                evolved = a.apply_array(evolved)
+            lhs = np.vdot(omega.amplitudes, x.apply(StateVector(evolved, omega.sites)).amplitudes)
             identity_dev = max(identity_dev, abs(lhs - xy))
-        else:
-            identity_rounds.append(0)
     usable = [(m, norm) for m, _, norm in rows if norm > 1e-13]  # above the noise floor
+    slope = None
     if len(usable) >= 2:
-        ms = np.array([m for m, _ in usable], dtype=float)
-        logs = np.log(np.array([c for _, c in usable]))
-        slope, _ = np.polyfit(ms, logs, 1)
-        return DecayProfile(tuple(rows), float(slope), False, tuple(identity_rounds),
-                            float(identity_dev))
-    return DecayProfile(tuple(rows), None, True, tuple(identity_rounds), float(identity_dev))
+        ms, norms = np.array(usable).T
+        slope = float(np.polyfit(ms, np.log(norms), 1)[0])
+    return DecayProfile(tuple(rows), slope, slope is None, tuple(identity_rounds),
+                        float(identity_dev))
 
 
-def _max_excluding_rounds(h: HamiltonianSpec, part: LayerPartition, seed, avoid) -> int:
+def _max_excluding_rounds(a: DLOperator, seed, avoid) -> int:
     """Largest round count, at most 64, whose cone around `seed` stays clear of `avoid`, from
     one cone grown a round at a time: its cluster after r rounds is causality_cone's for l = r."""
-    order, cluster, avoid = application_layers(h, part), set(seed), set(avoid)
+    cluster, avoid = set(seed), set(avoid)
     best = 0
     for rounds in range(1, 65):
-        for depth_terms in order:
-            _grow_cone(h, depth_terms, cluster)
+        for depth_terms in a.layer_order:
+            _grow_cone(a.h, depth_terms, cluster)
         if cluster & avoid:
             break
         best = rounds
-        if len(cluster) == h.sites.n:
+        if len(cluster) == a.h.sites.n:
             break
     return best
 
@@ -220,9 +224,8 @@ def window_kernel(h: HamiltonianSpec, window: tuple[int, ...]) -> np.ndarray:
                                                    custom_geometry(())), inner))
 
 
-def distinguishing_measurement(h: HamiltonianSpec, cut: int, l: int, gs: GroundSpaceData,
-                               a: DLOperator, overlap: float,
-                               window_entropy: float) -> MeasurementCheck:
+def distinguishing_measurement(a: DLOperator, cut: int, l: int, gs: GroundSpaceData,
+                               overlap: float, window_entropy: float) -> MeasurementCheck:
     """Build the window measurement and measure its distinguishing probability.
 
     overlap is the largest product-state overlap of the ground state at the cut, and
@@ -232,11 +235,11 @@ def distinguishing_measurement(h: HamiltonianSpec, cut: int, l: int, gs: GroundS
     """
     if gs.degeneracy != 1:
         raise ValidationError("the measurement pipeline needs a unique ground state")
-    window = _window_sites(h, cut, l)
+    window = _window_sites(a.h, cut, l)
     omega = gs.omega
-    d = h.sites.d
+    d = a.h.sites.d
 
-    basis = window_kernel(h, window)
+    basis = window_kernel(a.h, window)
     # B^dag on the window axes of a state folded as (d^(cut-l), d^(2l), rest)
     restrict = lambda arr: basis.conj().T @ arr.reshape(d ** (cut - l), d ** (2 * l), -1)
     trace_ground = float(np.linalg.norm(restrict(omega.amplitudes)) ** 2)

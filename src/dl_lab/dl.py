@@ -18,24 +18,13 @@ from .hamiltonian import HamiltonianSpec, LayerPartition, partition_layers
 from .states import GroundSpaceData, StateVector, apply_term_array, restricted_norm
 
 
-def canonical_layer_order(h: HamiltonianSpec, layer: tuple[int, ...]) -> tuple[int, ...]:
-    """Deterministic in-layer order: ascending leftmost support site."""
-    return tuple(sorted(layer, key=lambda idx: (min(h.terms[idx].support), idx)))
-
-
-def application_layers(h: HamiltonianSpec, partition: LayerPartition) -> tuple[tuple[int, ...], ...]:
-    """Layers in the order they hit the state, first-applied first.
-
-    The layer holding the first term is applied last, which on a two-layer
-    chain reproduces the ordering the pyramid reordering assumes.
-    """
-    return tuple(canonical_layer_order(h, layer) for layer in reversed(partition.layers))
-
-
 @dataclass(frozen=True)
 class DLOperator:
     """Product of per-layer complement projectors P_i = 1 - Q_i.
 
+    The operator owns its term order: layer_order, built once by dl_operator, is
+    the order in which the terms hit a state, and every reading of A (its
+    applications, the causality cone, the pyramid reordering) follows it.
     f_value is the constant f of the contraction bound (eps/f + 1)^(-1/3):
     None for a single layer, which projects exactly; 2 on a two-layer
     nearest-neighbor chain; the crude (g-1) k^g otherwise.
@@ -79,6 +68,11 @@ def dl_operator(h: HamiltonianSpec) -> DLOperator:
     if not h.all_projectors():
         raise ValidationError("the DL operator needs projector terms; run projectorize first")
     part = partition_layers(h)
+    # first-applied first: the layer holding the first term is applied last, which on a
+    # two-layer chain is the order the pyramid reordering assumes; within a layer, by
+    # ascending leftmost support site
+    order = tuple(tuple(sorted(layer, key=lambda idx: (min(h.terms[idx].support), idx)))
+                  for layer in reversed(part.layers))
     complements = tuple(np.eye(t.matrix.shape[0]) - t.matrix for t in h.terms)
     if part.g == 1:
         f_value = None
@@ -86,7 +80,7 @@ def dl_operator(h: HamiltonianSpec) -> DLOperator:
         f_value = 2.0
     else:
         f_value = float(part.g - 1) * float(h.max_k) ** part.g
-    return DLOperator(h, part, application_layers(h, part), complements, f_value)
+    return DLOperator(h, part, order, complements, f_value)
 
 
 def dl_bound(epsilon: float, f: float | None) -> float:
@@ -122,16 +116,15 @@ def measure_shrinkage(a: DLOperator, gs: GroundSpaceData) -> float:
 class PyramidDecomposition:
     """Reordering of A into triples plus a commuting remainder.
 
-    Pyramid triples and the remainder are tuples of chain positions
-    (1-based along the chain); applied right to left they reproduce A.
+    Pyramid triples and the remainder are tuples of chain positions (1-based
+    along the chain); applied right to left they reproduce A.  order holds the
+    term indices in that application order: the remainder first, then the
+    triples right to left, each triple right to left.
     """
 
-    variant: str  # "primary" or "shifted"
     pyramids: tuple[tuple[int, ...], ...]
     remainder: tuple[int, ...]
-
-    def all_positions(self) -> tuple[int, ...]:
-        return tuple(p for triple in self.pyramids for p in triple) + self.remainder
+    order: tuple[int, ...]
 
 
 def _chain_positions(a: DLOperator) -> dict[int, int]:
@@ -174,38 +167,22 @@ def pyramid_decompose(a: DLOperator) -> tuple[PyramidDecomposition, PyramidDecom
     m = max(positions)
 
     def covering(variant: str, start: int) -> PyramidDecomposition:
-        pyramids = []
-        covered: set[int] = set()
-        if variant == "shifted":
-            pyramids.append((1,))
-            covered.add(1)
-        i = start
-        while i <= m:
-            triple = tuple(p for p in (i, i + 2, i + 1) if p <= m)
-            pyramids.append(triple)
-            covered.update(triple)
-            i += 4
+        pyramids = [(1,)] if variant == "shifted" else []
+        pyramids += [tuple(p for p in (i, i + 2, i + 1) if p <= m) for i in range(start, m + 1, 4)]
+        covered = {p for triple in pyramids for p in triple}
         remainder = tuple(p for p in range(1, m + 1) if p not in covered)
-        return PyramidDecomposition(variant, tuple(pyramids), remainder)
+        seq = remainder + tuple(p for triple in reversed(pyramids) for p in reversed(triple))
+        if sorted(seq) != list(range(1, m + 1)):
+            raise ValidationError(f"{variant} covering does not partition the bonds")
+        return PyramidDecomposition(tuple(pyramids), remainder, tuple(positions[p] for p in seq))
 
-    primary = covering("primary", 1)
-    shifted = covering("shifted", 3)
-    for dec in (primary, shifted):
-        if sorted(dec.all_positions()) != list(range(1, m + 1)):
-            raise ValidationError(f"{dec.variant} covering does not partition the bonds")
-    return primary, shifted
+    return covering("primary", 1), covering("shifted", 3)
 
 
 def apply_pyramids(a: DLOperator, decomposition: PyramidDecomposition,
                    psi: StateVector) -> StateVector:
     """Evaluate Delta_1 ... Delta_M R |psi> (remainder applied first)."""
-    positions = _chain_positions(a)
-    # applications from first to last: remainder, then pyramids right to left,
-    # each triple applied right to left
-    seq = list(decomposition.remainder)
-    for triple in reversed(decomposition.pyramids):
-        seq.extend(triple[::-1])
-    return StateVector(a.apply_terms((positions[p] for p in seq), psi.amplitudes), psi.sites)
+    return StateVector(a.apply_terms(decomposition.order, psi.amplitudes), psi.sites)
 
 
 # ---------------------------------------------------------------------------

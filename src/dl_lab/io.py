@@ -55,6 +55,22 @@ def _encode(obj, out: list[str]) -> None:
         raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
+def refuse_unknown_keys(doc: dict, known, prefix: str) -> None:
+    """ValidationError naming prefix + the first key of doc that known does not hold."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError(f"field '{prefix}{unknown[0]}': unknown key; "
+                              f"expected one of {sorted(known)}")
+
+
+def check_schema_version(doc: dict) -> None:
+    """ValidationError unless doc's schema_version, where present, is the integer 1."""
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"field 'schema_version': expected {SCHEMA_VERSION}, "
+                              f"got {version!r}")
+
+
 def dumps_document(doc: dict) -> str:
     out: list[str] = []
     _encode(doc, out)
@@ -146,18 +162,22 @@ def _field(doc, key: str, path: str, kind: type | None = None, item: type | None
 
 
 def geometry_from_document(doc: dict) -> Geometry:
+    """The geometry of doc, which holds only the keys its kind writes (geometry_to_document)."""
     kind = _field(doc, "kind", "sites.geometry.kind")
     if kind == "torus-2d":
-        return Geometry(kind, lx=_field(doc, "lx", "sites.geometry.lx", int),
-                        ly=_field(doc, "ly", "sites.geometry.ly", int))
-    if kind == "custom-adjacency":
+        geometry = Geometry(kind, lx=_field(doc, "lx", "sites.geometry.lx", int),
+                            ly=_field(doc, "ly", "sites.geometry.ly", int))
+    elif kind == "custom-adjacency":
         edges = _field(doc, "edges", "sites.geometry.edges", list)
         if any(type(e) is not list or len(e) != 2 or any(type(s) is not int for s in e)
                for e in edges):
             raise ValidationError("hamiltonian field 'sites.geometry.edges': expected a list "
                                   f"of [a, b] integer pairs, got {edges!r}")
-        return Geometry(kind, edges=tuple((a, b) for a, b in edges))
-    return Geometry(kind)
+        geometry = Geometry(kind, edges=tuple((a, b) for a, b in edges))
+    else:
+        geometry = Geometry(kind)
+    refuse_unknown_keys(doc, geometry_to_document(geometry), "sites.geometry.")
+    return geometry
 
 
 def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
@@ -177,15 +197,23 @@ def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
 
 
 def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
+    """The Hamiltonian of doc, which holds only the keys hamiltonian_to_document writes;
+    schema_version and kind may be left out.  Each term's is_projector is derived."""
     sites_doc = _field(doc, "sites", "sites")
     terms_doc = _field(doc, "terms", "terms", list)
+    refuse_unknown_keys(doc, ("schema_version", "kind", "sites", "terms"), "")
+    check_schema_version(doc)
+    if doc.get("kind", "hamiltonian") != "hamiltonian":
+        raise ValidationError(f"field 'kind': expected 'hamiltonian', got {doc['kind']!r}")
     sites = SiteSpace(_field(sites_doc, "n", "sites.n", int),
                       _field(sites_doc, "d", "sites.d", int),
                       geometry_from_document(_field(sites_doc, "geometry", "sites.geometry")))
+    refuse_unknown_keys(sites_doc, ("n", "d", "geometry"), "sites.")
     terms = []
     for i, term_doc in enumerate(terms_doc):
         path = f"terms[{i}].matrix"
         matrix = _matrix_from_rows(_field(term_doc, "matrix", path), path)
+        refuse_unknown_keys(term_doc, ("support", "matrix"), f"terms[{i}].")
         support = _field(term_doc, "support", f"terms[{i}].support", list, int)
         if not support:
             raise ValidationError(f"hamiltonian field 'terms[{i}].support': a term needs at "

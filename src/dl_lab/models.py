@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
                           chain_geometry, torus_geometry)
+from .io import refuse_unknown_keys
 from .states import StateVector, check_dim
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -121,14 +122,6 @@ def check_parameters(values: dict, schema: dict, field: str, n: int | None = Non
             expected = f"one of {list(low)}" if kind is str else _TYPE_NAMES[kind] + bounds
             raise ValidationError(f"field '{field}.{key}': expected {expected}, got {value!r}")
     return resolved
-
-
-def refuse_unknown_keys(doc: dict, known, prefix: str) -> None:
-    """ValidationError naming prefix + the first key of doc that known does not hold."""
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValidationError(f"field '{prefix}{unknown[0]}': unknown key; "
-                              f"expected one of {sorted(known)}")
 
 
 def _admits(kind: type, low, high, value) -> bool:

@@ -31,11 +31,10 @@ from .entanglement import (SchmidtData, area_law_certificate, rank_growth, schmi
                            tail_bound_check)
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
-from .io import (SCHEMA_VERSION, atomic_write_text, dumps_document, loads_document,
-                 load_hamiltonian, read_text, write_csv)
+from .io import (atomic_write_text, check_schema_version, dumps_document, loads_document,
+                 load_hamiltonian, read_text, refuse_unknown_keys, write_csv)
 from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
-                     check_parameters, descriptor_from_document, refuse_unknown_keys,
-                     site_observable)
+                     check_parameters, descriptor_from_document, site_observable)
 from .states import (GroundSpaceData, SpectrumData, StateVector, check_dim,
                      gaussian_filter_deviation, ground_space, product_state, random_state,
                      single_blas_pool, spectrum)
@@ -148,10 +147,7 @@ class RunConfig:
                                   f"got {type(doc).__name__}")
         refuse_unknown_keys(doc, ("schema_version", "model", "command", "parameters", "output"),
                             "")
-        version = doc.get("schema_version", SCHEMA_VERSION)
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ValidationError(f"field 'schema_version': expected {SCHEMA_VERSION}, "
-                                  f"got {version!r}")
+        check_schema_version(doc)
         command = doc.get("command")
         if command not in COMMANDS:
             raise ValidationError(f"field 'command': unknown command {command!r}; "
@@ -489,7 +485,7 @@ def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]
 
 def _step_correlate(ctx: _Context) -> None:
     x, family = _default_family(ctx)
-    profile = decay_profile(ctx.h, ctx.gs, x, family, ctx.a)
+    profile = decay_profile(ctx.a, ctx.gs, x, family)
     ctx.add(bounded_record("correlation-identity", "correlation-identity",
                            profile.identity_deviation, 0.0, 1e-12))
     if profile.fit_skipped:
@@ -505,7 +501,7 @@ def _step_correlate(ctx: _Context) -> None:
 
 
 def _step_measurecheck(ctx: _Context) -> None:
-    check = distinguishing_measurement(ctx.h, ctx.p["cut"], ctx.window, ctx.gs, ctx.a, ctx.overlap,
+    check = distinguishing_measurement(ctx.a, ctx.p["cut"], ctx.window, ctx.gs, ctx.overlap,
                                        ctx.window_entropy)
     ctx.add(bounded_record("measurement-ground-trace", "distinguishing-measurement",
                            abs(check.trace_ground - 1.0), 0.0, 1e-10))
@@ -526,7 +522,7 @@ def _step_measurecheck(ctx: _Context) -> None:
 
 def _step_cone(ctx: _Context) -> None:
     b = ObservableSpec((ctx.p["cone_site"],), site_observable("sx", ctx.h.sites.d))
-    dev = cone_absorption_check(ctx.h, ctx.a, ctx.gs, b, ctx.p["cone_rounds"])
+    dev = cone_absorption_check(ctx.a, ctx.gs, b, ctx.p["cone_rounds"])
     ctx.add(bounded_record("cone-absorption", "cone-absorption", dev, 0.0, 1e-12))
 
 

@@ -225,7 +225,7 @@ def sample_feasible_step_distribution(bigD: int, bigK: float, theta: float,
     return arr / arr.sum()
 
 
-def max_excluding_rounds(h, part, seed, avoid, cap: int = 64) -> int:
+def max_excluding_rounds(a, seed, avoid, cap: int = 64) -> int:
     """Largest round count whose cone around `seed` stays clear of `avoid`.
 
     A fresh causality_cone is grown for every round count from 1 up, so the
@@ -234,11 +234,11 @@ def max_excluding_rounds(h, part, seed, avoid, cap: int = 64) -> int:
     """
     best = 0
     for rounds in range(1, cap + 1):
-        cone = causality_cone(h, part, seed, rounds)
+        cone = causality_cone(a, seed, rounds)
         if cone.clusters[-1] & set(avoid):
             break
         best = rounds
-        if len(cone.clusters[-1]) == h.sites.n:
+        if len(cone.clusters[-1]) == a.h.sites.n:
             break
     return best
 

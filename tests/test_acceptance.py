@@ -213,13 +213,13 @@ def test_c10_cone_absorption_and_identity(corpus, unique_1d):
     for model in corpus:
         b = _observable(model, "sx", model.h.sites.n // 2)
         for rounds in (1, 2):
-            ok &= cone_absorption_check(model.h, model.a, model.gs, b, rounds) <= 1e-12
+            ok &= cone_absorption_check(model.a, model.gs, b, rounds) <= 1e-12
     for model in unique_1d:
         x = _observable(model, "sz", 0)
         n = model.h.sites.n
         max_m = n // 2 if model.h.sites.geometry.kind == "chain-periodic" else n - 1
         family = [_observable(model, "sz", m) for m in range(1, min(max_m, 5) + 1)]
-        profile = decay_profile(model.h, model.gs, x, family, a=model.a)
+        profile = decay_profile(model.a, model.gs, x, family)
         ok &= profile.identity_deviation <= 1e-12
         ok &= any(r >= 1 for r in profile.identity_rounds)
     _criterion(10, "out-of-cone projectors absorb exactly; correlations rewrite", ok)
@@ -233,12 +233,12 @@ def test_c11_correlation_decay(aklt12, parent632, parent821):
     ok &= gs.degeneracy == 1
     x = ObservableSpec((0,), site_observable("sz", 3))
     family = [ObservableSpec((m,), site_observable("sz", 3)) for m in range(1, 6)]
-    profile = decay_profile(h, gs, x, family, a=dl_operator(h))
+    profile = decay_profile(dl_operator(h), gs, x, family)
     ok &= not profile.fit_skipped and profile.fitted_rate < 0
 
     x6 = _observable(parent632, "sz", 0)
     family6 = [_observable(parent632, "sz", m) for m in range(1, 6)]
-    profile6 = decay_profile(parent632.h, parent632.gs, x6, family6, a=parent632.a)
+    profile6 = decay_profile(parent632.a, parent632.gs, x6, family6)
     ok &= not profile6.fit_skipped and profile6.fitted_rate < 0
 
     xp = _observable(parent821, "sz", 0)
@@ -254,8 +254,8 @@ def test_c12_distinguishing_measurement(unique_open):
     ok = True
     hypothesis_exercised = False
     for model in unique_open:
-        check = distinguishing_measurement(model.h, _center_cut(model), 2, gs=model.gs,
-                                           a=model.a, overlap=_center_overlap(model),
+        check = distinguishing_measurement(model.a, _center_cut(model), 2, gs=model.gs,
+                                           overlap=_center_overlap(model),
                                            window_entropy=_center_window_entropy(model))
         ok &= abs(check.trace_ground - 1.0) <= 1e-10
         ok &= check.identity_deviation <= 1e-10
@@ -273,7 +273,7 @@ def test_c13_entropy_gap(unique_open):
     threshold_exercised = False
     for model in unique_open:
         cut = _center_cut(model)
-        measurement = distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a,
+        measurement = distinguishing_measurement(model.a, cut, 2, gs=model.gs,
                                                  overlap=_center_overlap(model),
                                                  window_entropy=_center_window_entropy(model))
         check = entropy_gap_check(measurement)

@@ -12,8 +12,9 @@ from dl_lab.correlations import (ObservableSpec, causality_cone,
                                  decay_profile, distinguishing_measurement,
                                  entropy_gap_check, support_distance)
 from dl_lab.entanglement import max_product_overlap, subset_entropy
+from dl_lab.dl import dl_operator
 from dl_lab.errors import ValidationError
-from dl_lab.hamiltonian import partition_layers, validate_frustration_free
+from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import BUNDLED_MODELS, build_model, site_observable
 from dl_lab.states import DENSE_CUTOFF, GroundSpaceData, random_state, spectrum
 
@@ -30,7 +31,7 @@ def observable(model, name, site):
 # ---------------------------------------------------------------------------
 
 def test_cone_saturates(heis6):
-    cone = causality_cone(heis6.h, heis6.a.partition, (2,), 6)
+    cone = causality_cone(heis6.a, (2,), 6)
     # every term occurs inside the cone in the last of the six rounds
     final_round = cone.inside[-(len(cone.layers) // cone.rounds):]
     assert set().union(*final_round) == set(range(heis6.h.m))
@@ -39,7 +40,7 @@ def test_cone_saturates(heis6):
 def test_cone_one_round_pyramid_shape(heis6):
     # seed on site 3 of the six-site chain: the first-applied (even) layer
     # contributes one term, the second (odd) layer two
-    cone = causality_cone(heis6.h, heis6.a.partition, (3,), 1)
+    cone = causality_cone(heis6.a, (3,), 1)
     assert len(cone.inside[0]) == 1
     assert len(cone.inside[1]) == 2
     assert cone.clusters[0] == frozenset({3, 4})
@@ -47,13 +48,13 @@ def test_cone_one_round_pyramid_shape(heis6):
 
 
 def test_cone_single_layer_never_spreads(pinning6):
-    cone = causality_cone(pinning6.h, pinning6.a.partition, (2,), 4)
+    cone = causality_cone(pinning6.a, (2,), 4)
     for members in cone.inside:
         assert members == frozenset({2})
 
 
 def test_cone_members_monotone_per_round(heis8):
-    cone = causality_cone(heis8.h, heis8.a.partition, (4,), 3)
+    cone = causality_cone(heis8.a, (4,), 3)
     g = heis8.a.g
     for depth in range(g):
         rounds = [cone.inside[depth + r * g] for r in range(3)]
@@ -63,7 +64,7 @@ def test_cone_members_monotone_per_round(heis8):
 
 def test_cone_width_growth_bounded(heis8):
     k, g = 2, heis8.a.g
-    cone = causality_cone(heis8.h, heis8.a.partition, (4,), 3)
+    cone = causality_cone(heis8.a, (4,), 3)
     extents = []
     for r in range(3):
         cluster = cone.clusters[(r + 1) * g - 1]
@@ -74,7 +75,7 @@ def test_cone_width_growth_bounded(heis8):
 
 def test_cone_outside_occurrences_commute_with_seed(heis6):
     b = observable(heis6, "sx", 2)
-    cone = causality_cone(heis6.h, heis6.a.partition, b.support, 2)
+    cone = causality_cone(heis6.a, b.support, 2)
     psi = random_state(heis6.h.sites, 11)
     for depth, layer in enumerate(cone.layers):
         for idx in layer:
@@ -88,7 +89,7 @@ def test_cone_outside_occurrences_commute_with_seed(heis6):
 
 def test_cone_rejects_empty_seed(heis6):
     with pytest.raises(ValidationError):
-        causality_cone(heis6.h, heis6.a.partition, (), 1)
+        causality_cone(heis6.a, (), 1)
 
 
 @pytest.mark.parametrize("descriptor", [desc for desc in BUNDLED_MODELS
@@ -97,12 +98,11 @@ def test_cone_rejects_empty_seed(heis6):
 def test_cone_search_matches_a_fresh_cone_per_round_count(descriptor):
     # decay_profile's round counts come from one cone grown a round at a time; the oracle
     # grows a fresh cone for each count, and both stop at the same conditions
-    h = build_model(descriptor)
-    part = partition_layers(h)
-    for seed in range(h.sites.n):
-        for avoid in range(h.sites.n):
-            assert (correlations._max_excluding_rounds(h, part, (seed,), (avoid,))
-                    == max_excluding_rounds(h, part, (seed,), (avoid,)))
+    a = dl_operator(build_model(descriptor))
+    for seed in range(a.h.sites.n):
+        for avoid in range(a.h.sites.n):
+            assert (correlations._max_excluding_rounds(a, (seed,), (avoid,))
+                    == max_excluding_rounds(a, (seed,), (avoid,)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +111,17 @@ def test_cone_search_matches_a_fresh_cone_per_round_count(descriptor):
 
 def test_absorption_identity_observable(heis6):
     b = ObservableSpec((2,), np.eye(2))
-    assert cone_absorption_check(heis6.h, heis6.a, heis6.gs, b, 2) <= 1e-12
+    assert cone_absorption_check(heis6.a, heis6.gs, b, 2) <= 1e-12
 
 
 def test_absorption_pinning_sigma_x(pinning6):
     b = observable(pinning6, "sx", 1)
-    assert cone_absorption_check(pinning6.h, pinning6.a, pinning6.gs, b, 2) <= 1e-12
+    assert cone_absorption_check(pinning6.a, pinning6.gs, b, 2) <= 1e-12
 
 
 def test_absorption_heisenberg_sigma_z(heis8):
     b = observable(heis8, "sz", 3)
-    assert cone_absorption_check(heis8.h, heis8.a, heis8.gs, b, 1) <= 1e-12
+    assert cone_absorption_check(heis8.a, heis8.gs, b, 1) <= 1e-12
 
 
 def test_every_ground_space_reader_looks_at_every_column(aklt4):
@@ -133,13 +133,13 @@ def test_every_ground_space_reader_looks_at_every_column(aklt4):
     b = observable(aklt4, "sx", 0)  # one round from site 0 leaves the terms on 1-2, 2-3 out
     for gs, low in ((aklt4.gs, True), (tilted, False)):
         assert (validate_frustration_free(aklt4.h, gs).max_residual <= 1e-8) == low
-        assert (cone_absorption_check(aklt4.h, aklt4.a, gs, b, 1) <= 1e-8) == low
+        assert (cone_absorption_check(aklt4.a, gs, b, 1) <= 1e-8) == low
 
 
 def test_absorption_across_corpus(corpus):
     for model in corpus:
         b = observable(model, "sx", model.h.sites.n // 2)
-        dev = cone_absorption_check(model.h, model.a, model.gs, b, 2)
+        dev = cone_absorption_check(model.a, model.gs, b, 2)
         assert dev <= 1e-12, model.label
 
 
@@ -151,7 +151,7 @@ def test_inside_then_outside_factorization(heis8):
     h, a, gs = heis8.h, heis8.a, heis8.gs
     b = observable(heis8, "sz", 4)
     rounds = 2
-    cone = causality_cone(h, a.partition, b.support, rounds)
+    cone = causality_cone(a, b.support, rounds)
     n, d = h.sites.n, h.sites.d
     for omega in gs.basis.T[:3]:
         seeded = apply_term_array(b.matrix, b.support, omega, n, d)
@@ -212,7 +212,7 @@ def test_correlation_needs_unique_ground(heis8):
 def test_decay_profile_product_ground_skips_fit(pinning6):
     x = observable(pinning6, "sz", 0)
     family = [observable(pinning6, "sz", s) for s in (1, 2, 3, 4)]
-    profile = decay_profile(pinning6.h, pinning6.gs, x, family, a=pinning6.a)
+    profile = decay_profile(pinning6.a, pinning6.gs, x, family)
     assert profile.fit_skipped
     assert profile.fitted_rate is None
     assert all(corr <= 1e-12 for _, corr, _ in profile.rows)
@@ -221,7 +221,7 @@ def test_decay_profile_product_ground_skips_fit(pinning6):
 def test_decay_profile_parent_chain(parent632):
     x = observable(parent632, "sz", 0)
     family = [observable(parent632, "sz", s) for s in (1, 2, 3, 4, 5)]
-    profile = decay_profile(parent632.h, parent632.gs, x, family, a=parent632.a)
+    profile = decay_profile(parent632.a, parent632.gs, x, family)
     assert not profile.fit_skipped
     assert profile.fitted_rate < 0
     assert profile.identity_deviation <= 1e-12
@@ -235,7 +235,7 @@ def test_decay_profile_requires_increasing_distances(parent632):
     x = observable(parent632, "sz", 0)
     family = [observable(parent632, "sz", s) for s in (3, 1)]
     with pytest.raises(ValidationError):
-        decay_profile(parent632.h, parent632.gs, x, family, a=parent632.a)
+        decay_profile(parent632.a, parent632.gs, x, family)
 
 
 def test_support_distance_on_ring(aklt6p):
@@ -250,7 +250,7 @@ def test_support_distance_on_ring(aklt6p):
 def _measure(model, cut):
     overlap = max_product_overlap(model.gs.omega, cut)[0]
     entropy = subset_entropy(model.gs.omega, range(cut - 2, cut + 2))
-    return distinguishing_measurement(model.h, cut, 2, gs=model.gs, a=model.a, overlap=overlap,
+    return distinguishing_measurement(model.a, cut, 2, gs=model.gs, overlap=overlap,
                                       window_entropy=entropy)
 
 
@@ -282,8 +282,8 @@ def test_window_measurement_matches_the_dense_projector(unique_open):
         for l in range(1, min(c, n - c) + 1):
             window = tuple(range(c - l, c + l))
             entropy = subset_entropy(model.gs.omega, window)
-            check = distinguishing_measurement(model.h, c, l, gs=model.gs,
-                                               a=model.a, overlap=1.0, window_entropy=entropy)
+            check = distinguishing_measurement(model.a, c, l, gs=model.gs, overlap=1.0,
+                                               window_entropy=entropy)
             proj = dense_window_projector(model.h, window)
             rho_win = block_density(omega, c - l, 2 * l, n, d)
             rho_l, rho_r = block_density(omega, c - l, l, n, d), block_density(omega, c, l, n, d)
@@ -358,14 +358,14 @@ def test_measurement_ground_trace_across_open_corpus(unique_open):
 
 def test_measurement_window_must_fit(parent632):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(parent632.h, 1, 2, gs=parent632.gs,
-                                   a=parent632.a, overlap=1.0, window_entropy=0.0)
+        distinguishing_measurement(parent632.a, 1, 2, gs=parent632.gs, overlap=1.0,
+                                   window_entropy=0.0)
 
 
 def test_measurement_rejects_rings(aklt6p):
     with pytest.raises(ValidationError):
-        distinguishing_measurement(aklt6p.h, 3, 2, gs=aklt6p.gs,
-                                   a=aklt6p.a, overlap=1.0, window_entropy=0.0)
+        distinguishing_measurement(aklt6p.a, 3, 2, gs=aklt6p.gs, overlap=1.0,
+                                   window_entropy=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,51 @@ def test_cli_exit_one_on_failing_record(tmp_path, monkeypatch):
     assert cli.main(["dl", "--config", path, "--quiet"]) == 1
 
 
+def _swap_two_overlapping_bonds(monkeypatch):
+    """The primary covering's order with its first two adjacent overlapping bonds swapped."""
+    true_decompose = runner.pyramid_decompose
+
+    def decompose(a):
+        primary, shifted = true_decompose(a)
+        order = list(primary.order)
+        i = next(i for i, (t, u) in enumerate(zip(order, order[1:]))
+                 if set(a.h.terms[t].support) & set(a.h.terms[u].support))
+        order[i], order[i + 1] = order[i + 1], order[i]
+        return dataclasses.replace(primary, order=tuple(order)), shifted
+
+    monkeypatch.setattr(runner, "pyramid_decompose", decompose)
+
+
+def _drop_an_inside_term(monkeypatch):
+    """The cone with the lowest term of its last non-empty depth left out."""
+    true_cone = correlations.causality_cone
+
+    def cone(a, seed, l):
+        found = true_cone(a, seed, l)
+        inside = list(found.inside)
+        depth = max(k for k, members in enumerate(inside) if members)
+        inside[depth] = inside[depth] - {min(inside[depth])}
+        return dataclasses.replace(found, inside=tuple(inside))
+
+    monkeypatch.setattr(correlations, "causality_cone", cone)
+
+
+@pytest.mark.parametrize("fault, record", [
+    (_swap_two_overlapping_bonds, "pyramid-identity"),
+    (_drop_an_inside_term, "cone-absorption"),
+], ids=["pyramid-identity", "cone-absorption"])
+def test_injected_fault_fails_its_record(tmp_path, monkeypatch, fault, record):
+    # heisenberg-ferro(6) passes verify; each fault is the one its record exists to catch
+    fault(monkeypatch)
+    path = _write_config(tmp_path, command="verify",
+                         model={"name": "heisenberg-ferro", "parameters": {"n": 6}})
+    assert cli.main(["verify", "--config", path, "--quiet"]) == 1
+    with open(str(tmp_path / "out" / "report.json")) as handle:
+        checks = {c["name"]: c for c in json.load(handle)["checks"]}
+    assert checks[record]["status"] == "fail"
+    assert [c["name"] for c in checks.values() if c["status"] == "fail"] == [record]
+
+
 def test_cli_exit_two_on_bad_config(tmp_path):
     path = str(tmp_path / "broken.json")
     with open(path, "w") as handle:
@@ -637,6 +682,32 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
         "empty-support"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
+    edit(doc)
+    model_path = str(tmp_path / "model.json")
+    with open(model_path, "w") as handle:
+        json.dump(doc, handle)
+    path = _write_config(tmp_path, command="gap", model={"path": model_path})
+    assert cli.main(["gap", "--config", path, "--quiet"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.update(schema_version=7), "schema_version"),
+    (lambda doc: doc.update(schema_version=True), "schema_version"),
+    (lambda doc: doc.update(kind="report"), "kind"),
+    (lambda doc: doc.update(comment="pinning"), "comment"),
+    (lambda doc: doc["sites"].update(geometryy={"kind": "chain-periodic"}), "sites.geometryy"),
+    (lambda doc: doc["sites"]["geometry"].update(lx=2), "sites.geometry.lx"),
+    # the keys a geometry may hold depend on its kind: lx belongs to the torus only
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency", "edges": [],
+                                               "lx": 2}), "sites.geometry.lx"),
+    # is_projector is derived from the matrix, never read
+    (lambda doc: doc["terms"][0].update(is_projector=False), "terms[0].is_projector"),
+], ids=["schema-version", "schema-version-bool", "kind", "top-level", "sites-key",
+        "chain-geometry-key", "custom-geometry-key", "term-key"])
+def test_cli_exit_two_on_unknown_hamiltonian_field(tmp_path, capsys, edit, field):
+    # each used to be ignored: gap ran the pinning(4) model to exit 0
+    doc = hamiltonian_to_document(build_model(ModelDescriptor.make("pinning", n=4)))
     edit(doc)
     model_path = str(tmp_path / "model.json")
     with open(model_path, "w") as handle:
@@ -986,6 +1057,29 @@ def test_cli_model_emit(tmp_path, capsys):
     h = load_hamiltonian(out)
     assert h.m == 2
     assert h.sites.n == 3
+
+
+@pytest.mark.parametrize("key", ["name", "expected"])
+def test_cli_model_emit_refuses_a_descriptor_field_as_a_parameter(tmp_path, capsys, key):
+    # each used to escape from ModelDescriptor.make as TypeError or AttributeError, exit 1
+    argv = ["model", "emit", "--name", "aklt", "--set", "n=4", "--set", f"{key}=3",
+            "--out", str(tmp_path / "model.json")]
+    assert cli.main(argv) == 2
+    assert f"'model.parameters.{key}'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "model.json"))
+
+
+@pytest.mark.parametrize("descriptor", models.BUNDLED_MODELS, ids=lambda desc: desc.label())
+def test_cli_model_emit_round_trip_of_every_bundled_model(tmp_path, descriptor):
+    out = str(tmp_path / "model.json")
+    sets = [arg for key, value in descriptor.parameters for arg in ("--set", f"{key}={value}")]
+    assert cli.main(["model", "emit", "--name", descriptor.name, *sets, "--out", out]) == 0
+    h, back = build_model(descriptor), load_hamiltonian(out)
+    assert back.sites == h.sites
+    assert [t.support for t in back.terms] == [t.support for t in h.terms]
+    for orig, redo in zip(h.terms, back.terms):
+        assert np.array_equal(np.asarray(orig.matrix, dtype=complex), redo.matrix)
+        assert orig.is_projector == redo.is_projector
 
 
 def test_cli_format_override(tmp_path):
