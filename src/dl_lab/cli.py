@@ -6,8 +6,8 @@ import sys
 
 from .errors import DLLabError, ValidationError
 from .io import save_hamiltonian
-from .models import build_model, descriptor_from_document
-from .runner import COMMANDS, FORMATS, emit_report, list_models, load_config, run
+from .models import BUNDLED_MODELS, build_model, descriptor_from_document
+from .runner import COMMANDS, FORMATS, emit_report, load_config, run
 
 
 def _parse_value(raw: str):
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _model_main(args) -> int:
     if args.model_command == "list":
-        for descriptor in list_models():
+        for descriptor in BUNDLED_MODELS:
             facts = ", ".join(f"{k}={v}" for k, v in descriptor.expected) or "-"
             print(f"{descriptor.label():40s} expected: {facts}")
         return 0
@@ -57,6 +57,8 @@ def _model_main(args) -> int:
             print(f"bad --set value {item!r}, expected KEY=VALUE", file=sys.stderr)
             return 2
         key, _, raw = item.partition("=")
+        if key in params:
+            raise ValidationError(f"field 'model.parameters.{key}': set twice by --set")
         params[key] = _parse_value(raw)
     # as a config's model section, so that --set name=... is refused as a model parameter
     descriptor = descriptor_from_document({"name": args.name, "parameters": params})
@@ -70,14 +72,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "model":
             return _model_main(args)
-        config = load_config(args.config, out_dir=args.out, out_format=args.format,
-                             quiet=args.quiet)
+        config = load_config(args.config, out_dir=args.out, out_format=args.format)
         if config.command != args.command:
             raise ValidationError(f"field 'command': the config names {config.command!r} "
                                   f"but the subcommand is {args.command!r}")
         report = run(config)
         report, paths = emit_report(report, config.out_dir, config.out_format)
-        if not config.quiet:
+        if not args.quiet:
             for record in report.records:
                 measured = "" if record.measured is None else f" measured={record.measured:.6g}"
                 bound = "" if record.bound is None else f" bound={record.bound:.6g}"

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import Geometry, HamiltonianSpec, LocalTerm, SiteSpace
+from .hamiltonian import GEOMETRY_KINDS, Geometry, HamiltonianSpec, LocalTerm, SiteSpace
 
 SCHEMA_VERSION = 1
 
@@ -55,20 +55,62 @@ def _encode(obj, out: list[str]) -> None:
         raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def refuse_unknown_keys(doc: dict, known, prefix: str) -> None:
-    """ValidationError naming prefix + the first key of doc that known does not hold."""
-    unknown = sorted(set(doc) - set(known))
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object",
+               list: "a list"}
+
+# schema_version may be left out; when present it is the integer 1
+VERSION_ROW = (int, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION)
+
+
+def check_fields(doc, schema: dict, prefix: str = "", n: int | None = None) -> dict:
+    """The object `doc` checked against `schema`, with the defaults of absent keys filled in.
+
+    A row is (type,) or (type, ..., low, high) for a required key, else
+    (type, default, low, high), the bounds optional; a str row takes its
+    choices as low, and a list row with bounds holds at least one integer,
+    each within them.  A default or bound given as a function takes n, the
+    number of sites; None leaves it unset or open.  Types are exact (a bool
+    is no integer, nor is 5.7), and unknown keys are refused.  Each fault is
+    a ValidationError naming the field prefix + key.
+    """
+    if type(doc) is not dict:
+        where = f"field '{prefix[:-1]}'" if prefix else "the top level"
+        raise ValidationError(f"{where}: expected an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ValidationError(f"field '{prefix}{unknown[0]}': unknown key; "
-                              f"expected one of {sorted(known)}")
+                              f"expected one of {sorted(schema)}")
+    resolved = {}
+    for key, (kind, *rest) in schema.items():
+        default, low, high = [*(r(n) if callable(r) else r for r in rest or [...]), None, None][:3]
+        if key not in doc and default is ...:
+            raise ValidationError(f"field '{prefix}{key}': missing required field")
+        value = resolved[key] = doc.get(key, default)
+        if key in doc and not _admits(kind, low, high, value):
+            raise ValidationError(f"field '{prefix}{key}': expected "
+                                  f"{_expected(kind, low, high)}, got {value!r}")
+    return resolved
 
 
-def check_schema_version(doc: dict) -> None:
-    """ValidationError unless doc's schema_version, where present, is the integer 1."""
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValidationError(f"field 'schema_version': expected {SCHEMA_VERSION}, "
-                              f"got {version!r}")
+def _admits(kind: type, low, high, value) -> bool:
+    if type(value) is not kind:
+        return False
+    if low is None:
+        return True
+    if kind is str:
+        return value in low
+    if kind is list:
+        return bool(value) and all(_admits(int, low, high, m) for m in value)
+    return value >= low and (high is None or value <= high)
+
+
+def _expected(kind: type, low, high) -> str:
+    if low is None:
+        return _TYPE_NAMES[kind]
+    if kind is str:
+        return f"one of {list(low)}"
+    what = "a non-empty list of integers" if kind is list else _TYPE_NAMES[kind]
+    return what + (f" >= {low}" if high is None else f" in [{low}, {high}]")
 
 
 def dumps_document(doc: dict) -> str:
@@ -77,9 +119,19 @@ def dumps_document(doc: dict) -> str:
     return "".join(out)
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValidationError(f"document key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def loads_document(text: str) -> dict:
+    """The JSON document of text; ValidationError on a parse error or a key given twice."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"document parse error at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
@@ -122,20 +174,31 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
 # Hamiltonian documents
 # ---------------------------------------------------------------------------
 
+# The rows of each section of a Hamiltonian document, each checked by check_fields.  A
+# geometry holds its kind and that kind's rows only; the edge pairs are checked by hand
+_DOCUMENT_FIELDS = {"schema_version": VERSION_ROW, "kind": (str, "hamiltonian", ("hamiltonian",)),
+                    "sites": (dict,), "terms": (list,)}
+_SITES_FIELDS = {"n": (int, ..., 1), "d": (int, ..., 2), "geometry": (dict,)}
+_GEOMETRY_KIND = {"kind": (str, ..., GEOMETRY_KINDS)}
+_GEOMETRY_FIELDS = {"torus-2d": {"lx": (int, ..., 2), "ly": (int, ..., 2)},
+                    "custom-adjacency": {"edges": (list,)}}
+_TERM_FIELDS = {"support": (list, ..., 0, lambda n: n - 1), "matrix": (list,)}
+
+
 def _matrix_to_rows(matrix: np.ndarray) -> list:
     mat = np.asarray(matrix, dtype=complex)
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in mat]
 
 
-def _matrix_from_rows(rows, path: str) -> np.ndarray:
+def _matrix_from_rows(rows: list, path: str) -> np.ndarray:
     """The square, finite complex matrix of `[re, im]` rows, or ValidationError naming path."""
     try:
         mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"hamiltonian field {path!r}: malformed matrix rows: {exc}") from exc
+        raise ValidationError(f"field '{path}': malformed matrix rows: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
-        raise ValidationError(f"hamiltonian field {path!r}: expected a square matrix of finite "
-                              f"entries, got shape {mat.shape}")
+        raise ValidationError(f"field '{path}': expected a square matrix of finite entries, "
+                              f"got shape {mat.shape}")
     return mat
 
 
@@ -149,35 +212,21 @@ def geometry_to_document(geometry: Geometry) -> dict:
     return doc
 
 
-def _field(doc, key: str, path: str, kind: type | None = None, item: type | None = None):
-    """doc[key], or ValidationError naming `path` when it is missing or, given kind,
-    not exactly of that type (a bool or 4.5 is no int), with entries of type item."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"hamiltonian document is missing field {path!r}")
-    value = doc[key]
-    if kind and (type(value) is not kind or item and any(type(v) is not item for v in value)):
-        what = kind.__name__ + (f" of {item.__name__}" if item else "")
-        raise ValidationError(f"hamiltonian field {path!r}: expected {what}, got {value!r}")
-    return value
-
-
 def geometry_from_document(doc: dict) -> Geometry:
     """The geometry of doc, which holds only the keys its kind writes (geometry_to_document)."""
-    kind = _field(doc, "kind", "sites.geometry.kind")
-    if kind == "torus-2d":
-        geometry = Geometry(kind, lx=_field(doc, "lx", "sites.geometry.lx", int),
-                            ly=_field(doc, "ly", "sites.geometry.ly", int))
-    elif kind == "custom-adjacency":
-        edges = _field(doc, "edges", "sites.geometry.edges", list)
+    prefix = "sites.geometry."
+    # the kind alone first: the other keys a geometry may hold depend on it
+    kind = check_fields({k: doc[k] for k in _GEOMETRY_KIND if k in doc}, _GEOMETRY_KIND,
+                        prefix)["kind"]
+    fields = check_fields(doc, {**_GEOMETRY_KIND, **_GEOMETRY_FIELDS.get(kind, {})}, prefix)
+    if "edges" in fields:
+        edges = fields["edges"]
         if any(type(e) is not list or len(e) != 2 or any(type(s) is not int for s in e)
                for e in edges):
-            raise ValidationError("hamiltonian field 'sites.geometry.edges': expected a list "
-                                  f"of [a, b] integer pairs, got {edges!r}")
-        geometry = Geometry(kind, edges=tuple((a, b) for a, b in edges))
-    else:
-        geometry = Geometry(kind)
-    refuse_unknown_keys(doc, geometry_to_document(geometry), "sites.geometry.")
-    return geometry
+            raise ValidationError(f"field '{prefix}edges': expected a list of [a, b] integer "
+                                  f"pairs, got {edges!r}")
+        fields["edges"] = tuple((a, b) for a, b in edges)
+    return Geometry(**fields)
 
 
 def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
@@ -199,33 +248,22 @@ def hamiltonian_to_document(h: HamiltonianSpec) -> dict:
 def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
     """The Hamiltonian of doc, which holds only the keys hamiltonian_to_document writes;
     schema_version and kind may be left out.  Each term's is_projector is derived."""
-    sites_doc = _field(doc, "sites", "sites")
-    terms_doc = _field(doc, "terms", "terms", list)
-    refuse_unknown_keys(doc, ("schema_version", "kind", "sites", "terms"), "")
-    check_schema_version(doc)
-    if doc.get("kind", "hamiltonian") != "hamiltonian":
-        raise ValidationError(f"field 'kind': expected 'hamiltonian', got {doc['kind']!r}")
-    sites = SiteSpace(_field(sites_doc, "n", "sites.n", int),
-                      _field(sites_doc, "d", "sites.d", int),
-                      geometry_from_document(_field(sites_doc, "geometry", "sites.geometry")))
-    refuse_unknown_keys(sites_doc, ("n", "d", "geometry"), "sites.")
+    fields = check_fields(doc, _DOCUMENT_FIELDS)
+    sites_doc = check_fields(fields["sites"], _SITES_FIELDS, "sites.")
+    sites = SiteSpace(sites_doc["n"], sites_doc["d"], geometry_from_document(sites_doc["geometry"]))
     terms = []
-    for i, term_doc in enumerate(terms_doc):
+    for i, term_doc in enumerate(fields["terms"]):
+        term = check_fields(term_doc, _TERM_FIELDS, f"terms[{i}].", sites.n)
         path = f"terms[{i}].matrix"
-        matrix = _matrix_from_rows(_field(term_doc, "matrix", path), path)
-        refuse_unknown_keys(term_doc, ("support", "matrix"), f"terms[{i}].")
-        support = _field(term_doc, "support", f"terms[{i}].support", list, int)
-        if not support:
-            raise ValidationError(f"hamiltonian field 'terms[{i}].support': a term needs at "
-                                  "least one site")
+        matrix = _matrix_from_rows(term["matrix"], path)
         scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
         with np.errstate(over="ignore", invalid="ignore"):
             excess = np.abs(matrix @ matrix - matrix).max(initial=0.0)
         if not np.isfinite(excess):
-            raise ValidationError(f"hamiltonian field {path!r}: the square of the matrix "
-                                  "overflows; its entries are too large")
+            raise ValidationError(f"field '{path}': the square of the matrix overflows; its "
+                                  "entries are too large")
         is_proj = bool(excess <= 1e-10 * scale)
-        terms.append(LocalTerm(tuple(support), matrix, is_projector=is_proj))
+        terms.append(LocalTerm(tuple(term["support"]), matrix, is_projector=is_proj))
     return HamiltonianSpec(sites, tuple(terms))
 
 

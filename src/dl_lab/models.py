@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
                           chain_geometry, torus_geometry)
-from .io import refuse_unknown_keys
+from .io import check_fields
 from .states import StateVector, check_dim
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -94,44 +94,7 @@ def build_model(descriptor: ModelDescriptor) -> HamiltonianSpec:
     if descriptor.name not in MODELS:
         raise ValidationError(f"unknown model name {descriptor.name!r}")
     builder, schema = MODELS[descriptor.name]
-    return builder(**check_parameters(descriptor.params, schema, "model.parameters"))
-
-
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", list: "a non-empty list of integers"}
-
-
-def check_parameters(values: dict, schema: dict, field: str, n: int | None = None) -> dict:
-    """`values` checked against `schema`, with the defaults of absent keys filled in.
-
-    A row is (type,) or (type, ..., low, high) for a required key, else
-    (type, default, low, high), the bounds optional; a str row takes its
-    choices as low.  A default or bound given as a function takes n, the
-    number of sites; None leaves it unset or open.  Types are exact (a bool
-    is no integer, nor is 5.7), a list holds integers within the bounds, and
-    unknown keys are refused.
-    """
-    refuse_unknown_keys(values, schema, f"{field}.")
-    resolved = {}
-    for key, (kind, *rest) in schema.items():
-        default, low, high = [*(r(n) if callable(r) else r for r in rest or [...]), None, None][:3]
-        if key not in values and default is ...:
-            raise ValidationError(f"field '{field}.{key}': missing required parameter")
-        value = resolved[key] = values.get(key, default)
-        if key in values and not _admits(kind, low, high, value):
-            bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
-            expected = f"one of {list(low)}" if kind is str else _TYPE_NAMES[kind] + bounds
-            raise ValidationError(f"field '{field}.{key}': expected {expected}, got {value!r}")
-    return resolved
-
-
-def _admits(kind: type, low, high, value) -> bool:
-    if type(value) is not kind:
-        return False
-    if kind is list:
-        return bool(value) and all(_admits(int, low, high, m) for m in value)
-    if kind is str:
-        return value in low
-    return (low is None or value >= low) and (high is None or value <= high)
+    return builder(**check_fields(descriptor.params, schema, "model.parameters."))
 
 
 def _pinning(n: int) -> HamiltonianSpec:
@@ -142,8 +105,6 @@ def _pinning(n: int) -> HamiltonianSpec:
 
 
 def _chain_pair_model(n: int, d: int, pair: np.ndarray, periodic: bool) -> HamiltonianSpec:
-    if n < 2:
-        raise ValidationError("pair models need at least two sites")
     sites = SiteSpace(n, d, chain_geometry(periodic))
     bonds = [(i, i + 1) for i in range(n - 1)]
     if periodic and n > 2:
@@ -210,17 +171,17 @@ def build_parent_random(n: int, d: int, bond: int, seed: int) -> HamiltonianSpec
     return HamiltonianSpec(SiteSpace(n, d, chain_geometry()), tuple(terms))
 
 
-# name -> (builder, {parameter: row}), each row checked by check_parameters; a
+# name -> (builder, {parameter: row}), each row checked by io.check_fields; a
 # parameter with no default, or the default ..., is required
 MODELS = {
-    "pinning": (_pinning, {"n": (int,)}),
+    "pinning": (_pinning, {"n": (int, ..., 1)}),
     "heisenberg-ferro": (lambda n, periodic: _chain_pair_model(n, 2, singlet_projector(), periodic),
-                         {"n": (int,), "periodic": (bool, False)}),
+                         {"n": (int, ..., 2), "periodic": (bool, False)}),
     "aklt": (lambda n, periodic: _chain_pair_model(n, 3, aklt_projector(), periodic),
-             {"n": (int,), "periodic": (bool, False)}),
-    "toric-code": (_toric, {"lx": (int,), "ly": (int,)}),
-    "parent-random": (build_parent_random,
-                      {"n": (int,), "d": (int,), "bond": (int,), "seed": (int, ..., 0)}),
+             {"n": (int, ..., 2), "periodic": (bool, False)}),
+    "toric-code": (_toric, {"lx": (int, ..., 2), "ly": (int, ..., 2)}),
+    "parent-random": (build_parent_random, {"n": (int, ..., 3), "d": (int, ..., 2),
+                                            "bond": (int, ..., 1), "seed": (int, ..., 0)}),
 }
 
 
@@ -239,13 +200,12 @@ BUNDLED_MODELS: tuple[ModelDescriptor, ...] = (
 )
 
 
+# The rows of a config's model section named by `name`; build_model checks the parameters
+_DESCRIPTOR_FIELDS = {"name": (str,), "parameters": (dict, {}), "expected": (dict, {})}
+
+
 def descriptor_from_document(doc: dict) -> ModelDescriptor:
-    if not isinstance(doc["name"], str):
-        raise ValidationError(f"field 'model.name': expected a string, got {doc['name']!r}")
-    params, expected = doc.get("parameters", {}), doc.get("expected", {})
-    for key, value in (("parameters", params), ("expected", expected)):
-        if not isinstance(value, dict):
-            raise ValidationError(f"field 'model.{key}': expected an object")
+    fields = check_fields(doc, _DESCRIPTOR_FIELDS, "model.")
     # built directly, so that a parameter named like an argument of make is reported
-    return ModelDescriptor(doc["name"], tuple(sorted(params.items())),
-                           tuple(sorted(expected.items())))
+    return ModelDescriptor(fields["name"], tuple(sorted(fields["parameters"].items())),
+                           tuple(sorted(fields["expected"].items())))

@@ -31,10 +31,10 @@ from .entanglement import (SchmidtData, area_law_certificate, rank_growth, schmi
                            tail_bound_check)
 from .errors import ValidationError
 from .hamiltonian import projectorize, validate_frustration_free
-from .io import (atomic_write_text, check_schema_version, dumps_document, loads_document,
-                 load_hamiltonian, read_text, refuse_unknown_keys, write_csv)
-from .models import (BUNDLED_MODELS, SITE_OBSERVABLES, ModelDescriptor, build_model,
-                     check_parameters, descriptor_from_document, site_observable)
+from .io import (VERSION_ROW, atomic_write_text, check_fields, dumps_document, loads_document,
+                 load_hamiltonian, read_text, write_csv)
+from .models import (SITE_OBSERVABLES, ModelDescriptor, build_model, descriptor_from_document,
+                     site_observable)
 from .states import (GroundSpaceData, SpectrumData, StateVector, check_dim,
                      gaussian_filter_deviation, ground_space, product_state, random_state,
                      single_blas_pool, spectrum)
@@ -44,7 +44,7 @@ COMMANDS = ("gap", "dl", "converge", "entropy", "arealaw", "correlate",
 FORMATS = ("structured", "csv")
 
 # name -> (type, default, low, high) or (str, default, choices), where a default or
-# bound may be a function of n, the number of sites; see models.check_parameters
+# bound may be a function of n, the number of sites; see io.check_fields
 RUN_PARAMETERS = {
     "seed": (int, 7, 0, None),
     "cut": (int, lambda n: n // 2, 1, lambda n: n - 1),
@@ -126,6 +126,13 @@ class Report:
         return all(r.passed for r in self.records)
 
 
+# The rows of the run config's top level and its output section, each checked by
+# io.check_fields; a model section holds only `path`, or the rows of a model descriptor
+_CONFIG_FIELDS = {"schema_version": VERSION_ROW, "command": (str, ..., COMMANDS), "model": (dict,),
+                  "parameters": (dict, {}), "output": (dict, {})}
+_OUTPUT_FIELDS = {"dir": (str, "out"), "format": (str, "structured", FORMATS)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs: model, command, parameters, output policy."""
@@ -136,58 +143,29 @@ class RunConfig:
     parameters: dict
     out_dir: str
     out_format: str
-    quiet: bool
     sha256: str
 
     @staticmethod
     def from_document(doc: dict, out_dir: str | None = None,
-                      out_format: str | None = None, quiet: bool = False) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ValidationError("config document: expected an object at the top level, "
-                                  f"got {type(doc).__name__}")
-        refuse_unknown_keys(doc, ("schema_version", "model", "command", "parameters", "output"),
-                            "")
-        check_schema_version(doc)
-        command = doc.get("command")
-        if command not in COMMANDS:
-            raise ValidationError(f"field 'command': unknown command {command!r}; "
-                                  f"expected one of {COMMANDS}")
-        model_doc = doc.get("model")
-        if not isinstance(model_doc, dict):
-            raise ValidationError("field 'model': expected an object")
-        refuse_unknown_keys(model_doc, ("path",) if "path" in model_doc
-                            else ("name", "parameters", "expected"), "model.")
-        descriptor = None
-        model_path = None
-        if "path" in model_doc:
-            model_path = model_doc["path"]
-            if not isinstance(model_path, str) or not os.path.isfile(model_path):
+                      out_format: str | None = None) -> "RunConfig":
+        """The config of doc; out_dir and out_format, when given, replace its output section's."""
+        fields = check_fields(doc, _CONFIG_FIELDS)
+        descriptor = model_path = None
+        if "path" in fields["model"]:
+            model_path = check_fields(fields["model"], {"path": (str,)}, "model.")["path"]
+            if not os.path.isfile(model_path):
                 raise ValidationError(f"field 'model.path': no such file {model_path!r}")
-        elif "name" in model_doc:
-            descriptor = descriptor_from_document(model_doc)
         else:
-            raise ValidationError("field 'model': needs either 'name' or 'path'")
-        parameters = doc.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise ValidationError("field 'parameters': expected an object")
-        output = doc.get("output", {})
-        if not isinstance(output, dict):
-            raise ValidationError("field 'output': expected an object")
-        refuse_unknown_keys(output, ("dir", "format"), "output.")
-        directory = out_dir or output.get("dir", "out")
-        if not isinstance(directory, str):
-            raise ValidationError(f"field 'output.dir': expected a string, got {directory!r}")
-        fmt = out_format or output.get("format", "structured")
-        if fmt not in FORMATS:
-            raise ValidationError(f"field 'output.format': expected one of {FORMATS}")
+            descriptor = descriptor_from_document(fields["model"])
+        overrides = {k: v for k, v in {"dir": out_dir, "format": out_format}.items() if v}
+        output = check_fields({**fields["output"], **overrides}, _OUTPUT_FIELDS, "output.")
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        return RunConfig(command, descriptor, model_path, parameters, directory,
-                         fmt, quiet, digest)
+        return RunConfig(fields["command"], descriptor, model_path, fields["parameters"],
+                         output["dir"], output["format"], digest)
 
 
-def load_config(path: str, out_dir: str | None = None, out_format: str | None = None,
-                quiet: bool = False) -> RunConfig:
-    return RunConfig.from_document(loads_document(read_text(path)), out_dir, out_format, quiet)
+def load_config(path: str, out_dir: str | None = None, out_format: str | None = None) -> RunConfig:
+    return RunConfig.from_document(loads_document(read_text(path)), out_dir, out_format)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +184,7 @@ class _Context:
         else:
             self.h = build_model(config.descriptor)
             self.label = config.descriptor.label()
-        self.p = check_parameters(config.parameters, RUN_PARAMETERS, "parameters", self.h.sites.n)
+        self.p = check_fields(config.parameters, RUN_PARAMETERS, "parameters.", self.h.sites.n)
         dim = self.h.sites.dim
         check_dim(dim)
         if self.p["count"] is not None and self.p["count"] > dim:
@@ -636,7 +614,3 @@ def emit_report(report: Report, out_dir: str, out_format: str) -> tuple[Report, 
     atomic_write_text(report_path, dumps_document(report_to_document(report)) + "\n")
     paths.insert(0, report_path)
     return report, paths
-
-
-def list_models() -> tuple[ModelDescriptor, ...]:
-    return BUNDLED_MODELS

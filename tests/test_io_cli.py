@@ -677,9 +677,19 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     # an empty support on a geometry that admits any support: used to escape as IndexError
     (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency", "edges": []})
      or doc["terms"][0].update(support=[], matrix=[[[0, 0]]]), "terms[0].support"),
+    # out of range: each exited 2 with a message naming no field
+    (lambda doc: doc["sites"].update(n=0), "sites.n"),
+    (lambda doc: doc["sites"].update(d=1), "sites.d"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "torus-2d", "lx": 1, "ly": 3}),
+     "sites.geometry.lx"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "torus-2d", "lx": 3, "ly": 1}),
+     "sites.geometry.ly"),
+    (lambda doc: doc["sites"].update(geometry={"kind": 5}), "sites.geometry.kind"),
+    (lambda doc: doc["terms"][0].update(support=[9]), "terms[0].support"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
         "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix",
-        "empty-support"])
+        "empty-support", "n-below-one", "d-below-two", "lx-below-two", "ly-below-two",
+        "geometry-kind", "support-site"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -715,6 +725,26 @@ def test_cli_exit_two_on_unknown_hamiltonian_field(tmp_path, capsys, edit, field
     path = _write_config(tmp_path, command="gap", model={"path": model_path})
     assert cli.main(["gap", "--config", path, "--quiet"]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", ["config", "model"])
+def test_cli_exit_two_on_a_key_given_twice(tmp_path, capsys, document):
+    # each used to keep the last value and exit 0: the count dropped, or a 3-site model built
+    model_path = str(tmp_path / "model.json")
+    model_text = dumps_document(hamiltonian_to_document(
+        build_model(ModelDescriptor.make("pinning", n=3))))
+    config_text = ('{"schema_version": 1, "command": "gap", "model": {"path": %s}, '
+                   '"parameters": {"count": 3}, "parameters": {}}' % json.dumps(model_path))
+    if document == "model":
+        model_text = model_text.replace('"sites":{"n":3', '"sites":{"n":2,"n":3')
+        config_text = config_text.replace(', "parameters": {}', "")
+    (tmp_path / "model.json").write_text(model_text)
+    path = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_text(config_text)
+    assert cli.main(["gap", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    key = {"config": "'parameters'", "model": "'n'"}[document]
+    assert f"document key {key} appears twice" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out" / "report.json"))
 
 
 @pytest.mark.parametrize("parameters", [{"count": "x"}, {"l_max": "ten"}, {"seed": "s"}],
@@ -839,11 +869,24 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     ({"model": {"name": ["pinning"], "parameters": {"n": 4}}}, "model.name"),
     ({"model": {"name": "parent-random",
                 "parameters": {"n": 6, "d": 2, "bond": 2, "seed": -1}}}, "model.parameters.seed"),
+    # each of these exited 2 with a message naming no field
+    ({"model": {"name": "pinning", "parameters": {"n": 0}}}, "model.parameters.n"),
+    ({"model": {"name": "heisenberg-ferro", "parameters": {"n": 1}}}, "model.parameters.n"),
+    ({"model": {"name": "aklt", "parameters": {"n": 1}}}, "model.parameters.n"),
+    ({"model": {"name": "toric-code", "parameters": {"lx": 1, "ly": 2}}}, "model.parameters.lx"),
+    ({"model": {"name": "toric-code", "parameters": {"lx": 2, "ly": 1}}}, "model.parameters.ly"),
+    ({"model": {"name": "parent-random",
+                "parameters": {"n": 2, "d": 2, "bond": 1, "seed": 0}}}, "model.parameters.n"),
+    ({"model": {"name": "parent-random",
+                "parameters": {"n": 4, "d": 1, "bond": 1, "seed": 0}}}, "model.parameters.d"),
+    ({"model": {"name": "parent-random",
+                "parameters": {"n": 4, "d": 2, "bond": 0, "seed": 0}}}, "model.parameters.bond"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
         "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
         "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
         "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key",
-        "model-name-list", "model-seed"])
+        "model-name-list", "model-seed", "pinning-n", "heisenberg-n", "aklt-n", "toric-lx",
+        "toric-ly", "parent-n", "parent-d", "parent-bond"])
 def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
     # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
     doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
@@ -1066,6 +1109,15 @@ def test_cli_model_emit_refuses_a_descriptor_field_as_a_parameter(tmp_path, caps
             "--out", str(tmp_path / "model.json")]
     assert cli.main(argv) == 2
     assert f"'model.parameters.{key}'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "model.json"))
+
+
+def test_cli_model_emit_refuses_a_repeated_set_key(tmp_path, capsys):
+    # used to keep the last value: a five-site chain written with exit 0
+    argv = ["model", "emit", "--name", "aklt", "--set", "n=4", "--set", "n=5",
+            "--out", str(tmp_path / "model.json")]
+    assert cli.main(argv) == 2
+    assert "'model.parameters.n'" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "model.json"))
 
 
