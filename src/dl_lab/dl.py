@@ -189,31 +189,40 @@ def apply_pyramids(a: DLOperator, decomposition: PyramidDecomposition,
 # norm-energy trade-off and convergence
 # ---------------------------------------------------------------------------
 
-def _check_projector(mat: np.ndarray, name: str) -> None:
-    """ValidationError unless mat, or every member of a stack of them, is a projector."""
-    for what, excess in (("Hermitian", mat - np.swapaxes(mat, -1, -2).conj()),
-                         ("a projector", mat @ mat - mat)):
-        bad = np.abs(excess).max(axis=(-2, -1), initial=0.0) > 1e-10
-        if bad.any():
-            where = f"{name}[{int(np.argmax(bad))}]" if bad.ndim else name
-            raise ValidationError(f"{where} is not {what}")
+def _checked_basis(q, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q^H) for Q or a stack of them; ValidationError unless |Q^H Q - diag(used)| <= 1e-10:
+    each column a unit vector or zero, the unit ones orthonormal, so Q Q^H is a projector."""
+    q = np.asarray(q)
+    q_h = np.swapaxes(q, -1, -2).conj()
+    gram = (q_h @ q).reshape(*q.shape[:-2], -1)  # each Gram matrix flat, row after row
+    gram[..., ::q.shape[-1] + 1] -= gram[..., ::q.shape[-1] + 1].real > 0.5
+    bad = np.abs(gram).max(axis=-1, initial=0.0) > 1e-10
+    if bad.any():
+        where = f"{name}[{int(np.argmax(bad))}]" if bad.ndim else name
+        raise ValidationError(f"{where} does not have orthonormal columns")
+    return q, q_h
 
 
-def norm_energy_check(x_proj: np.ndarray, y_proj: np.ndarray, v: np.ndarray):
+def norm_energy_check(x_basis: np.ndarray, y_basis: np.ndarray, v: np.ndarray,
+                      x_complement=False, y_complement=False):
     """Evaluate ||(1-Y)XYv||^2 against eps(1-eps) with eps = 1 - ||XYv||^2.
 
-    Floats for one pair; for stacks (m, dim, dim) and (m, dim), every member
-    is checked and the sides are arrays of m entries.
+    X and Y are each given by a (dim, h) basis Q of orthonormal or zero columns: Q Q^H,
+    or 1 - Q Q^H where its complement flag is set, applied as Q (Q^H w).  Floats for one
+    pair; for stacks (m, dim, h) and (m, dim), with flags of m entries or one for all,
+    every member is checked and the sides are arrays of m entries.
     """
-    x_proj, y_proj = np.asarray(x_proj), np.asarray(y_proj)
-    _check_projector(x_proj, "X")
-    _check_projector(y_proj, "Y")
+    def project(basis, complement, w):  # w - Q Q^H w where complement, Q Q^H w elsewhere
+        inside = basis[0] @ (basis[1] @ w)
+        return np.where(np.asarray(complement)[..., None, None], w - inside, inside)
+
+    x, y = _checked_basis(x_basis, "X"), _checked_basis(y_basis, "Y")
     vec = np.asarray(v, dtype=complex)[..., None]
     if (np.abs(np.linalg.norm(vec, axis=(-2, -1)) - 1.0) > 1e-10).any():
         raise ValidationError("v must be normalized")
-    xyv = x_proj @ (y_proj @ vec)
+    xyv = project(x, x_complement, project(y, y_complement, vec))
     eps = 1.0 - np.linalg.norm(xyv, axis=(-2, -1)) ** 2
-    lhs = np.linalg.norm(xyv - y_proj @ xyv, axis=(-2, -1)) ** 2
+    lhs = np.linalg.norm(project(y, np.logical_not(y_complement), xyv), axis=(-2, -1)) ** 2
     rhs = eps * (1.0 - eps)
     return (float(lhs), float(rhs)) if lhs.ndim == 0 else (lhs, rhs)
 

@@ -76,9 +76,8 @@ class SiteSpace:
             )
         g = self.geometry
         if g.kind == "torus-2d" and self.n != 2 * g.lx * g.ly:
-            raise ValidationError(
-                f"torus-2d {g.lx}x{g.ly} has {2 * g.lx * g.ly} edge sites, got n={self.n}"
-            )
+            raise ValidationError(f"field 'sites.n': torus-2d {g.lx}x{g.ly} has "
+                                  f"{2 * g.lx * g.ly} edge sites, got n={self.n}")
         if g.kind == "custom-adjacency":
             for a, b in g.edges:
                 if not (0 <= a < self.n and 0 <= b < self.n):
@@ -213,23 +212,18 @@ class HamiltonianSpec:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
-            raise ValidationError("a Hamiltonian needs at least one term")
+            raise ValidationError("field 'terms': a Hamiltonian needs at least one term")
         allowed = self.sites.allowed_supports()
         for idx, term in enumerate(self.terms):
-            for s in term.support:
-                if not (0 <= s < self.sites.n):
-                    raise ValidationError(f"term {idx}: site {s} out of range")
+            if not all(0 <= s < self.sites.n for s in term.support):
+                raise ValidationError(f"field 'terms[{idx}].support': {term.support} out of range")
             expect = self.sites.d ** term.k
             if term.matrix.shape != (expect, expect):
-                raise ValidationError(
-                    f"term {idx}: matrix shape {term.matrix.shape} does not match "
-                    f"d**k = {expect}"
-                )
+                raise ValidationError(f"field 'terms[{idx}].matrix': shape {term.matrix.shape} "
+                                      f"does not match d**k = {expect}")
             if allowed is not None and frozenset(term.support) not in allowed:
-                raise ValidationError(
-                    f"term {idx}: support {term.support} is not an edge/plaquette "
-                    f"of geometry {self.sites.geometry.kind}"
-                )
+                raise ValidationError(f"field 'terms[{idx}].support': {term.support} is not an "
+                                      f"edge/plaquette of geometry {self.sites.geometry.kind}")
 
     @property
     def m(self) -> int:

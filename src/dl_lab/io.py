@@ -212,20 +212,19 @@ def geometry_to_document(geometry: Geometry) -> dict:
     return doc
 
 
-def geometry_from_document(doc: dict) -> Geometry:
-    """The geometry of doc, which holds only the keys its kind writes (geometry_to_document)."""
+def geometry_from_document(doc: dict, n: int) -> Geometry:
+    """The geometry of doc on n sites; doc holds only the keys geometry_to_document writes."""
     prefix = "sites.geometry."
     # the kind alone first: the other keys a geometry may hold depend on it
     kind = check_fields({k: doc[k] for k in _GEOMETRY_KIND if k in doc}, _GEOMETRY_KIND,
                         prefix)["kind"]
     fields = check_fields(doc, {**_GEOMETRY_KIND, **_GEOMETRY_FIELDS.get(kind, {})}, prefix)
     if "edges" in fields:
-        edges = fields["edges"]
-        if any(type(e) is not list or len(e) != 2 or any(type(s) is not int for s in e)
-               for e in edges):
-            raise ValidationError(f"field '{prefix}edges': expected a list of [a, b] integer "
-                                  f"pairs, got {edges!r}")
-        fields["edges"] = tuple((a, b) for a, b in edges)
+        for i, edge in enumerate(fields["edges"]):  # by place in doc: the Geometry sorts them
+            if type(edge) is not list or len(edge) != 2 or not _admits(list, 0, n - 1, edge):
+                raise ValidationError(f"field '{prefix}edges[{i}]': expected a pair of sites in "
+                                      f"[0, {n - 1}], got {edge!r}")
+        fields["edges"] = tuple((a, b) for a, b in fields["edges"])
     return Geometry(**fields)
 
 
@@ -250,7 +249,8 @@ def hamiltonian_from_document(doc: dict) -> HamiltonianSpec:
     schema_version and kind may be left out.  Each term's is_projector is derived."""
     fields = check_fields(doc, _DOCUMENT_FIELDS)
     sites_doc = check_fields(fields["sites"], _SITES_FIELDS, "sites.")
-    sites = SiteSpace(sites_doc["n"], sites_doc["d"], geometry_from_document(sites_doc["geometry"]))
+    sites = SiteSpace(sites_doc["n"], sites_doc["d"],
+                      geometry_from_document(sites_doc["geometry"], sites_doc["n"]))
     terms = []
     for i, term_doc in enumerate(fields["terms"]):
         term = check_fields(term_doc, _TERM_FIELDS, f"terms[{i}].", sites.n)

@@ -149,8 +149,10 @@ def build_parent_random(n: int, d: int, bond: int, seed: int) -> HamiltonianSpec
     full range produce a zero term and are dropped with a warning;
     degeneracy and gap are measured facts, not assumptions.
     """
-    if d < 2 or not (1 <= bond <= d) or n < 3:
-        raise ValidationError("need d >= 2, 1 <= bond <= d and n >= 3")
+    if d < 2 or bond < 1 or n < 3:
+        raise ValidationError("need d >= 2, bond >= 1 and n >= 3")
+    if bond > d:
+        raise ValidationError(f"field 'model.parameters.bond': expected at most d={d}, got {bond}")
     check_dim(d ** n)  # before the d^n amplitudes of the state are contracted
     target = random_mps_state(n, d, bond, seed)
     terms = []

@@ -318,11 +318,9 @@ def _step_norm_energy(ctx: _Context) -> None:
     rng = np.random.default_rng(ctx.p["seed"])
     dims, counts = np.unique(rng.integers(2, 33, ctx.p["norm_energy_samples"]),
                              return_counts=True)
-    worst = -np.inf
-    for dim, count in zip(dims.tolist(), counts.tolist()):
-        for start in range(0, count, NORM_ENERGY_STACK):
-            m = min(NORM_ENERGY_STACK, count - start)
-            worst = max(worst, _norm_energy_margin(rng, dim, m))
+    worst = max(_norm_energy_margin(rng, dim, min(NORM_ENERGY_STACK, count - start))
+                for dim, count in zip(dims.tolist(), counts.tolist())
+                for start in range(0, count, NORM_ENERGY_STACK))
     ctx.add(bounded_record("norm-energy", "norm-energy", worst, 0.0, 1e-10))
 
 
@@ -333,7 +331,7 @@ def _norm_energy_margin(rng: np.random.Generator, dim: int, m: int) -> float:
     random.  A span of rank r is drawn as the narrow side, r or dim - r columns
     of a complex Gaussian, orthonormalized by one QR of the stack: the orthogonal
     complement of a uniformly random subspace is uniformly random too.  So the
-    projector is Q Q^H, or I - Q Q^H where r > dim - r.
+    projector is Q Q^H, or 1 - Q Q^H where r > dim - r, applied through Q.
     """
     ranks = rng.integers(1, dim, (2, m))
     re, im = rng.standard_normal((2, 2, m, dim, dim // 2))
@@ -343,12 +341,9 @@ def _norm_energy_margin(rng: np.random.Generator, dim: int, m: int) -> float:
     used = (np.arange(dim // 2) < np.minimum(ranks, dim - ranks)[..., None])[..., None, :]
     q = np.linalg.qr((re + 1j * im) * used)[0]
     q *= used
-    proj = q @ np.swapaxes(q, -1, -2).conj()
-    # I - Q Q^H, in place, on the members drawn on their narrow complement only
-    np.subtract(np.eye(dim), proj, out=proj, where=(2 * ranks > dim)[..., None, None])
     v = v_re + 1j * v_im
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    lhs, rhs = norm_energy_check(*proj, v)
+    lhs, rhs = norm_energy_check(*q, v, *(2 * ranks > dim))
     return float((lhs - rhs).max())
 
 

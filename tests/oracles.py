@@ -151,12 +151,23 @@ def schmidt_eigenvalues_by_partial_trace(psi_amplitudes, left_count: int, n: int
     return np.clip(evals, 0.0, None)
 
 
-def random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Projector onto the span of a complex Gaussian (dim, rank), rank drawn in [1, dim)."""
+def random_span(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Orthonormal (dim, rank) basis of the span of a complex Gaussian, rank drawn in [1, dim)."""
     rank = int(rng.integers(1, dim))
     gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(gauss)
-    return q @ q.conj().T
+    return np.linalg.qr(gauss)[0]
+
+
+def dense_norm_energy(x_proj: np.ndarray, y_proj: np.ndarray, v: np.ndarray):
+    """(||(1-Y)XYv||^2, eps(1-eps)) with eps = 1 - ||XYv||^2, from the dim x dim projectors.
+
+    One pair, or stacks (m, dim, dim) and (m, dim) with arrays of m entries.
+    """
+    vec = np.asarray(v, dtype=complex)[..., None]
+    xyv = x_proj @ (y_proj @ vec)
+    eps = 1.0 - np.linalg.norm(xyv, axis=(-2, -1)) ** 2
+    lhs = np.linalg.norm(xyv - y_proj @ xyv, axis=(-2, -1)) ** 2
+    return lhs, eps * (1.0 - eps)
 
 
 def norm_energy_sweep(seed: int, samples: int) -> float:
@@ -166,7 +177,7 @@ def norm_energy_sweep(seed: int, samples: int) -> float:
     ascending order, NORM_ENERGY_STACK samples at a time, the ranks of X and Y,
     their Gaussian spans (dim // 2 columns each) and v.  A span of rank r is
     the QR of its first min(r, dim - r) columns alone, and the complement of
-    that where r > dim - r.
+    that where r > dim - r; each pair is checked as dim x dim matrices.
     """
     rng = np.random.default_rng(seed)
     dims = rng.integers(2, 33, samples)
@@ -183,10 +194,8 @@ def norm_energy_sweep(seed: int, samples: int) -> float:
             vs = vs[0] + 1j * vs[1]
             for i in range(m):
                 x, y = (_span_projector(gauss[j, i], int(ranks[j, i])) for j in range(2))
-                v = vs[i] / np.linalg.norm(vs[i])
-                xyv = x @ (y @ v)
-                eps = 1.0 - float(np.linalg.norm(xyv) ** 2)
-                worst = max(worst, float(np.linalg.norm(xyv - y @ xyv) ** 2) - eps * (1.0 - eps))
+                lhs, rhs = dense_norm_energy(x, y, vs[i] / np.linalg.norm(vs[i]))
+                worst = max(worst, float(lhs - rhs))
     return worst
 
 

@@ -91,14 +91,12 @@ def test_c02_norm_energy_sweep():
         gy = rng.standard_normal((dim, rank_y)) + 1j * rng.standard_normal((dim, rank_y))
         qx, _ = np.linalg.qr(gx)
         qy, _ = np.linalg.qr(gy)
-        x = qx @ qx.conj().T
-        y = qy @ qy.conj().T
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        lhs, rhs = norm_energy_check(x, y, v)
+        lhs, rhs = norm_energy_check(qx, qy, v)
         ok &= lhs <= rhs + 1e-10
-    # qubit equality case: eps = 1/2 and both sides 1/4
-    lhs, rhs = norm_energy_check(np.full((2, 2), 0.5), np.diag([1.0, 0.0]),
+    # qubit equality case, X = |+><+| and Y = |0><0|: eps = 1/2 and both sides 1/4
+    lhs, rhs = norm_energy_check(np.full((2, 1), np.sqrt(0.5)), np.array([[1.0], [0.0]]),
                                  np.array([1.0, 0.0]))
     ok &= abs(lhs - 0.25) <= 1e-12 and abs(rhs - 0.25) <= 1e-12
     _criterion(2, "norm-energy trade-off on 10^4 random projector pairs", ok)

@@ -17,8 +17,8 @@ from dl_lab.runner import NORM_ENERGY_STACK, RunConfig, run
 from dl_lab.states import (GroundSpaceData, ground_kernel, product_state, random_state,
                            spectrum)
 
-from oracles import (dense_dl_matrix, dense_restricted_norm, kron_embed,
-                     norm_energy_sweep, random_projector)
+from oracles import (dense_dl_matrix, dense_norm_energy, dense_restricted_norm, kron_embed,
+                     norm_energy_sweep, random_span)
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +259,28 @@ def test_norm_energy_equal_projectors():
     rng = np.random.default_rng(2)
     gauss = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     q, _ = np.linalg.qr(gauss)
-    proj = q @ q.conj().T
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v /= np.linalg.norm(v)
-    lhs, rhs = norm_energy_check(proj, proj, v)
+    lhs, rhs = norm_energy_check(q, q, v)
     assert lhs <= 1e-20
 
 
 def test_norm_energy_qubit_equality_case():
-    y = np.array([[1.0, 0.0], [0.0, 0.0]])
-    x = np.full((2, 2), 0.5)
+    # X = |+><+| and Y = |0><0|, Y given by its span and as the complement of |1>
+    x = np.full((2, 1), np.sqrt(0.5))
     v = np.array([1.0, 0.0])
-    lhs, rhs = norm_energy_check(x, y, v)
-    assert lhs == pytest.approx(0.25, abs=1e-12)
-    assert rhs == pytest.approx(0.25, abs=1e-12)
+    for y, y_complement in ((np.array([[1.0], [0.0]]), False), (np.array([[0.0], [1.0]]), True)):
+        lhs, rhs = norm_energy_check(x, y, v, y_complement=y_complement)
+        assert lhs == pytest.approx(0.25, abs=1e-12)
+        assert rhs == pytest.approx(0.25, abs=1e-12)
 
 
 def test_norm_energy_random_sweep():
     rng = np.random.default_rng(12)
     for _ in range(500):
         dim = int(rng.integers(2, 33))
-        x = random_projector(rng, dim)
-        y = random_projector(rng, dim)
+        x = random_span(rng, dim)
+        y = random_span(rng, dim)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         lhs, rhs = norm_energy_check(x, y, v)
@@ -288,43 +288,62 @@ def test_norm_energy_random_sweep():
 
 
 def test_norm_energy_rejects_non_projector():
-    with pytest.raises(ValidationError):
+    # 2 I spans C^2, but its columns are not unit vectors: 2 I (2 I)^H is no projector
+    with pytest.raises(ValidationError, match="X does not have orthonormal columns"):
         norm_energy_check(2 * np.eye(2), np.eye(2), np.array([1.0, 0.0]))
 
 
-def _projector_stack(seed, m=4, dim=5):
+def _basis_stack(seed, m=6, dim=5):
+    """Stacks of m random bases of X and Y, zero columns padding each to dim - 1, and
+    random complement flags, with m normalized v."""
     rng = np.random.default_rng(seed)
-    x = np.stack([random_projector(rng, dim) for _ in range(m)])
-    y = np.stack([random_projector(rng, dim) for _ in range(m)])
+    x, y = (np.stack([np.pad(q, ((0, 0), (0, dim - 1 - q.shape[1])))
+                      for q in (random_span(rng, dim) for _ in range(m))]) for _ in range(2))
+    x_complement, y_complement = rng.integers(0, 2, (2, m)).astype(bool)
     v = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-    return x, y, v / np.linalg.norm(v, axis=1, keepdims=True)
+    return x, y, v / np.linalg.norm(v, axis=1, keepdims=True), x_complement, y_complement
 
 
 def test_norm_energy_stack_matches_single_pairs():
-    x, y, v = _projector_stack(3)
-    lhs, rhs = norm_energy_check(x, y, v)
-    assert lhs.shape == rhs.shape == (4,)
-    for i in range(4):
-        single = norm_energy_check(x[i], y[i], v[i])
+    x, y, v, x_complement, y_complement = _basis_stack(3)
+    lhs, rhs = norm_energy_check(x, y, v, x_complement, y_complement)
+    assert lhs.shape == rhs.shape == (6,)
+    for i in range(6):
+        single = norm_energy_check(x[i], y[i], v[i], x_complement[i], y_complement[i])
         assert all(isinstance(value, float) for value in single)
         assert np.allclose(single, (lhs[i], rhs[i]), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("seed", [4, 11, 30])
+def test_norm_energy_basis_form_matches_dense_oracle(seed):
+    x, y, v, x_complement, y_complement = _basis_stack(seed, m=16, dim=9)
+    assert x_complement.any() and not x_complement.all()
+    assert y_complement.any() and not y_complement.all()
+    eye = np.eye(9)
+    x_proj, y_proj = (np.where(flag[:, None, None], eye - proj, proj)
+                      for flag, proj in ((x_complement, x @ np.swapaxes(x, 1, 2).conj()),
+                                         (y_complement, y @ np.swapaxes(y, 1, 2).conj())))
+    lhs, rhs = norm_energy_check(x, y, v, x_complement, y_complement)
+    dense_lhs, dense_rhs = dense_norm_energy(x_proj, y_proj, v)
+    assert np.abs(lhs - dense_lhs).max() <= 1e-14
+    assert np.abs(rhs - dense_rhs).max() <= 1e-14
+
+
 @pytest.mark.parametrize("member", [0, 2, 3])
 def test_norm_energy_stack_checks_every_member(member):
-    x, y, v = _projector_stack(5)
+    x, y, v, x_complement, y_complement = _basis_stack(5)
     bad = x.copy()
-    bad[member] *= 2.0  # still Hermitian, no longer idempotent
-    with pytest.raises(ValidationError, match=rf"X\[{member}\] is not a projector"):
-        norm_energy_check(bad, y, v)
+    bad[member] *= 2.0  # same span, columns no longer unit vectors
+    with pytest.raises(ValidationError, match=rf"X\[{member}\] does not have orthonormal"):
+        norm_energy_check(bad, y, v, x_complement, y_complement)
     bad = y.copy()
-    bad[member, 0, 1] += 1e-6  # no longer Hermitian
-    with pytest.raises(ValidationError, match=rf"Y\[{member}\] is not Hermitian"):
-        norm_energy_check(x, bad, v)
+    bad[member, 0, 1] += 1e-6  # the first two columns no longer orthogonal
+    with pytest.raises(ValidationError, match=rf"Y\[{member}\] does not have orthonormal"):
+        norm_energy_check(x, bad, v, x_complement, y_complement)
     bad = v.copy()
     bad[member] *= 1.0 + 1e-8
     with pytest.raises(ValidationError, match="normalized"):
-        norm_energy_check(x, y, bad)
+        norm_energy_check(x, y, bad, x_complement, y_complement)
 
 
 @pytest.mark.parametrize("samples", [1, 15, 16, 17, 1000])
@@ -345,11 +364,11 @@ def test_norm_energy_record_matches_per_pair_oracle(seed, samples, tmp_path):
 
 def test_norm_energy_sweep_draws_every_rank_on_both_sides(tmp_path, monkeypatch):
     # a rank above dim / 2 is drawn as the complement of the narrow side
-    stacks = []
+    spans = []
 
-    def capturing(x_proj, y_proj, v):
-        stacks.extend([x_proj, y_proj])
-        return norm_energy_check(x_proj, y_proj, v)
+    def capturing(x_basis, y_basis, v, x_complement, y_complement):
+        spans.extend([(x_basis, x_complement), (y_basis, y_complement)])
+        return norm_energy_check(x_basis, y_basis, v, x_complement, y_complement)
 
     monkeypatch.setattr(runner, "norm_energy_check", capturing)
     doc = {"command": "verify", "output": {"dir": str(tmp_path)},
@@ -357,21 +376,24 @@ def test_norm_energy_sweep_draws_every_rank_on_both_sides(tmp_path, monkeypatch)
            "parameters": {"seed": 1, "norm_energy_samples": 1000}}
     run(RunConfig.from_document(doc))
     seen = set()
-    for stack in stacks:
-        dim = stack.shape[-1]
-        traces = np.trace(stack, axis1=-2, axis2=-1)
-        ranks = np.round(traces.real)
-        assert np.abs(traces - ranks).max() < 1e-10
+    for basis, complement in spans:
+        dim = basis.shape[-2]
+        assert basis.shape[-1] == dim // 2
+        norms = np.linalg.norm(basis, axis=-2)
+        used = np.round(norms)
+        assert np.abs(norms - used).max() < 1e-10
+        ranks = np.where(complement, dim - used.sum(axis=-1), used.sum(axis=-1))
         assert ((1 <= ranks) & (ranks <= dim - 1)).all()
-        seen |= {(dim, bool(wide)) for wide in ranks > dim / 2}
-    assert sum(len(stack) for stack in stacks) == 2 * 1000
+        assert (complement == (ranks > dim / 2)).all()
+        seen |= {(dim, bool(wide)) for wide in complement}
+    assert sum(len(basis) for basis, _ in spans) == 2 * 1000
     assert {(dim, wide) for dim in range(4, 33) for wide in (False, True)} <= seen
 
 
 def test_norm_energy_record_fails_on_a_wrong_bound(tmp_path, monkeypatch):
     # a known-wrong rhs, 1 % low: the sweep reaches the edge of the inequality
-    def wrong(x_proj, y_proj, v):
-        lhs, rhs = norm_energy_check(x_proj, y_proj, v)
+    def wrong(*args):
+        lhs, rhs = norm_energy_check(*args)
         return lhs, rhs * 0.99
 
     monkeypatch.setattr(runner, "norm_energy_check", wrong)

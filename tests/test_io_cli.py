@@ -68,7 +68,7 @@ def test_geometry_document_round_trip():
 
     for geom in (chain_geometry(), chain_geometry(True), torus_geometry(2, 3),
                  custom_geometry([(0, 3), (1, 2)])):
-        assert geometry_from_document(geometry_to_document(geom)) == geom
+        assert geometry_from_document(geometry_to_document(geom), 12) == geom
 
 
 def test_hamiltonian_file_round_trip(tmp_path, pinning6):
@@ -575,20 +575,36 @@ def _drop_an_inside_term(monkeypatch):
     monkeypatch.setattr(correlations, "causality_cone", cone)
 
 
-@pytest.mark.parametrize("fault, record", [
-    (_swap_two_overlapping_bonds, "pyramid-identity"),
-    (_drop_an_inside_term, "cone-absorption"),
-], ids=["pyramid-identity", "cone-absorption"])
-def test_injected_fault_fails_its_record(tmp_path, monkeypatch, fault, record):
-    # heisenberg-ferro(6) passes verify; each fault is the one its record exists to catch
+def _tilt_a_ground_column(monkeypatch):
+    """The first ground column turned by 1e-3 rad toward the first excited eigenvector:
+    still orthonormal to the others, no longer in the kernel of the terms."""
+    true_ground_space = runner.ground_space
+
+    def ground_space(h, spectrum_data):
+        gs = true_ground_space(h, spectrum_data)
+        basis = gs.basis.copy()
+        excited = spectrum_data.columns(gs.degeneracy + 1)[:, -1]
+        basis[:, 0] = np.cos(1e-3) * basis[:, 0] + np.sin(1e-3) * excited
+        return dataclasses.replace(gs, basis=basis)
+
+    monkeypatch.setattr(runner, "ground_space", ground_space)
+
+
+@pytest.mark.parametrize("fault, records", [
+    (_swap_two_overlapping_bonds, ["pyramid-identity"]),
+    (_drop_an_inside_term, ["cone-absorption"]),
+    # the cone's absorption is measured on the same column, so it fails too
+    (_tilt_a_ground_column, ["frustration-free", "ground-fixed-point", "cone-absorption"]),
+], ids=["pyramid-identity", "cone-absorption", "ground-column-off-the-kernel"])
+def test_injected_fault_fails_its_record(tmp_path, monkeypatch, fault, records):
+    # heisenberg-ferro(6) passes verify; each fault is the one its records exist to catch
     fault(monkeypatch)
     path = _write_config(tmp_path, command="verify",
                          model={"name": "heisenberg-ferro", "parameters": {"n": 6}})
     assert cli.main(["verify", "--config", path, "--quiet"]) == 1
     with open(str(tmp_path / "out" / "report.json")) as handle:
-        checks = {c["name"]: c for c in json.load(handle)["checks"]}
-    assert checks[record]["status"] == "fail"
-    assert [c["name"] for c in checks.values() if c["status"] == "fail"] == [record]
+        checks = json.load(handle)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == records
 
 
 def test_cli_exit_two_on_bad_config(tmp_path):
@@ -650,6 +666,10 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     assert "'sites.n'" in capsys.readouterr().err
 
 
+# |11><11| as the [re, im] rows of a Hamiltonian document: a projector on a pair of qubits
+_PAIR_ROWS = [[[float(i == j == 3), 0.0] for j in range(4)] for i in range(4)]
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: doc["terms"][0].pop("matrix"), "terms[0].matrix"),
     (lambda doc: doc["terms"][2].pop("support"), "terms[2].support"),
@@ -665,10 +685,10 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
     (lambda doc: doc["terms"][0].update(support=["a"]), "terms[0].support"),
     (lambda doc: doc.update(terms=5), "terms"),
     (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency", "edges": [[0]]}),
-     "sites.geometry.edges"),
+     "sites.geometry.edges[0]"),
     (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency",
                                                "edges": [[0, 1.5]]}),
-     "sites.geometry.edges"),
+     "sites.geometry.edges[0]"),
     (lambda doc: doc["terms"][0].update(matrix=[[[1, 0], [0, 0]]]), "terms[0].matrix"),
     # finite entries whose square overflows: the projector test used to run on nan
     (lambda doc: doc["terms"][0].update(matrix=[[[1.7e308, 0], [-1.7e308, 0]],
@@ -686,10 +706,23 @@ def test_cli_exit_two_on_hamiltonian_without_sites_n(tmp_path, capsys, pinning6)
      "sites.geometry.ly"),
     (lambda doc: doc["sites"].update(geometry={"kind": 5}), "sites.geometry.kind"),
     (lambda doc: doc["terms"][0].update(support=[9]), "terms[0].support"),
+    # two fields against each other: each exited 2 with a message naming no field
+    (lambda doc: doc["sites"].update(geometry={"kind": "torus-2d", "lx": 2, "ly": 2}),
+     "sites.n"),
+    (lambda doc: doc["sites"].update(geometry={"kind": "custom-adjacency",
+                                               "edges": [[0, 1], [0, 7]]}),
+     "sites.geometry.edges[1]"),
+    (lambda doc: doc["terms"][1].update(matrix=_PAIR_ROWS),
+     "terms[1].matrix"),
+    (lambda doc: doc["terms"][1].update(support=[0, 2],
+                                        matrix=_PAIR_ROWS),
+     "terms[1].support"),
+    (lambda doc: doc.update(terms=[]), "terms"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
         "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix",
         "empty-support", "n-below-one", "d-below-two", "lx-below-two", "ly-below-two",
-        "geometry-kind", "support-site"])
+        "geometry-kind", "support-site", "torus-site-count", "edge-beyond-n",
+        "matrix-not-d-pow-k", "support-not-admitted", "no-terms"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -881,12 +914,15 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
                 "parameters": {"n": 4, "d": 1, "bond": 1, "seed": 0}}}, "model.parameters.d"),
     ({"model": {"name": "parent-random",
                 "parameters": {"n": 4, "d": 2, "bond": 0, "seed": 0}}}, "model.parameters.bond"),
+    # against another parameter: exited 2 with a message naming no field
+    ({"model": {"name": "parent-random",
+                "parameters": {"n": 4, "d": 2, "bond": 3, "seed": 0}}}, "model.parameters.bond"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
         "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
         "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
         "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key",
         "model-name-list", "model-seed", "pinning-n", "heisenberg-n", "aklt-n", "toric-lx",
-        "toric-ly", "parent-n", "parent-d", "parent-bond"])
+        "toric-ly", "parent-n", "parent-d", "parent-bond", "parent-bond-above-d"])
 def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
     # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
     doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},
