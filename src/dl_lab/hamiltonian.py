@@ -56,6 +56,15 @@ def custom_geometry(edges: Iterable[tuple[int, int]]) -> Geometry:
     return Geometry("custom-adjacency", edges=tuple(tuple(e) for e in edges))
 
 
+def check_total_dimension(n: int, d: int, *fields: str) -> None:
+    """ValidationError naming fields, the document fields that set n and d, unless d**n
+    stays an exact int64, so that downstream shape arithmetic cannot wrap."""
+    if n > 62 or d ** n > 2 ** 62:
+        named = " and ".join(f"'{field}'" for field in fields)
+        raise ValidationError(f"field{'s' if len(fields) > 1 else ''} {named}: total dimension "
+                              f"{d}**{n} does not fit in 64-bit arithmetic")
+
+
 @dataclass(frozen=True)
 class SiteSpace:
     """n sites of uniform local dimension d arranged on a geometry."""
@@ -69,11 +78,7 @@ class SiteSpace:
             raise ValidationError("need at least one site")
         if self.d < 2:
             raise ValidationError("local dimension must be >= 2")
-        # d**n must stay an exact int64 so downstream shape arithmetic cannot wrap
-        if self.n > 62 or self.d ** self.n > 2 ** 62:
-            raise ValidationError(
-                f"total dimension {self.d}**{self.n} does not fit in 64-bit arithmetic"
-            )
+        check_total_dimension(self.n, self.d, "sites.n")
         g = self.geometry
         if g.kind == "torus-2d" and self.n != 2 * g.lx * g.ly:
             raise ValidationError(f"field 'sites.n': torus-2d {g.lx}x{g.ly} has "

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace,
-                          chain_geometry, torus_geometry)
+from .hamiltonian import (HamiltonianSpec, LocalTerm, SiteSpace, chain_geometry,
+                          check_total_dimension, torus_geometry)
 from .io import check_fields
 from .states import StateVector, check_dim
 
@@ -98,6 +98,7 @@ def build_model(descriptor: ModelDescriptor) -> HamiltonianSpec:
 
 
 def _pinning(n: int) -> HamiltonianSpec:
+    check_total_dimension(n, 2, "model.parameters.n")
     sites = SiteSpace(n, 2, chain_geometry())
     excited = np.array([[0.0, 0.0], [0.0, 1.0]])
     terms = tuple(LocalTerm((i,), excited, is_projector=True) for i in range(n))
@@ -105,6 +106,7 @@ def _pinning(n: int) -> HamiltonianSpec:
 
 
 def _chain_pair_model(n: int, d: int, pair: np.ndarray, periodic: bool) -> HamiltonianSpec:
+    check_total_dimension(n, d, "model.parameters.n")
     sites = SiteSpace(n, d, chain_geometry(periodic))
     bonds = [(i, i + 1) for i in range(n - 1)]
     if periodic and n > 2:
@@ -114,6 +116,7 @@ def _chain_pair_model(n: int, d: int, pair: np.ndarray, periodic: bool) -> Hamil
 
 
 def _toric(lx: int, ly: int) -> HamiltonianSpec:
+    check_total_dimension(2 * lx * ly, 2, "model.parameters.lx", "model.parameters.ly")
     sites = SiteSpace(2 * lx * ly, 2, torus_geometry(lx, ly))
     eye16 = np.eye(16)
     terms = []
@@ -153,6 +156,7 @@ def build_parent_random(n: int, d: int, bond: int, seed: int) -> HamiltonianSpec
         raise ValidationError("need d >= 2, bond >= 1 and n >= 3")
     if bond > d:
         raise ValidationError(f"field 'model.parameters.bond': expected at most d={d}, got {bond}")
+    check_total_dimension(n, d, "model.parameters.n", "model.parameters.d")
     check_dim(d ** n)  # before the d^n amplitudes of the state are contracted
     target = random_mps_state(n, d, bond, seed)
     terms = []

@@ -9,7 +9,9 @@ and diagonalized on its exact blocks alone, found from the terms
 (exact_blocks): the S_z sectors of Heisenberg and AKLT, the syndrome sectors
 of the toric code, the rows of pinning.  A connected matrix is one block,
 diagonalized with no copy, and a one-row block is its own entry and 1.  The
-spectral filter takes the 2-norm of filt - proj one block at a time.  Above
+spectral filter bounds the 2-norm of filt - proj one block at a time, by two
+Cholesky factorizations at the Rayleigh quotient of the block's first excited
+state, and falls back to eigvalsh where that certificate fails.  Above
 the cutoff the ground space is the common kernel of the terms, built site by
 site (ground_kernel), and H is solved only above it, one Lanczos solve per
 state, with the kernel and the states found so far shifted out of the way.
@@ -28,7 +30,7 @@ that should be threaded is scipy's.  runner.run enters it for the whole run,
 and _lanczos for each ARPACK solve and its residual check, so that no matvec
 of a library caller outside a run wakes numpy's pool either.  ARPACK does its
 vector work in scipy's pool, and so do the dense eigh and the spectral
-filter's rank-k update and 2-norm.
+filter's rank-k updates and factorizations.
 """
 from __future__ import annotations
 
@@ -69,6 +71,12 @@ KERNEL_WIDTH_CAP = 2048
 # took 0.095-0.098 s against 0.046-0.049 s at 2**16 (2 chunks of 16) and 0.053-0.059 s
 # at 2**18 (one chunk); medians of 15, 2-vCPU Xeon.
 RESIDUAL_CHUNK_FLOOR = 2 ** 16
+# Margin above the Rayleigh quotient r at which the spectral filter's Cholesky certificate
+# tests the 2-norm of filt - proj (_certified_norm).  It must exceed the rounding of the
+# materialized matrix and of potrf's backward error, some m * eps ~ 1e-13 at m = 1024,
+# or the certificate falls back to eigvalsh; 2**-40 ~ 9.1e-13 keeps the reported upper
+# bound within 1e-12 of the norm, three orders under the filter record's tolerance.
+FILTER_SLACK = 2 ** -40
 _CAP_ENV = "DL_LAB_MAX_DIM"
 
 
@@ -625,22 +633,68 @@ def ground_space(h: HamiltonianSpec, spectrum_data: SpectrumData) -> GroundSpace
     return GroundSpaceData(float(values[0]), float(values[n_ground]), basis, h.sites)
 
 
+def _certified_norm(diff: np.ndarray, probe: np.ndarray) -> float | None:
+    """r + FILTER_SLACK when it bounds the 2-norm of diff, else None; diff is overwritten.
+
+    diff is Fortran-order and holds a Hermitian matrix D in its upper triangle; r is
+    the Rayleigh quotient of D at conj(probe), a unit vector, so |r| <= ||D||.
+    ||D|| < r + FILTER_SLACK when (r + FILTER_SLACK) 1 - D and (r + FILTER_SLACK) 1 + D
+    are both positive definite, that is when each has a Cholesky factor (up to potrf's
+    backward error, some m * eps).  The first is factored in the lower triangle, filled
+    with the transpose of -D, which reads as -conj(D), of the same eigenvalues as -D;
+    the second in the upper, the diagonal set for each from a saved copy, so no second
+    m x m array is made.
+    """
+    hermitian_mv = scipy.linalg.blas.get_blas_funcs(
+        "hemv" if np.iscomplexobj(diff) else "symv", (diff,))
+    potrf = scipy.linalg.get_lapack_funcs("potrf", (diff,))
+    probe = probe.conj()
+    top = float(np.vdot(probe, hermitian_mv(1.0, diff, probe)).real) + FILTER_SLACK
+    diagonal, m, below = diff.diagonal().copy(), len(diff), np.tri(64, k=-1, dtype=bool)
+    # -D^T into the strict lower triangle 64 columns at a time: below its diagonal square a
+    # panel is written in place, with no temporary (1.6-2.2 ms at 729 complex rows; panels
+    # of 32 and 128 columns were no faster)
+    for c0 in range(0, m, 64):
+        c1 = min(c0 + 64, m)
+        np.negative(diff[c0:c1, c1:].T, out=diff[c1:, c0:c1])
+        square = diff[c0:c1, c0:c1]
+        np.copyto(square, -square.T, where=below[:c1 - c0, :c1 - c0])
+    for lower, sign in ((1, -1.0), (0, 1.0)):
+        np.fill_diagonal(diff, top + sign * diagonal)
+        if potrf(diff, lower=lower, clean=0, overwrite_a=1)[1] != 0:
+            return None
+    return top
+
+
 def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
                               spectrum_data: SpectrumData) -> float:
     """Operator-norm distance of the filter from the ground projector, given the full spectrum.
 
     filt - proj is materialized one exact block of H at a time, from the
     block's own eigenvectors and the ground basis on its rows, by two rank-k
-    updates into one buffer that one eigvalsh overwrites, all in scipy's BLAS
-    (see single_blas_pool); the one-row blocks are their entries, taken in one
-    step.  Every entry between two blocks is an exact zero, so the 2-norm of
-    the whole is the largest over the blocks.
+    updates into one buffer, all in scipy's BLAS (see single_blas_pool); the
+    one-row blocks are their entries, taken in one step.  Every entry between
+    two blocks is an exact zero, so the 2-norm of the whole is the largest over
+    the blocks.  A block's 2-norm is certified (_certified_norm) from the
+    Rayleigh quotient at its first excited eigenvector, where the filter weight
+    is largest, by two Cholesky factorizations: the value is an upper bound at
+    most FILTER_SLACK above the norm.  A block the certificate does not hold
+    for (a broken eigenbasis or ground basis moves the top of filt - proj away
+    from that vector) gets one eigvalsh of the rebuilt buffer, exact.
     """
     if len(spectrum_data.values) < gs.sites.dim:
         raise ValidationError("the spectral filter needs the full spectrum")
     roots, blocks = np.exp(-q * spectrum_data.values ** 2 / 4.0), spectrum_data.blocks
     rank_k = scipy.linalg.blas.get_blas_funcs(
         "herk" if np.iscomplexobj(blocks[0][2]) else "syrk", (blocks[0][2],))
+
+    def filt_minus_proj(rows: np.ndarray, cols: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        # the upper triangle of conj(V) W V^T - conj(G) G^T, V and G the vectors and the
+        # ground basis on the rows: conj(filt - proj), Hermitian with the same eigenvalues.
+        # The transposed C-order arrays are Fortran-order, so BLAS reads them with no copy
+        diff = rank_k(1.0, (vectors * roots[cols]).T, trans=2)
+        return rank_k(-1.0, gs.basis[rows].T, beta=1.0, c=diff, trans=2, overwrite_c=1)
+
     # a one-row block's vector is 1 and its filt - proj is its one entry w - |g|^2: all at once
     lone = [(rows[0], cols[0]) for rows, cols, _ in blocks if len(rows) == 1]
     lone_rows, lone_cols = np.array(lone, np.intp).reshape(-1, 2).T
@@ -649,16 +703,16 @@ def gaussian_filter_deviation(q: float, gs: GroundSpaceData,
     for rows, cols, vectors in blocks:
         if len(rows) == 1:
             continue
-        scaled = vectors * roots[cols]
-        # the upper triangle of conj(V) W V^T - conj(G) G^T, V and G the vectors and the
-        # ground basis on the rows: conj(filt - proj), Hermitian with the same eigenvalues,
-        # so its 2-norm is its largest |eigenvalue|.  The transposed C-order arrays are
-        # Fortran-order, so BLAS reads them with no copy
-        diff = rank_k(1.0, scaled.T, trans=2)
-        diff = rank_k(-1.0, gs.basis[rows].T, beta=1.0, c=diff, trans=2, overwrite_c=1)
-        values = scipy.linalg.eigh(diff, lower=False, eigvals_only=True, overwrite_a=True,
-                                   check_finite=False, driver="evd")
-        worst = max(worst, float(np.abs(values).max()))
+        # the block's lowest column at or above the degeneracy, its first excited state (its
+        # last on a block of ground states alone)
+        first = min(int(np.searchsorted(cols, gs.degeneracy)), len(cols) - 1)
+        norm = _certified_norm(filt_minus_proj(rows, cols, vectors), vectors[:, first])
+        if norm is None:
+            values = scipy.linalg.eigh(filt_minus_proj(rows, cols, vectors), lower=False,
+                                       eigvals_only=True, overwrite_a=True,
+                                       check_finite=False, driver="evd")
+            norm = float(np.abs(values).max())
+        worst = max(worst, norm)
     return worst
 
 

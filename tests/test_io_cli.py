@@ -590,12 +590,26 @@ def _tilt_a_ground_column(monkeypatch):
     monkeypatch.setattr(runner, "ground_space", ground_space)
 
 
+def _overstate_the_gap(monkeypatch):
+    """The ground space with its gap reported 10 % larger than the spectrum's."""
+    true_ground_space = runner.ground_space
+
+    def ground_space(h, spectrum_data):
+        gs = true_ground_space(h, spectrum_data)
+        return dataclasses.replace(gs, gap=1.1 * gs.gap)
+
+    monkeypatch.setattr(runner, "ground_space", ground_space)
+
+
 @pytest.mark.parametrize("fault, records", [
     (_swap_two_overlapping_bonds, ["pyramid-identity"]),
     (_drop_an_inside_term, ["cone-absorption"]),
     # the cone's absorption is measured on the same column, so it fails too
     (_tilt_a_ground_column, ["frustration-free", "ground-fixed-point", "cone-absorption"]),
-], ids=["pyramid-identity", "cone-absorption", "ground-column-off-the-kernel"])
+    # the filter's bound exp(-q gap^2 / 2) falls under the filter's measured norm
+    (_overstate_the_gap, ["spectral-filter"]),
+], ids=["pyramid-identity", "cone-absorption", "ground-column-off-the-kernel",
+        "gap-overstated"])
 def test_injected_fault_fails_its_record(tmp_path, monkeypatch, fault, records):
     # heisenberg-ferro(6) passes verify; each fault is the one its records exist to catch
     fault(monkeypatch)
@@ -718,11 +732,13 @@ _PAIR_ROWS = [[[float(i == j == 3), 0.0] for j in range(4)] for i in range(4)]
                                         matrix=_PAIR_ROWS),
      "terms[1].support"),
     (lambda doc: doc.update(terms=[]), "terms"),
+    # d**n beyond 64 bits: exited 2 with a message naming no field
+    (lambda doc: doc["sites"].update(n=70), "sites.n"),
 ], ids=["matrix", "support", "lx", "ly", "edges", "string-n", "float-n", "string-support",
         "int-terms", "edge-single", "edge-float", "non-square-matrix", "overflow-matrix",
         "empty-support", "n-below-one", "d-below-two", "lx-below-two", "ly-below-two",
         "geometry-kind", "support-site", "torus-site-count", "edge-beyond-n",
-        "matrix-not-d-pow-k", "support-not-admitted", "no-terms"])
+        "matrix-not-d-pow-k", "support-not-admitted", "no-terms", "dimension-overflow"])
 def test_cli_exit_two_on_hamiltonian_missing_field(tmp_path, capsys, pinning6, edit, field):
     doc = hamiltonian_to_document(pinning6.h)
     edit(doc)
@@ -917,12 +933,16 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     # against another parameter: exited 2 with a message naming no field
     ({"model": {"name": "parent-random",
                 "parameters": {"n": 4, "d": 2, "bond": 3, "seed": 0}}}, "model.parameters.bond"),
+    # d**n beyond 64 bits: exited 2 with a message naming no field
+    ({"model": {"name": "pinning", "parameters": {"n": 100}}}, "model.parameters.n"),
+    ({"model": {"name": "toric-code", "parameters": {"lx": 6, "ly": 6}}}, "model.parameters.lx"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
         "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
         "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
         "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key",
         "model-name-list", "model-seed", "pinning-n", "heisenberg-n", "aklt-n", "toric-lx",
-        "toric-ly", "parent-n", "parent-d", "parent-bond", "parent-bond-above-d"])
+        "toric-ly", "parent-n", "parent-d", "parent-bond", "parent-bond-above-d",
+        "pinning-n-overflow", "toric-size-overflow"])
 def test_cli_exit_two_on_out_of_range_parameter(tmp_path, capsys, update, field):
     # each used to escape as a Python exception (exit 1), name no field, or pass vacuously
     doc = {"schema_version": 1, "model": {"name": "pinning", "parameters": {"n": 4}},

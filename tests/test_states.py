@@ -1,8 +1,10 @@
 """State engine: contraction, spectra, ground spaces, filter, restricted norms."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -627,12 +629,79 @@ def test_filter_bound_on_models(pinning6, heis6, aklt4, toric22):
 
 
 def test_filter_deviation_matches_svd_oracle(corpus):
+    # the certified value is an upper bound at most FILTER_SLACK (9.1e-13) above the norm
     for model in corpus:
         spec = spectrum(model.h)
         for q in (1.0, 4.0, 16.0):
             measured = gaussian_filter_deviation(q, model.gs, spectrum_data=spec)
             oracle = dense_filter_deviation(model.h, q, model.gs)
-            assert abs(measured - oracle) < 1e-12, model.label
+            assert -1e-15 <= measured - oracle < 1e-12, model.label
+
+
+def _count_filter_paths(monkeypatch):
+    """Counters of the certificates that held and failed and of the eigvalsh fallbacks."""
+    counts = {"held": 0, "failed": 0, "eigvalsh": 0}
+    certify, eigh = states._certified_norm, scipy.linalg.eigh
+
+    def certified_norm(diff, probe):
+        norm = certify(diff, probe)
+        counts["failed" if norm is None else "held"] += 1
+        return norm
+
+    def spy_eigh(*args, **kwargs):
+        counts["eigvalsh"] += bool(kwargs.get("eigvals_only"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(states, "_certified_norm", certified_norm)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+    return counts
+
+
+def test_filter_certificate_holds_on_every_block(monkeypatch, corpus):
+    # every multi-row block of the corpus and of heisenberg-ferro(11) (12 S_z blocks, the
+    # largest 462) is certified with no eigvalsh: a slack too small would always fall back
+    heis11 = build_model(ModelDescriptor.make("heisenberg-ferro", n=11))
+    models = [(model.h, model.gs) for model in corpus]
+    spectra = [spectrum(h) for h, _ in models] + [spectrum(heis11)]
+    models.append((heis11, ground_space(heis11, spectra[-1])))
+    counts = _count_filter_paths(monkeypatch)
+    blocks = 0
+    for (h, gs), spec in zip(models, spectra):
+        for q in (1.0, 4.0, 16.0):
+            gaussian_filter_deviation(q, gs, spectrum_data=spec)
+        blocks += 3 * sum(len(rows) > 1 for rows, _, _ in spec.blocks)
+    assert counts == {"held": blocks, "failed": 0, "eigvalsh": 0}
+    assert blocks > 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_filter_certificate_bounds_both_signs(dtype):
+    # D = U diag(0.9, 0.3, low, 0) U^H: certified at its top eigenvector when low = -0.5;
+    # not at the 0.3 one (the first factorization fails), nor when low = -0.95 puts the
+    # norm on the negative side, which only the second factorization sees
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((4, 4)).astype(dtype)
+                     + (1j * rng.standard_normal((4, 4)) if dtype is complex else 0))[0]
+    matrix = lambda low: np.asfortranarray((u * [0.9, 0.3, low, 0.0]) @ u.conj().T)
+    # _certified_norm takes the Rayleigh quotient at conj(probe)
+    assert states._certified_norm(matrix(-0.5), u[:, 0].conj()) == pytest.approx(
+        0.9 + states.FILTER_SLACK, abs=1e-15)
+    assert states._certified_norm(matrix(-0.5), u[:, 1].conj()) is None
+    assert states._certified_norm(matrix(-0.95), u[:, 0].conj()) is None
+
+
+def test_filter_certificate_fails_on_a_broken_ground_basis(monkeypatch, heis6):
+    # ground column 0 replaced by the first excited eigenvector: filt - proj is largest on
+    # the ground state left out, not at the first excited one, so the certificate fails and
+    # eigvalsh measures the block; the spectral-filter record reads 0.1338 (q = 16)
+    spec, deg = spectrum(heis6.h), heis6.gs.degeneracy
+    basis = heis6.gs.basis.copy()
+    basis[:, 0] = spec.columns(deg + 1)[:, deg]
+    broken = dataclasses.replace(heis6.gs, basis=basis)
+    counts = _count_filter_paths(monkeypatch)
+    measured = gaussian_filter_deviation(16.0, broken, spectrum_data=spec)
+    assert counts["failed"] >= 1 and counts["eigvalsh"] == counts["failed"]
+    assert abs(measured - dense_filter_deviation(heis6.h, 16.0, broken)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
