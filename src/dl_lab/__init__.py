@@ -18,13 +18,11 @@ from .dl import (ConvergenceTrace, DLOperator, PyramidDecomposition,
                  measure_shrinkage, norm_energy_check, pyramid_applicable,
                  pyramid_decompose, step_inequality_margin)
 from .entanglement import (AreaLawCertificate, SchmidtData,
-                           area_law_certificate, max_product_overlap,
-                           rank_growth, reduced_density, schmidt,
-                           shifted_cut_check, step_entropy_bound,
+                           area_law_certificate, rank_growth, reduced_density,
+                           schmidt, shifted_cut_check, step_entropy_bound,
                            tail_bound_check)
 from .correlations import (CausalityCone, ObservableSpec, causality_cone,
-                           cone_absorption_check, connected_correlation,
-                           decay_profile, distinguishing_measurement,
-                           entropy_gap_check)
+                           cone_absorption_check, decay_profile,
+                           distinguishing_measurement, entropy_gap_check)
 from .models import (BUNDLED_MODELS, ModelDescriptor, build_model,
                      build_parent_random, random_mps_state)

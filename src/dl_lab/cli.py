@@ -48,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _model_main(args) -> int:
     if args.model_command == "list":
         for descriptor in BUNDLED_MODELS:
-            facts = ", ".join(f"{k}={v}" for k, v in descriptor.expected) or "-"
-            print(f"{descriptor.label():40s} expected: {facts}")
+            print(descriptor.label())
         return 0
     params = {}
     for item in args.set:

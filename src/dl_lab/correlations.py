@@ -103,12 +103,6 @@ def cone_absorption_check(a: DLOperator, gs: GroundSpaceData, b: ObservableSpec,
     return float(np.linalg.norm(full - pruned, axis=0).max(initial=0.0))
 
 
-def connected_correlation(gs: GroundSpaceData, x: ObservableSpec,
-                          y: ObservableSpec) -> complex:
-    """<XY> - <X><Y> in the unique ground state."""
-    return _correlation_parts(gs, x, y)[0]
-
-
 def _correlation_parts(gs: GroundSpaceData, x: ObservableSpec,
                        y: ObservableSpec) -> tuple[complex, StateVector, complex]:
     """<XY> - <X><Y>, with the Y|omega> and <XY> it is built from."""

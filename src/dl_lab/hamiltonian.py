@@ -109,22 +109,25 @@ class SiteSpace:
                  for pair in itertools.combinations(sorted(self.star_sites(x, y)), 2)}
         return tuple(sorted(pairs))
 
-    def site_distance(self, a: int, b: int) -> int:
-        """Graph distance in the adjacency defined by edges()."""
-        if a == b:
-            return 0
+    def distances_from(self, a: int) -> dict[int, int]:
+        """Graph distance from site a to each site it reaches, in the adjacency of edges()."""
         adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
         for i, j in self.edges():
             adj[i].add(j)
             adj[j].add(i)
-        frontier, seen, dist = {a}, {a}, 0
+        reached, frontier, dist = {a: 0}, {a}, 0
         while frontier:
             dist += 1
-            frontier = {j for i in frontier for j in adj[i]} - seen
-            if b in frontier:
-                return dist
-            seen |= frontier
-        raise ValidationError(f"sites {a} and {b} are not connected")
+            frontier = {j for i in frontier for j in adj[i]} - reached.keys()
+            reached.update(dict.fromkeys(frontier, dist))
+        return reached
+
+    def site_distance(self, a: int, b: int) -> int:
+        """Graph distance in the adjacency defined by edges()."""
+        reached = self.distances_from(a)
+        if b not in reached:
+            raise ValidationError(f"sites {a} and {b} are not connected")
+        return reached[b]
 
     # torus-2d helpers; horizontal edges come first, then vertical ones
     def _h(self, x: int, y: int) -> int:

@@ -66,19 +66,14 @@ def _kron_chain(ops: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    """Name plus parameters, with optionally recorded expected facts."""
+    """A named model plus its parameters, as build_model takes them."""
 
     name: str
     parameters: tuple[tuple[str, object], ...]
-    expected: tuple[tuple[str, object], ...] = ()
 
     @staticmethod
-    def make(name: str, expected: dict | None = None, **parameters) -> "ModelDescriptor":
-        return ModelDescriptor(
-            name,
-            tuple(sorted(parameters.items())),
-            tuple(sorted((expected or {}).items())),
-        )
+    def make(name: str, **parameters) -> "ModelDescriptor":
+        return ModelDescriptor(name, tuple(sorted(parameters.items())))
 
     @property
     def params(self) -> dict:
@@ -192,26 +187,23 @@ MODELS = {
 
 
 BUNDLED_MODELS: tuple[ModelDescriptor, ...] = (
-    ModelDescriptor.make("pinning", n=6, expected={"degeneracy": 1, "gap": 1.0}),
-    ModelDescriptor.make("heisenberg-ferro", n=2, expected={"degeneracy": 3, "gap": 1.0}),
-    ModelDescriptor.make("heisenberg-ferro", n=8, expected={"degeneracy": 9}),
-    ModelDescriptor.make("aklt", n=4, expected={"degeneracy": 4}),
-    ModelDescriptor.make("aklt", n=6, periodic=True, expected={"degeneracy": 1}),
-    ModelDescriptor.make("toric-code", lx=2, ly=2, expected={"degeneracy": 4, "gap": 2.0}),
-    ModelDescriptor.make("parent-random", n=6, d=3, bond=2, seed=2,
-                         expected={"degeneracy": 1}),
-    ModelDescriptor.make("parent-random", n=8, d=2, bond=1, seed=4,
-                         expected={"degeneracy": 1, "gap": 1.0}),
+    ModelDescriptor.make("pinning", n=6),
+    ModelDescriptor.make("heisenberg-ferro", n=2),
+    ModelDescriptor.make("heisenberg-ferro", n=8),
+    ModelDescriptor.make("aklt", n=4),
+    ModelDescriptor.make("aklt", n=6, periodic=True),
+    ModelDescriptor.make("toric-code", lx=2, ly=2),
+    ModelDescriptor.make("parent-random", n=6, d=3, bond=2, seed=2),
+    ModelDescriptor.make("parent-random", n=8, d=2, bond=1, seed=4),
     ModelDescriptor.make("parent-random", n=8, d=2, bond=2, seed=7),
 )
 
 
 # The rows of a config's model section named by `name`; build_model checks the parameters
-_DESCRIPTOR_FIELDS = {"name": (str,), "parameters": (dict, {}), "expected": (dict, {})}
+_DESCRIPTOR_FIELDS = {"name": (str,), "parameters": (dict, {})}
 
 
 def descriptor_from_document(doc: dict) -> ModelDescriptor:
     fields = check_fields(doc, _DESCRIPTOR_FIELDS, "model.")
     # built directly, so that a parameter named like an argument of make is reported
-    return ModelDescriptor(fields["name"], tuple(sorted(fields["parameters"].items())),
-                           tuple(sorted(fields["expected"].items())))
+    return ModelDescriptor(fields["name"], tuple(sorted(fields["parameters"].items())))

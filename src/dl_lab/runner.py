@@ -262,7 +262,8 @@ def _step_gap(ctx: _Context) -> None:
                            check.max_residual, 0.0, 1e-8))
     rows = slice(ctx.p["count"])
     values, residuals = ctx.spectrum_data.values[rows], ctx.spectrum_data.residuals[rows]
-    ctx.add(bounded_record("eigenpair-residuals", "plumbing", float(residuals.max()), 0.0, 1e-8))
+    # informational: spectrum refuses a residual above states.RESIDUAL_TOL (1e-8) itself
+    ctx.add(info_record("eigenpair-residuals", "plumbing", residuals.max()))
     ctx.add_table("spectrum", ("index", "eigenvalue", "residual"),
                   [(i, float(v), float(r)) for i, (v, r) in enumerate(zip(values, residuals))])
 
@@ -440,20 +441,29 @@ def _window_recursion_diagnostic(ctx: _Context, delta: float) -> None:
 
 
 def _default_family(ctx: _Context) -> tuple[ObservableSpec, list[ObservableSpec]]:
-    n, x_site, distances = ctx.h.sites.n, ctx.p["x_site"], ctx.p["distances"]
-    # a ring wraps round to distance n // 2; an open chain ends n - 1 - x_site sites on
-    max_m = n // 2 if ctx.h.sites.geometry.kind == "chain-periodic" else n - 1 - x_site
+    """X at x_site and one Y per graph distance m: the site m on from x_site (mod n), as on a
+    chain or a ring, when it lies at distance m; else the lowest-index site at distance m."""
+    sites, x_site, distances = ctx.h.sites, ctx.p["x_site"], ctx.p["distances"]
+    reached = sites.distances_from(x_site)
+    # an open chain ends n - 1 - x_site sites on; elsewhere, a ring's n // 2 included, the
+    # largest distance is that of the farthest site x_site reaches
+    max_m = (sites.n - 1 - x_site if sites.geometry.kind == "chain-open"
+             else max(reached.values()))
     if distances is None:
         distances = list(range(1, min(ctx.p["max_distance"], max_m) + 1))
         if not distances:
             raise ValidationError(f"field 'parameters.x_site': no default distance from "
-                                  f"site {x_site}, the last site")
+                                  f"site {x_site}, since no site lies beyond it")
     elif distances != sorted(set(distances)) or distances[-1] > max_m:
         raise ValidationError("field 'parameters.distances': expected strictly increasing "
                               f"integers in [1, {max_m}], got {distances!r}")
-    x = ctx.observable(x_site)
-    family = [ctx.observable((x_site + m) % n) for m in distances]
-    return x, family
+    family = []
+    for m in distances:
+        site = (x_site + m) % sites.n
+        if reached.get(site) != m:
+            site = min(s for s, dist in reached.items() if dist == m)
+        family.append(ctx.observable(site))
+    return ctx.observable(x_site), family
 
 
 def _step_correlate(ctx: _Context) -> None:

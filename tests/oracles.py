@@ -13,6 +13,7 @@ import numpy as np
 
 from dl_lab.correlations import causality_cone
 from dl_lab.entanglement import StepBoundResult
+from dl_lab.hamiltonian import HamiltonianSpec, LocalTerm, SiteSpace, custom_geometry
 from dl_lab.runner import NORM_ENERGY_STACK
 
 
@@ -115,6 +116,28 @@ def dense_filter_deviation(h, q: float, gs) -> float:
     filt = (evecs * np.exp(-q * evals ** 2 / 2.0)) @ evecs.conj().T
     basis = gs.basis
     return float(np.linalg.norm(filt - basis @ basis.conj().T, 2))
+
+
+def dense_connected_correlation(gs, x, y) -> complex:
+    """<XY> - <X><Y> in gs.omega, with X and Y embedded as full matrices."""
+    n, d = gs.sites.n, gs.sites.d
+    omega = gs.omega.amplitudes
+    x_omega = kron_embed(x.matrix, x.support, n, d) @ omega
+    y_omega = kron_embed(y.matrix, y.support, n, d) @ omega
+    return np.vdot(x_omega, y_omega) - np.vdot(omega, x_omega) * np.vdot(omega, y_omega)
+
+
+def planted_product_model(d: int, edges, seed: int):
+    """Planted quantum 2-SAT on custom-adjacency sites: on each edge the rank d*d - 1
+    projector that annihilates the edge's pair of a random product state."""
+    rng = np.random.default_rng(seed)
+    n = 1 + max(max(edge) for edge in edges)
+    local = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    local /= np.linalg.norm(local, axis=1, keepdims=True)
+    pairs = [np.kron(local[i], local[j]) for i, j in edges]
+    terms = [LocalTerm(edge, np.eye(d * d) - np.outer(pair, pair.conj()), is_projector=True)
+             for edge, pair in zip(edges, pairs)]
+    return HamiltonianSpec(SiteSpace(n, d, custom_geometry(edges)), tuple(terms))
 
 
 def dense_window_projector(h, window) -> np.ndarray:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from dl_lab.correlations import (ObservableSpec, cone_absorption_check,
-                                 connected_correlation, decay_profile,
-                                 distinguishing_measurement, entropy_gap_check)
+                                 decay_profile, distinguishing_measurement,
+                                 entropy_gap_check)
 from dl_lab.dl import (apply_pyramids, converge, dl_operator,
                        measure_shrinkage, norm_energy_check, pyramid_decompose,
                        step_inequality_margin)
@@ -21,6 +21,8 @@ from dl_lab.entanglement import (area_law_certificate,
 from dl_lab.models import ModelDescriptor, build_model, site_observable
 from dl_lab.states import ground_space, product_state, random_state, spectrum, \
     gaussian_filter_deviation
+
+from oracles import dense_connected_correlation
 
 
 def _criterion(num: int, description: str, ok: bool) -> None:
@@ -241,7 +243,8 @@ def test_c11_correlation_decay(aklt12, parent632, parent821):
 
     xp = _observable(parent821, "sz", 0)
     for site in (2, 4, 6):
-        corr = connected_correlation(parent821.gs, xp, _observable(parent821, "sz", site))
+        yp = _observable(parent821, "sz", site)
+        corr = dense_connected_correlation(parent821.gs, xp, yp)
         ok &= abs(corr) <= 1e-12
     _criterion(11, "correlations decay exponentially; product grounds factorize", ok)
 

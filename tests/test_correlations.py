@@ -8,9 +8,9 @@ import pytest
 import dl_lab.cli as cli
 from dl_lab import correlations
 from dl_lab.correlations import (ObservableSpec, causality_cone,
-                                 cone_absorption_check, connected_correlation,
-                                 decay_profile, distinguishing_measurement,
-                                 entropy_gap_check, support_distance)
+                                 cone_absorption_check, decay_profile,
+                                 distinguishing_measurement, entropy_gap_check,
+                                 support_distance)
 from dl_lab.entanglement import max_product_overlap, subset_entropy
 from dl_lab.dl import dl_operator
 from dl_lab.errors import ValidationError
@@ -18,8 +18,8 @@ from dl_lab.hamiltonian import validate_frustration_free
 from dl_lab.models import BUNDLED_MODELS, build_model, site_observable
 from dl_lab.states import DENSE_CUTOFF, GroundSpaceData, random_state, spectrum
 
-from oracles import (block_density, dense_dl_matrix, dense_window_projector, eigvalsh_entropy,
-                     kron_embed, max_excluding_rounds)
+from oracles import (block_density, dense_connected_correlation, dense_dl_matrix,
+                     dense_window_projector, eigvalsh_entropy, kron_embed, max_excluding_rounds)
 
 
 def observable(model, name, site):
@@ -179,34 +179,35 @@ def test_inside_then_outside_factorization(heis8):
 def test_product_ground_correlations_vanish(pinning6):
     x = observable(pinning6, "sz", 0)
     y = observable(pinning6, "sz", 3)
-    corr = connected_correlation(pinning6.gs, x, y)
+    corr = dense_connected_correlation(pinning6.gs, x, y)
     assert abs(corr) <= 1e-12
 
 
 def test_identity_observables_uncorrelated(parent632):
     x = ObservableSpec((0,), np.eye(3))
     y = ObservableSpec((4,), np.eye(3))
-    corr = connected_correlation(parent632.gs, x, y)
+    corr = dense_connected_correlation(parent632.gs, x, y)
     assert abs(corr) <= 1e-12
 
 
-def test_correlation_matches_dense_oracle(aklt6p):
-    x = observable(aklt6p, "sz", 0)
-    y = observable(aklt6p, "sz", 2)
-    corr = connected_correlation(aklt6p.gs, x, y)
-    omega = aklt6p.gs.omega.amplitudes
-    x_mat = kron_embed(x.matrix, x.support, 6, 3)
-    y_mat = kron_embed(y.matrix, y.support, 6, 3)
-    oracle = (omega.conj() @ x_mat @ y_mat @ omega
-              - (omega.conj() @ x_mat @ omega) * (omega.conj() @ y_mat @ omega))
-    assert abs(corr - oracle) < 1e-12
+def test_correlation_matches_dense_oracle(pinning6, parent632, aklt6p):
+    # every decay_profile row against <XY> - <X><Y> from the embedded matrices
+    for model in (pinning6, parent632, aklt6p):
+        x = observable(model, "sz", 0)
+        family = [observable(model, "sz", s) for s in range(1, model.h.sites.n // 2 + 1)]
+        profile = decay_profile(model.a, model.gs, x, family)
+        assert [m for m, _, _ in profile.rows] == list(range(1, len(family) + 1))
+        for (_, corr, normalized), y in zip(profile.rows, family):
+            oracle = abs(dense_connected_correlation(model.gs, x, y))
+            assert abs(corr - oracle) < 1e-12, model.label
+            assert normalized == pytest.approx(oracle / (x.norm * y.norm), abs=1e-12)
 
 
 def test_correlation_needs_unique_ground(heis8):
     x = observable(heis8, "sz", 0)
     y = observable(heis8, "sz", 3)
-    with pytest.raises(ValidationError):
-        connected_correlation(heis8.gs, x, y)
+    with pytest.raises(ValidationError, match="unique ground state"):
+        decay_profile(heis8.a, heis8.gs, x, [y])
 
 
 def test_decay_profile_product_ground_skips_fit(pinning6):

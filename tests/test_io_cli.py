@@ -24,6 +24,8 @@ from dl_lab.runner import (RUN_PARAMETERS, CheckRecord, Report, RunConfig, emit_
 from dl_lab.models import ModelDescriptor, build_model
 from dl_lab.states import DENSE_CUTOFF
 
+from oracles import planted_product_model
+
 
 # ---------------------------------------------------------------------------
 # structured text round trips
@@ -414,6 +416,14 @@ def test_measurecheck_rejects_rings(tmp_path):
                      model={"name": "aklt", "parameters": {"n": 6, "periodic": True}})
     with pytest.raises(ValidationError, match="open chain"):
         run(config)
+
+
+def test_eigenpair_residuals_is_informational(tmp_path):
+    # spectrum refuses a residual above 1e-8 before the record is made, so it asserts nothing
+    records = {record.name: record for record in run(_config("gap", tmp_path)).records}
+    record = records["eigenpair-residuals"]
+    assert (record.status, record.bound, record.tolerance) == ("pass", None, None)
+    assert 0.0 <= record.measured <= 1e-8
 
 
 GAP_RECORDS = ["ground-energy", "spectral-gap", "ground-degeneracy", "frustration-free",
@@ -1124,10 +1134,11 @@ def test_schemas_doc_matches_run_parameters(n):
     ({"name": "aklt", "parameters": {"n": "x"}}, "model.parameters.n"),
     ({"name": "aklt", "parameters": [1]}, "model.parameters"),
     ({"name": "aklt", "parameters": {"n": 4}, "expected": [1]}, "model.expected"),
+    ({"name": "aklt", "parameters": {"n": 4}, "expected": {"degeneracy": 99}}, "model.expected"),
     ({"name": "aklt", "parameters": {"n": 4, "bogus": 1}}, "model.parameters.bogus"),
     ({"name": "aklt", "parameters": {"n": 4, "periodic": "no"}}, "model.parameters.periodic"),
 ], ids=["missing-n", "missing-ly", "missing-seed", "string-n", "list-parameters",
-        "list-expected", "unknown-key", "string-periodic"])
+        "list-expected", "object-expected", "unknown-key", "string-periodic"])
 def test_cli_exit_two_on_bad_model_document(tmp_path, capsys, model, field):
     path = _write_config(tmp_path, command="gap", model=model)
     assert cli.main(["gap", "--config", path, "--quiet"]) == 2
@@ -1141,11 +1152,26 @@ def test_cli_exit_two_on_command_mismatch(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "out" / "report.json"))
 
 
+@pytest.mark.parametrize("command", ["correlate", "verify"])
+def test_cli_correlates_by_graph_distance_off_a_chain(tmp_path, command):
+    # edges (0,2) and (1,2): site 2 lies one edge from x_site 0 and site 1 two; picked by
+    # index offset, the family's distances came out 2, 1, and the run exited 2
+    model_path = str(tmp_path / "planted.json")
+    save_hamiltonian(model_path, planted_product_model(2, [(0, 2), (1, 2)], seed=0))
+    path = _write_config(tmp_path, command=command, model={"path": model_path})
+    assert cli.main([command, "--config", path, "--quiet"]) == 0
+    with open(tmp_path / "out" / "report.json") as handle:
+        checks = {check["name"]: check for check in json.load(handle)["checks"]}
+    assert checks["correlation-identity"]["status"] == "pass"
+    # the planted product state is the ground state, so every correlation is 0
+    assert checks["correlation-decay"]["status"] == "hypothesis-not-met"
+
+
 def test_cli_model_list(capsys):
     assert cli.main(["model", "list"]) == 0
     output = capsys.readouterr().out
-    assert "pinning" in output
-    assert "toric-code" in output
+    assert output.splitlines() == [descriptor.label() for descriptor in models.BUNDLED_MODELS]
+    assert "expected" not in output
 
 
 def test_cli_model_emit(tmp_path, capsys):
