@@ -196,36 +196,41 @@ def dense_norm_energy(x_proj: np.ndarray, y_proj: np.ndarray, v: np.ndarray):
 def norm_energy_sweep(seed: int, samples: int) -> float:
     """Largest ||(1-Y)XYv||^2 - eps(1-eps) over seeded pairs, one pair at a time.
 
-    The draws are the run's: every dimension first, then per dimension in
-    ascending order, NORM_ENERGY_STACK samples at a time, the ranks of X and Y,
-    their Gaussian spans (dim // 2 columns each) and v.  A span of rank r is
-    the QR of its first min(r, dim - r) columns alone, and the complement of
-    that where r > dim - r; each pair is checked as dim x dim matrices.
+    The draws are the run's: every dimension, then the ranks of every X and
+    every Y.  The samples, in order of their widest narrow side
+    max(min(r, dim - r)) and then of dimension, go NORM_ENERGY_STACK at a
+    time; each stack draws the complex Gaussian entries of every X span, then
+    of every Y span, member by member, each a (dim, min(r, dim - r)) matrix
+    row after row, then every v.  A span of rank r is the QR of its Gaussian,
+    complemented where r > dim - r; each pair is checked as dim x dim matrices.
     """
     rng = np.random.default_rng(seed)
-    dims = rng.integers(2, 33, samples)
+    dims = rng.integers(2, 33, samples).tolist()
+    ranks = rng.integers(1, dims, (2, samples)).tolist()
+    narrow = [[min(r, dim - r) for r, dim in zip(side, dims)] for side in ranks]
+    order = sorted(range(samples), key=lambda i: (max(narrow[0][i], narrow[1][i]), dims[i]))
     worst = -np.inf
-    for dim in sorted(set(dims.tolist())):
-        left = int(np.count_nonzero(dims == dim))
-        while left:
-            m = min(NORM_ENERGY_STACK, left)
-            left -= m
-            ranks = rng.integers(1, dim, (2, m))
-            gauss = rng.standard_normal((2, 2, m, dim, dim // 2))
-            gauss = gauss[0] + 1j * gauss[1]
-            vs = rng.standard_normal((2, m, dim))
-            vs = vs[0] + 1j * vs[1]
-            for i in range(m):
-                x, y = (_span_projector(gauss[j, i], int(ranks[j, i])) for j in range(2))
-                lhs, rhs = dense_norm_energy(x, y, vs[i] / np.linalg.norm(vs[i]))
-                worst = max(worst, float(lhs - rhs))
+    for start in range(0, samples, NORM_ENERGY_STACK):
+        stack = order[start:start + NORM_ENERGY_STACK]
+        spans = [[_complex_normals(rng, dims[i], narrow[j][i]) for i in stack] for j in range(2)]
+        for i, *gauss in zip(stack, *spans):
+            v = _complex_normals(rng, dims[i], 1)[:, 0]
+            x, y = (_span_projector(g, side[i]) for g, side in zip(gauss, ranks))
+            lhs, rhs = dense_norm_energy(x, y, v / np.linalg.norm(v))
+            worst = max(worst, float(lhs - rhs))
     return worst
 
 
+def _complex_normals(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) complex Gaussian, each entry two consecutive real normals."""
+    pairs = rng.standard_normal((rows, cols, 2))
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
 def _span_projector(gauss: np.ndarray, rank: int) -> np.ndarray:
-    """Projector of rank `rank` from the columns of a (dim, dim // 2) Gaussian."""
+    """Projector of rank `rank` from the span of a (dim, min(rank, dim - rank)) Gaussian."""
     dim = len(gauss)
-    q, _ = np.linalg.qr(gauss[:, :min(rank, dim - rank)])
+    q, _ = np.linalg.qr(gauss)
     proj = q @ q.conj().T
     return np.eye(dim) - proj if rank > dim - rank else proj
 

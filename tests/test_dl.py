@@ -346,47 +346,77 @@ def test_norm_energy_stack_checks_every_member(member):
         norm_energy_check(x, y, bad, x_complement, y_complement)
 
 
-@pytest.mark.parametrize("samples", [1, 15, 16, 17, 1000])
+@pytest.mark.parametrize("flags", [(False, False), (False, True), (True, False), (True, True)])
+def test_norm_energy_padded_member_matches_its_own_dimension(flags):
+    # the sweep pads each member with zero rows up to the largest dimension of its stack
+    x, y, v, _, _ = _basis_stack(6)
+    lhs, rhs = norm_energy_check(x, y, v, *flags)
+    for pad in (1, 4, 27):
+        rows = ((0, 0), (0, pad), (0, 0))
+        padded = norm_energy_check(np.pad(x, rows), np.pad(y, rows), np.pad(v, rows[:2]), *flags)
+        assert np.abs(padded[0] - lhs).max() <= 1e-15
+        assert np.abs(padded[1] - rhs).max() <= 1e-15
+
+
+def _captured_stacks(monkeypatch):
+    """The arguments of every norm_energy_check call the sweep makes, appended as it runs."""
+    stacks = []
+
+    def capturing(*args):
+        stacks.append(args)
+        return norm_energy_check(*args)
+
+    monkeypatch.setattr(runner, "norm_energy_check", capturing)
+    return stacks
+
+
+@pytest.mark.parametrize("samples", [1, 15, 16, 17, NORM_ENERGY_STACK + 1, 1000])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_norm_energy_record_matches_per_pair_oracle(seed, samples, tmp_path):
-    # up to 17 samples leave most of the 31 dimensions without a sample; 1000 is the
-    # default sweep, where some dimension fills more than one stack
-    if samples == 1000:
-        dims = np.random.default_rng(seed).integers(2, 33, samples)
-        assert np.bincount(dims).max() > NORM_ENERGY_STACK
+def test_norm_energy_record_matches_per_pair_oracle(seed, samples, tmp_path, monkeypatch):
+    # up to 17 samples leave most of the 31 dimensions without a sample; one more than
+    # a stack takes two stacks; 1000 is the default sweep, where stacks cross dimensions
+    stacks = _captured_stacks(monkeypatch)
     doc = {"command": "verify", "output": {"dir": str(tmp_path)},
            "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
            "parameters": {"seed": seed, "norm_energy_samples": samples}}
     records = {r.name: r for r in run(RunConfig.from_document(doc)).records}
     assert records["norm-energy"].measured == pytest.approx(
         norm_energy_sweep(seed, samples), rel=0, abs=1e-15)
+    assert [len(v) for _, _, v, *_ in stacks] == [
+        min(NORM_ENERGY_STACK, samples - start) for start in range(0, samples, NORM_ENERGY_STACK)]
+    if samples == 1000:
+        assert any(len(set(np.count_nonzero(v, axis=-1).tolist())) > 1 for _, _, v, *_ in stacks)
 
 
 def test_norm_energy_sweep_draws_every_rank_on_both_sides(tmp_path, monkeypatch):
-    # a rank above dim / 2 is drawn as the complement of the narrow side
-    spans = []
-
-    def capturing(x_basis, y_basis, v, x_complement, y_complement):
-        spans.extend([(x_basis, x_complement), (y_basis, y_complement)])
-        return norm_energy_check(x_basis, y_basis, v, x_complement, y_complement)
-
-    monkeypatch.setattr(runner, "norm_energy_check", capturing)
+    # a rank above dim / 2 is drawn as the complement of the narrow side; a member's
+    # dimension is the count of nonzero entries of its v, and its rows past it are zero
+    stacks = _captured_stacks(monkeypatch)
     doc = {"command": "verify", "output": {"dir": str(tmp_path)},
            "model": {"name": "heisenberg-ferro", "parameters": {"n": 2}},
            "parameters": {"seed": 1, "norm_energy_samples": 1000}}
     run(RunConfig.from_document(doc))
     seen = set()
-    for basis, complement in spans:
-        dim = basis.shape[-2]
-        assert basis.shape[-1] == dim // 2
-        norms = np.linalg.norm(basis, axis=-2)
-        used = np.round(norms)
-        assert np.abs(norms - used).max() < 1e-10
-        ranks = np.where(complement, dim - used.sum(axis=-1), used.sum(axis=-1))
-        assert ((1 <= ranks) & (ranks <= dim - 1)).all()
-        assert (complement == (ranks > dim / 2)).all()
-        seen |= {(dim, bool(wide)) for wide in complement}
-    assert sum(len(basis) for basis, _ in spans) == 2 * 1000
+    for x_basis, y_basis, v, x_complement, y_complement in stacks:
+        dims = np.count_nonzero(v, axis=-1)
+        assert v.shape[-1] == dims.max()
+        padding = np.arange(v.shape[-1]) >= dims[:, None]
+        assert not v[padding].any()
+        widest = 0
+        for basis, complement in ((x_basis, x_complement), (y_basis, y_complement)):
+            assert not basis[padding].any()
+            norms = np.linalg.norm(basis, axis=-2)
+            used = np.round(norms)
+            assert np.abs(norms - used).max() < 1e-10
+            narrow = used.sum(axis=-1)
+            widest = max(widest, narrow.max())
+            assert (2 * narrow <= dims).all()
+            ranks = np.where(complement, dims - narrow, narrow)
+            assert ((1 <= ranks) & (ranks <= dims - 1)).all()
+            assert (complement == (ranks > dims / 2)).all()
+            seen |= {(dim, bool(wide)) for dim, wide in zip(dims.tolist(), complement)}
+        assert x_basis.shape[-1] == y_basis.shape[-1] == widest
+    assert sum(len(v) for _, _, v, *_ in stacks) == 1000
     assert {(dim, wide) for dim in range(4, 33) for wide in (False, True)} <= seen
 
 

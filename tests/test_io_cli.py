@@ -906,6 +906,8 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     ({"parameters": {"distances": "ab"}}, "parameters.distances"),
     ({"output": "o"}, "output"),
     ({"parameters": {"norm_energy_samples": 0}}, "parameters.norm_energy_samples"),
+    # escaped as numpy's ArrayMemoryError, exit 1
+    ({"parameters": {"norm_energy_samples": 10 ** 11}}, "parameters.norm_energy_samples"),
     ({"parameters": {"rank_steps": 0}}, "parameters.rank_steps"),
     # each of these used to pass vacuously, wrap round the open chain, or name no field
     ({"parameters": {"x_site": 99}}, "parameters.x_site"),
@@ -947,8 +949,9 @@ def test_malformed_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
     ({"model": {"name": "pinning", "parameters": {"n": 100}}}, "model.parameters.n"),
     ({"model": {"name": "toric-code", "parameters": {"lx": 6, "ly": 6}}}, "model.parameters.lx"),
 ], ids=["seed", "l_max_tail", "cone_site", "distances", "output", "norm_energy_samples",
-        "rank_steps", "x_site", "x_site-last", "window", "cut_shift", "max_distance",
-        "distances-empty", "distances-wrap", "distances-tail-wrap", "distances-decreasing",
+        "norm_energy_samples-huge", "rank_steps", "x_site", "x_site-last", "window",
+        "cut_shift", "max_distance", "distances-empty", "distances-wrap",
+        "distances-tail-wrap", "distances-decreasing",
         "cut", "l_max", "cone_rounds", "observable", "seed-bool", "seed-float", "unknown-key",
         "model-name-list", "model-seed", "pinning-n", "heisenberg-n", "aklt-n", "toric-lx",
         "toric-ly", "parent-n", "parent-d", "parent-bond", "parent-bond-above-d",
